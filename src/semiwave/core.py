@@ -82,6 +82,14 @@ class Grid:
             for m, h in zip(self.n, self.spacing)
         )
 
+    def axis_wavenumber(self, axis: int) -> np.ndarray:
+        """Wavenumbers of one axis shaped to broadcast against a field:
+        length n along `axis`, 1 along the others.  Every spectral
+        multiplier along an axis is built from it."""
+        shape = [1] * self.dim
+        shape[axis] = self.n[axis]
+        return self.wavenumbers()[axis].reshape(shape)
+
 
 def make_uniform_grid(dim: int, lo, hi, n) -> Grid:
     """Build a Grid, broadcasting scalar lo/hi/n over the axes."""
@@ -207,21 +215,9 @@ def apply_momentum(psi: ComplexField, axis: int = 0) -> ComplexField:
     """Apply the momentum operator -i*hbar*d/dx_axis in Fourier space."""
     if not 0 <= axis < psi.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {psi.grid.dim}")
-    k = psi.grid.wavenumbers()[axis]
-    shape = [1] * psi.grid.dim
-    shape[axis] = len(k)
-    mult = psi.hbar * k.reshape(shape)
+    mult = psi.hbar * psi.grid.axis_wavenumber(axis)
     out = np.fft.ifft(mult * np.fft.fft(psi.values, axis=axis), axis=axis)
     return psi.with_values(out)
-
-
-def spectral_derivative(values: np.ndarray, grid: Grid, axis: int = 0, order: int = 1) -> np.ndarray:
-    """d^order/dx_axis^order of a periodic sample array, via FFT."""
-    k = grid.wavenumbers()[axis]
-    shape = [1] * grid.dim
-    shape[axis] = len(k)
-    mult = (1j * k.reshape(shape)) ** order
-    return np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,14 @@ def _central_diff(f: Callable, x: Sequence[np.ndarray], t: float, axis: int) -> 
 
 
 class ScalarPotential:
-    """Base scalar potential; subclasses provide value() and gradient()."""
+    """Base scalar potential; subclasses provide value() and gradient().
+
+    `static` is True when V does not depend on t.  The propagator then
+    samples V once per run instead of twice per step, so a subclass may set
+    it only when value() ignores t.
+    """
+
+    static: bool = False
 
     def value(self, xs: tuple[np.ndarray, ...], t: float) -> np.ndarray:
         raise NotImplementedError
@@ -256,6 +259,8 @@ class ScalarPotential:
 
 @dataclass
 class ZeroScalar(ScalarPotential):
+    static = True
+
     def value(self, xs, t):
         return np.zeros(np.broadcast(*xs).shape) if len(xs) > 1 else np.zeros_like(xs[0], dtype=float)
 
@@ -269,6 +274,8 @@ class HarmonicScalar(ScalarPotential):
 
     The mass enters the conventional normalisation, so the spec carries it.
     """
+
+    static = True
 
     omega: tuple[float, ...]
     center: tuple[float, ...]
@@ -304,6 +311,10 @@ class SeparatedScalar(ScalarPotential):
     v0: Callable[[float], float] | None = None
     v1: Callable[[np.ndarray], np.ndarray] | None = None
     v1_prime: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @property
+    def static(self) -> bool:
+        return self.v0 is None
 
     def value(self, xs, t):
         x = np.asarray(xs[0], dtype=float)

@@ -9,6 +9,28 @@ on a periodic grid with Strang splitting: a half step of the local
 and a second local half step with the modulus refreshed.  Every factor is
 a pure phase, so each step preserves the norm to rounding.
 
+A run builds one propagator plan (_StrangPlan) per (grid, params, pot).
+It holds the mesh and a single cached kinetic factor, rebuilt only when
+the uniform A or the step length changes.  A scalar potential whose
+`static` property is true (ZeroScalar, HarmonicScalar, SeparatedScalar
+without v0) is sampled once per plan; any other is sampled at the
+midpoint of each half step, twice per step.
+
+Because the local factor is a pure phase, |psi|^2 is the same on both
+sides of it, so the closing half step of step n and the opening half step
+of step n+1 are applied as one multiply with phase
+
+    [(h_n/2) V(t_n + 3h_n/4) + (h_{n+1}/2) V(t_n + h_n + h_{n+1}/4)
+     - r (h_n + h_{n+1}) |psi|^2] / hbar,
+
+where t_n is the start and h_n the length of step n.  The pair is split
+again after every snapshot step and on the last step, so every recorded
+state is an exact Strang state; split_step is the same plan run with
+every pair split.  The norm sum(|psi|^2) dV is taken from the same
+|psi|^2 after each kinetic step and doubles as the finiteness probe: when
+it is not finite, the pending closing half step is checked again, so the
+abort names the step whose factor produced the fault.
+
 The residual evaluator applies the full operator to a sampled field with
 the time derivative supplied either analytically or as a three-snapshot
 central difference.  It serves as the independent check that asymptotic
@@ -17,10 +39,12 @@ constructions satisfy the equation to the advertised order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .core import (
     ComplexField,
@@ -92,21 +116,22 @@ class EvolutionRecord:
         return self.snapshots[-1]
 
 
-def _uniform_components(pot: PotentialSpec, grid: Grid, t: float) -> tuple[float, ...]:
+def _uniform_components(pot: PotentialSpec, xs: tuple[np.ndarray, ...],
+                        t: float) -> tuple[float, ...]:
     """Spatially constant vector-potential components at time t.
 
-    Anything that varies across the grid is rejected: the kinetic factor
+    Anything that varies across the mesh xs is rejected: the kinetic factor
     diagonalises in Fourier space only for uniform A.
     """
     vec = pot.vector
     if isinstance(vec, ZeroVector):
-        return (0.0,) * grid.dim
+        return (0.0,) * len(xs)
     if isinstance(vec, UniformVector):
         comps = vec.components(t)
-        if len(comps) != grid.dim:
+        if len(comps) != len(xs):
             raise ValueError("vector potential dimension mismatch")
         return comps
-    sampled = vec.value(grid.mesh(), t)
+    sampled = vec.value(xs, t)
     out = []
     for comp in sampled:
         arr = np.asarray(comp, dtype=float)
@@ -120,40 +145,122 @@ def _uniform_components(pot: PotentialSpec, grid: Grid, t: float) -> tuple[float
     return tuple(out)
 
 
-def _kinetic_phase(grid: Grid, a: tuple[float, ...], dt: float, params: PhysParams) -> np.ndarray:
-    """Phase angle dt * sum_j (hbar k_j - A_j)^2 / (2 m hbar), fft layout."""
-    hbar, m = params.hbar, params.mass
-    total = 0.0
-    for ax, k in enumerate(grid.wavenumbers()):
-        shape = [1] * grid.dim
-        shape[ax] = len(k)
-        total = total + (hbar * k.reshape(shape) - a[ax]) ** 2
-    return dt * total / (2.0 * m * hbar)
+def _expi(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) of a real array, from one cos and one sin pass."""
+    out = np.empty(np.shape(theta), dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
-def _local_phase(values: np.ndarray, grid: Grid, t: float, dt_half: float,
-                 config: SolverConfig) -> np.ndarray:
-    """Phase angle of one local half step, potential sampled at time t."""
-    v = np.asarray(config.pot.scalar.value(grid.mesh(), t), dtype=float)
-    dens = np.abs(values) ** 2
-    return dt_half * (v - 2.0 * config.params.r * dens) / config.params.hbar
+def _density(vals: np.ndarray) -> np.ndarray:
+    return vals.real ** 2 + vals.imag ** 2
 
 
-def _step_values(vals: np.ndarray, grid: Grid, t: float, dt: float,
-                 config: SolverConfig) -> np.ndarray:
-    """One Strang step on raw samples, from t to t + dt."""
-    vals = vals * np.exp(-1j * _local_phase(vals, grid, t + 0.25 * dt, 0.5 * dt, config))
+class _StrangPlan:
+    """Strang propagator on one grid for one (params, pot).
 
-    a = _uniform_components(config.pot, grid, t + 0.5 * dt)
-    phase_k = _kinetic_phase(grid, a, dt, config.params)
-    vals = np.fft.ifftn(np.exp(-1j * phase_k) * np.fft.fftn(vals))
+    Holds the mesh, the local phase rate V/(2 hbar) when the scalar
+    potential is static (sampled once, at t0), and one kinetic factor,
+    rebuilt only when the uniform A or the step length changes.
+    """
 
-    return vals * np.exp(-1j * _local_phase(vals, grid, t + 0.75 * dt, 0.5 * dt, config))
+    def __init__(self, grid: Grid, params: PhysParams, pot: PotentialSpec, t0: float):
+        self.params = params
+        self.pot = pot
+        self.xs = grid.mesh()
+        self.dv = grid.cell_volume
+        self.v_rate = self._v_rate(t0) if pot.scalar.static else None
+        self.hk = tuple(params.hbar * grid.axis_wavenumber(ax) for ax in range(grid.dim))
+        self._kin_key = None
+        self._kin = None
+
+    def _v_rate(self, t: float) -> np.ndarray:
+        v = np.asarray(self.pot.scalar.value(self.xs, t), dtype=float)
+        return (0.5 / self.params.hbar) * v
+
+    def local_factor(self, dens: np.ndarray, halves: list[tuple[float, float]]) -> np.ndarray:
+        """exp(-i phase) of the local half steps `halves`, (t, h) pairs that
+        each act for h/2 with V sampled at t.  A pure phase leaves |psi|^2
+        unchanged, so all of them share dens and combine into one factor."""
+        hsum = sum(h for _, h in halves)
+        theta = (self.params.r * hsum / self.params.hbar) * dens
+        if self.v_rate is None:
+            for t, h in halves:
+                theta -= h * self._v_rate(t)
+        else:
+            theta -= hsum * self.v_rate
+        return _expi(theta)
+
+    def kinetic(self, vals: np.ndarray, t: float, h: float) -> np.ndarray:
+        """Full kinetic step of length h, A sampled at t."""
+        a = _uniform_components(self.pot, self.xs, t)
+        if (a, h) != self._kin_key:
+            scale = h / (2.0 * self.params.mass * self.params.hbar)
+            factor = 1.0
+            for hk, a_ax in zip(self.hk, a):
+                factor = factor * _expi(-scale * (hk - a_ax) ** 2)
+            self._kin_key, self._kin = (a, h), factor
+        spec = scipy.fft.fftn(vals)
+        spec *= self._kin
+        return scipy.fft.ifftn(spec)
+
+    def run(self, vals: np.ndarray, t0: float, steps: list[tuple[float, float]],
+            every: int):
+        """Strang steps from t0, one per (length, end time) pair of `steps`.
+        Yields (t, norm, state) after each step; state is the exact Strang
+        state after every `every`-th step and the last one, and None between
+        them, where the closing half step is still pending and will be fused
+        with the next opening one.  A non-finite norm aborts with the index
+        of the step that produced it.
+        """
+        dens = _density(vals)
+        closing = None  # (t, h) of the previous step's pending closing half
+        t = t0
+        for step, (h, t_next) in enumerate(steps, 1):
+            t_start, t = t, t_next
+            opening = (t_start + 0.25 * h, h)
+            vals = vals * self.local_factor(dens, [opening] if closing is None
+                                            else [closing, opening])
+            vals = self.kinetic(vals, t_start + 0.5 * h, h)
+            prev, dens = dens, _density(vals)
+            nrm = float(np.sum(dens)) * self.dv
+            if not math.isfinite(nrm):
+                if closing is not None and not np.all(
+                        np.isfinite(self.local_factor(prev, [closing]))):
+                    step, t = step - 1, t_start
+                raise _nonfinite(step, t)
+            closing = (t_start + 0.75 * h, h)
+            if step % every == 0 or step == len(steps):
+                vals = vals * self.local_factor(dens, [closing])
+                closing = None
+                dens = _density(vals)
+                nrm = float(np.sum(dens)) * self.dv
+                if not math.isfinite(nrm):
+                    raise _nonfinite(step, t)
+            yield t, nrm, (vals if closing is None else None)
+
+
+def _nonfinite(step: int, t: float) -> FloatingPointError:
+    return FloatingPointError(f"non-finite amplitude at step {step} (t={t:.6g}); aborting")
+
+
+def _schedule(t0: float, t_end: float, dt: float) -> list[tuple[float, float]]:
+    """(length, end time) of each step from t0 to t_end: whole steps of dt,
+    then one shortened step when a tail is left."""
+    remaining = t_end - t0
+    n_full = int(np.floor(remaining / dt + 1e-12))
+    steps = [(dt, t0 + k * dt) for k in range(1, n_full + 1)]
+    tail = remaining - n_full * dt
+    if tail >= 1e-12 * dt:
+        steps.append((tail, t0 + remaining))
+    return steps
 
 
 def split_step(psi: ComplexField, dt: float, config: SolverConfig,
                t: float | None = None) -> ComplexField:
-    """One Strang step from t to t + dt.
+    """One Strang step from t to t + dt: the propagator plan run for a
+    single step, so both half steps are applied separately.
 
     The local factor is applied for dt/2 with V sampled at the midpoint of
     each half interval; the kinetic factor acts for the full dt with A
@@ -161,17 +268,25 @@ def split_step(psi: ComplexField, dt: float, config: SolverConfig,
     """
     if t is None:
         t = psi.time
-    vals = _step_values(np.asarray(psi.values, dtype=np.complex128), psi.grid, t, dt, config)
-    return ComplexField(psi.grid, vals, time=t + dt, hbar=config.params.hbar)
+    plan = _StrangPlan(psi.grid, config.params, config.pot, t)
+    ((t_end, _, vals),) = plan.run(psi.values, t, [(dt, t + dt)], every=1)
+    return ComplexField(psi.grid, vals, time=t_end, hbar=config.params.hbar)
 
 
 def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
     """Propagate psi0 to t_end, recording snapshots and norms.
 
     Snapshots are taken at the start, every snapshot_every steps, and at
-    the final time.  A non-finite amplitude aborts with the step index.
+    the final time.  A non-finite amplitude aborts with the step index;
+    a t_end before psi0.time is refused.
     """
     grid = psi0.grid
+    t0 = psi0.time
+    if config.t_end < t0:
+        raise ValueError(
+            f"t_end={config.t_end:g} precedes the initial time {t0:g}; "
+            "evolve only runs forward"
+        )
     limit = config.advisory_dt_limit(grid)
     if config.dt > limit:
         warnings.warn(
@@ -182,37 +297,17 @@ def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
         )
 
     hbar = config.params.hbar
-    t0 = psi0.time
-    vals = np.array(psi0.values, dtype=np.complex128)
-
-    snapshots = [ComplexField(grid, vals, time=t0, hbar=hbar)]
-    norms = [norm_squared(snapshots[0])]
-    n0 = norms[0]
+    snapshots = [ComplexField(grid, psi0.values, time=t0, hbar=hbar)]
+    n0 = norm_squared(snapshots[0])
+    norms = [n0]
     drift = 0.0
-
-    remaining = config.t_end - t0
-    n_full = int(np.floor(remaining / config.dt + 1e-12))
-    tail = remaining - n_full * config.dt
-    if tail < 1e-12 * config.dt:
-        tail = 0.0
-    n_steps = n_full + (1 if tail > 0.0 else 0)
-
-    t = t0
-    for step in range(1, n_steps + 1):
-        h = config.dt if step <= n_full else tail
-        vals = _step_values(vals, grid, t, h, config)
-        t = t0 + (step * config.dt if step <= n_full else remaining)
-        if not np.all(np.isfinite(vals)):
-            raise FloatingPointError(
-                f"non-finite amplitude at step {step} (t={t:.6g}); aborting"
-            )
-        state = ComplexField(grid, vals, time=t, hbar=hbar)
-        nrm = norm_squared(state)
+    plan = _StrangPlan(grid, config.params, config.pot, t0)
+    steps = _schedule(t0, config.t_end, config.dt)
+    for t, nrm, state in plan.run(psi0.values, t0, steps, config.snapshot_every):
         drift = max(drift, abs(nrm - n0) / n0)
-        if (step % config.snapshot_every == 0) or step == n_steps:
-            snapshots.append(state)
+        if state is not None:
+            snapshots.append(ComplexField(grid, state, time=t, hbar=hbar))
             norms.append(nrm)
-
     return EvolutionRecord(snapshots=snapshots, norms=norms, mass_drift=drift)
 
 
@@ -231,10 +326,8 @@ def _kinetic_apply(values: np.ndarray, grid: Grid, pot: PotentialSpec,
     xs = grid.mesh()
     a = tuple(np.asarray(c, dtype=float) for c in pot.vector.value(xs, t))
     out = np.zeros_like(values)
-    for ax, k in enumerate(grid.wavenumbers()):
-        shape = [1] * grid.dim
-        shape[ax] = len(k)
-        ik = 1j * k.reshape(shape)
+    for ax in range(grid.dim):
+        ik = 1j * grid.axis_wavenumber(ax)
         chi = -1j * hbar * np.fft.ifft(ik * np.fft.fft(values, axis=ax), axis=ax) \
             - a[ax] * values
         out = out + (-1j) * hbar * np.fft.ifft(ik * np.fft.fft(chi, axis=ax), axis=ax) \

@@ -11,6 +11,7 @@ import pytest
 
 from semiwave.core import (
     ComplexField,
+    ExpressionScalar,
     Grid,
     HarmonicScalar,
     PhysParams,
@@ -65,6 +66,9 @@ def test_grid_2d_shapes():
     X, Y = g.mesh()
     assert X.shape == (256, 256)
     assert g.cell_volume == pytest.approx((20.0 / 256) ** 2)
+    k = g.axis_wavenumber(1)
+    assert k.shape == (1, 256)
+    assert np.array_equal(k[0], g.wavenumbers()[1])
 
 
 def test_axis_offset_grid_avoids_origin_and_reflects():
@@ -233,3 +237,15 @@ def test_zero_specs():
     V, A = eval_potential(PotentialSpec(ZeroScalar(), ZeroVector()), g, 0.0)
     assert np.all(V == 0.0)
     assert np.all(A[0] == 0.0)
+
+
+def test_static_flag_of_scalar_potentials():
+    """Only forms whose value cannot depend on t report static; the
+    propagator samples those once per run."""
+    g = make_uniform_grid(1, -1.0, 1.0, 16)
+    assert ZeroScalar().static
+    assert HarmonicScalar(omega=(1.0,), center=(0.0,)).static
+    assert SeparatedScalar(v1=lambda x: x ** 2).static
+    assert not SeparatedScalar(v0=lambda t: t, v1=lambda x: x ** 2).static
+    assert not ExpressionScalar(fn=lambda xs, t: xs[0] ** 2).static
+    assert not TabulatedScalar(times=[0.0, 1.0], samples=np.zeros((2, 16)), grid=g).static

@@ -22,6 +22,7 @@ from semiwave.core import (
     HarmonicScalar,
     PhysParams,
     PotentialSpec,
+    ScalarPotential,
     UniformVector,
     free_potential,
     make_uniform_grid,
@@ -208,6 +209,94 @@ def test_nan_aborts_with_step_index():
     with pytest.raises(FloatingPointError, match="step 2"):
         with np.errstate(invalid="ignore"):
             evolve(psi0, config)
+
+
+@quiet
+def test_nan_in_fused_closing_half_aborts_on_its_step():
+    """V turns NaN at t = 1.6e-3, inside the closing half of step 2 (V
+    sampled at 1.75e-3).  No snapshot falls before step 100, so that half
+    is fused with the opening half of step 3; the abort must still name
+    step 2, the step whose factor produced the fault."""
+    grid = make_uniform_grid(1, -10.0, 10.0, 64)
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
+
+    def spiked(xs, t):
+        v = np.zeros_like(xs[0])
+        if t > 1.6e-3:
+            v = v + np.where(np.abs(xs[0]) < 0.2, np.nan, 0.0)
+        return v
+
+    pot = PotentialSpec(scalar=ExpressionScalar(fn=spiked))
+    config = SolverConfig(dt=1e-3, t_end=0.01, snapshot_every=100,
+                          params=params, pot=pot)
+    with pytest.raises(FloatingPointError, match=r"step 2 \(t=0.002\)"):
+        with np.errstate(invalid="ignore"):
+            evolve(gaussian_state(grid), config)
+
+
+def test_t_end_before_initial_time_rejected():
+    grid = make_uniform_grid(1, -10.0, 10.0, 64)
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
+    psi0 = gaussian_state(grid).with_values(gaussian_state(grid).values, time=0.5)
+    config = SolverConfig(dt=1e-3, t_end=0.2, snapshot_every=1,
+                          params=params, pot=free_potential())
+    with pytest.raises(ValueError, match="t_end=0.2 .*initial time 0.5"):
+        evolve(psi0, config)
+
+
+@quiet
+@pytest.mark.parametrize("t_end", [0.2, 0.2037])
+def test_fused_half_steps_match_split_ones(t_end):
+    """Fusing the closing local half step of one step with the opening
+    half of the next is exact algebra, so a run with every pair split
+    (snapshot_every=1) and one with none split (snapshot_every=10**9)
+    agree at t_end to rounding.  Nonlinear, with a time-dependent V and a
+    time-dependent uniform A; t_end=0.2037 ends on a shortened tail step."""
+    grid = make_uniform_grid(1, -20.0, 20.0, 256)
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.5)
+    pot = PotentialSpec(
+        scalar=ExpressionScalar(fn=lambda xs, t: 0.5 * (xs[0] - 0.3 * np.sin(2.0 * t)) ** 2),
+        vector=UniformVector(lambda t: (0.2 * np.sin(3.0 * t),)),
+    )
+    psi0 = gaussian_state(grid, center=0.5, momentum=1.0)
+    split, fused = (
+        evolve(psi0, SolverConfig(dt=1e-3, t_end=t_end, snapshot_every=every,
+                                  params=params, pot=pot)).final
+        for every in (1, 10 ** 9)
+    )
+    assert split.time == fused.time == pytest.approx(t_end, abs=1e-15)
+    peak = np.max(np.abs(split.values))
+    assert np.max(np.abs(split.values - fused.values)) <= 1e-12 * peak
+
+
+class CountingScalar(ScalarPotential):
+    """Harmonic V that counts how often it is sampled."""
+
+    def __init__(self, static):
+        self.static = static
+        self.calls = 0
+
+    def value(self, xs, t):
+        self.calls += 1
+        return 0.5 * xs[0] ** 2
+
+
+@quiet
+def test_potential_sampled_once_if_static_else_twice_per_step():
+    grid = make_uniform_grid(1, -10.0, 10.0, 64)
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.5)
+    psi0 = gaussian_state(grid)
+    calls = {}
+    # 11 and 41 steps, each ending on a shortened tail step
+    for static in (True, False):
+        for t_end, n_steps in ((0.0105, 11), (0.0405, 41)):
+            pot = CountingScalar(static)
+            evolve(psi0, SolverConfig(dt=1e-3, t_end=t_end, snapshot_every=7,
+                                      params=params, pot=PotentialSpec(scalar=pot)))
+            calls[static, n_steps] = pot.calls
+    assert calls[True, 11] == calls[True, 41] == 1
+    assert calls[False, 11] == 2 * 11
+    assert calls[False, 41] == 2 * 41
 
 
 @quiet
