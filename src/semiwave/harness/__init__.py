@@ -6,6 +6,7 @@ from semiwave.harness.config import (
     ConfigError,
     ExperimentConfig,
     default_config_path,
+    parse_config,
     validate_config,
 )
 from semiwave.harness.emit import emit, format_float
@@ -27,6 +28,7 @@ __all__ = [
     "emit",
     "format_float",
     "main",
+    "parse_config",
     "run_scenario",
     "validate_config",
 ]

@@ -11,7 +11,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     default_config_path,
-    validate_config,
+    parse_config,
 )
 from .emit import emit, format_float
 from .scenarios import SCENARIOS, run_scenario
@@ -27,8 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario and write its report")
     run_p.add_argument("config",
-                       help="scenario name (packaged configuration) or a path "
-                            "to a YAML configuration file")
+                       help="scenario name or file stem (packaged configuration) "
+                            "or a path to a YAML configuration file")
     run_p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default: output.directory from "
                             "the configuration)")
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write stored field snapshots as CSV")
 
     val_p = sub.add_parser("validate", help="check a configuration and exit")
-    val_p.add_argument("config", help="scenario name or YAML path")
+    val_p.add_argument("config", help="scenario name, its file stem, or a YAML path")
     val_p.add_argument("--override", action="append", default=[],
                        metavar="PATH=VALUE")
 
@@ -50,10 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(source: str, overrides: list[str]) -> ExperimentConfig:
     path = Path(source)
+    name = source.replace("_", "-")  # packaged files are named by the stem
     if path.exists():
         cfg = ExperimentConfig.from_file(path)
-    elif source in SCENARIO_NAMES:
-        cfg = ExperimentConfig.from_file(default_config_path(source))
+    elif name in SCENARIO_NAMES:
+        cfg = ExperimentConfig.from_file(default_config_path(name))
     else:
         raise ConfigError(
             [f"config: {source!r} is neither an existing file nor a scenario "
@@ -85,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = _load_config(args.config, args.override)
-        validate_config(cfg)
+        spec = parse_config(cfg)
     except ConfigError as err:
         print("configuration error:", file=sys.stderr)
         for line in str(err).split("; "):
@@ -97,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     result = run_scenario(cfg)
-    out_dir = args.out or cfg.output.get("directory") \
+    out_dir = args.out or spec.output.directory \
         or f"out/{cfg.scenario.replace('-', '_')}"
     formats = ("results", "plotdata", "snapshots") if args.snapshots \
         else ("results", "plotdata")

@@ -1,45 +1,35 @@
-"""Experiment configuration: loading, schema validation, overrides.
+"""Experiment configuration: loading, overrides, and the typed schema.
 
-A configuration is one YAML document with nested blocks; every scenario
-reads the same top-level shape and validates the subset it needs.  All
-potential and family functions are named closed forms with numeric
-parameters, so a config file can never inject code.
+A configuration is one YAML document with nested blocks.  Each scenario
+declares its document below as a frozen dataclass, one class per block,
+and parse_config() walks the raw blocks into those classes once.  Every
+problem is reported by dotted field path: a missing, unknown or mistyped
+key, or a ValueError from a block's own checks.  Where the library
+declares a block's keys (SolitonParams, Class1Params, Class2Params,
+CylindricalParams) the walker fills that class directly.  Potentials and
+profiles are named closed forms with numeric parameters, and callable
+fields are never read, so a config file can never inject code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import ClassVar, Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-from ..core import (
-    Grid,
-    HarmonicScalar,
-    PhysParams,
-    PotentialSpec,
-    ScalarPotential,
-    SeparatedScalar,
-    UniformVector,
-    VectorPotential,
-    ZeroScalar,
-    ZeroVector,
-    make_axis_offset_grid,
-    make_uniform_grid,
-)
-
-SCENARIO_NAMES = (
-    "soliton-propagation",
-    "ehrenfest",
-    "residual-scaling",
-    "concentration",
-    "identity-suite",
-    "cylindrical-check",
-)
-
-_SWEEP_SCENARIOS = ("residual-scaling", "concentration", "cylindrical-check")
+from ..asymptotics import (Class1Params, Class2Params, CylindricalParams, SolitonParams,
+                          separated_class1, separated_class2, soliton_correction_fields)
+from ..core import (Grid, HarmonicScalar, PhysParams, PotentialSpec, SeparatedScalar,
+                    UniformVector, ZeroScalar, ZeroVector, free_potential,
+                    make_axis_offset_grid, make_uniform_grid)
+from ..solver import SolverConfig
 
 
 class ConfigError(ValueError):
@@ -52,7 +42,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Parsed configuration blocks of one scenario run."""
+    """Raw configuration blocks of one scenario run, as loaded and
+    overridden; parse_config() turns them into the scenario's schema."""
 
     scenario: str
     grid: dict = field(default_factory=dict)
@@ -67,24 +58,16 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(["<root>: config must be a mapping"])
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
         if unknown:
             raise ConfigError([f"{k}: unknown top-level block" for k in unknown])
         if "scenario" not in raw:
             raise ConfigError(["scenario: required"])
-        kwargs = {}
-        for name in known:
-            if name == "scenario":
-                kwargs[name] = str(raw[name])
-                continue
-            val = raw.get(name, {})
-            if val is None:
-                val = {}
-            if not isinstance(val, dict):
-                raise ConfigError([f"{name}: must be a mapping"])
-            kwargs[name] = val
-        return cls(**kwargs)
+        blocks = {k: {} if v is None else v for k, v in raw.items() if k != "scenario"}
+        bad = [f"{k}: must be a mapping" for k, v in blocks.items() if not isinstance(v, dict)]
+        if bad:
+            raise ConfigError(bad)
+        return cls(scenario=str(raw["scenario"]), **blocks)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -113,372 +96,565 @@ class ExperimentConfig:
         node[keys[-1]] = value
 
 
+# ---------------------------------------------------------------------------
+# schema: one frozen class per block
+
+_block = dataclass(frozen=True, kw_only=True)
+_INLINE = {"inline": True}  # field metadata: its class's keys sit in the same mapping
+
+
+def _require(ok: bool, problem: str) -> None:
+    if not ok:
+        raise ConfigError([problem])
+
+
+def _positive(block, *keys: str) -> None:
+    bad = [f"{k}: must be positive" for k in keys if not getattr(block, k) > 0]
+    if bad:
+        raise ConfigError(bad)
+
+
+def _grid_size(n: int) -> None:
+    _require(n >= 16 and not n & (n - 1), "n: must be a power-of-two integer >= 16")
+
+
+@_block
+class SampleGrid:
+    """n points on [lo, hi); lo and hi default to the owner's interval."""
+
+    n: int
+    lo: float | None = None
+    hi: float | None = None
+
+    def __post_init__(self):
+        _grid_size(self.n)
+
+    def build(self, lo: float | None = None, hi: float | None = None) -> Grid:
+        return make_uniform_grid(1, lo if self.lo is None else self.lo,
+                                 hi if self.hi is None else self.hi, self.n)
+
+
+@_block
+class Grid1d(SampleGrid):
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.build()
+
+
+@_block
+class Grid2d:
+    """Axis-offset n x n grid on [-half_width, half_width)**2."""
+
+    half_width: float
+    n: int
+
+    def __post_init__(self):
+        _grid_size(self.n)
+        _positive(self, "half_width")
+
+    def build(self) -> Grid:
+        return make_axis_offset_grid(2, self.half_width, self.n)
+
+
+@_block
+class Params:
+    """r may be left out when kappa is given (r = kappa**2); PhysParams
+    checks the values."""
+
+    hbar: float
+    mass: float
+    r: float | None = None
+    kappa: float | None = None
+
+    def __post_init__(self):
+        _require(self.r is not None or self.kappa is not None, "r: required (or kappa)")
+        for hbar in self.hbars:
+            self.phys(hbar)
+
+    @property
+    def hbars(self) -> tuple[float, ...]:
+        return self.hbar if isinstance(self.hbar, tuple) else (self.hbar,)
+
+    def phys(self, hbar: float | None = None) -> PhysParams:
+        """PhysParams at hbar, by default the first or only value."""
+        hbar = self.hbars[0] if hbar is None else hbar
+        if self.r is None:
+            return PhysParams.from_kappa(hbar=hbar, mass=self.mass, kappa=self.kappa)
+        return PhysParams(hbar=hbar, mass=self.mass, r=self.r, kappa=self.kappa)
+
+
+@_block
+class SweepParams(Params):
+    hbar: tuple[float, ...]
+
+    def __post_init__(self):
+        _require(len(self.hbar) >= 3, "hbar: sweep needs at least 3 values")
+        _require(all(b < a for a, b in zip(self.hbar, self.hbar[1:])),
+                 "hbar: sweep must be strictly decreasing")
+        super().__post_init__()
+
+
+@_block
+class EhrenfestParams(Params):
+    """r_values: the self-attraction strengths to run, r alone by default."""
+
+    r_values: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        _require(self.r_values != (), "r_values: needs at least one value")
+        super().__post_init__()
+
+
+@_block
+class Zero:
+    form: ClassVar[str] = "zero"
+
+    def scalar(self, mass=None):
+        return ZeroScalar()
+
+    def vector(self):
+        return ZeroVector()
+
+    def profile(self):
+        return None, None
+
+
+@_block
+class Harmonic:
+    """V = (m/2) omega**2 (x - center)**2."""
+
+    form: ClassVar[str] = "harmonic"
+    omega: float
+    center: float = 0.0
+
+    def __post_init__(self):
+        _positive(self, "omega")
+
+    def scalar(self, mass):
+        return HarmonicScalar(omega=(self.omega,), center=(self.center,), mass=mass)
+
+
+@_block
+class Quadratic:
+    """V = v1(x) = coefficient * x**2."""
+
+    form: ClassVar[str] = "quadratic"
+    coefficient: float
+
+    def profile(self):
+        c = self.coefficient
+        return (lambda x: c * np.asarray(x) ** 2), (lambda x: 2.0 * c * np.asarray(x))
+
+    def scalar(self, mass=None):
+        v1, v1_prime = self.profile()
+        return SeparatedScalar(v1=v1, v1_prime=v1_prime)
+
+
+@_block
+class Uniform:
+    """Spatially constant A, one component per grid axis."""
+
+    form: ClassVar[str] = "uniform"
+    components: tuple[float, ...]
+
+    def vector(self):
+        return UniformVector(a_of_t=lambda t: self.components)
+
+
+@_block
+class Potential:
+    """The scalar V and vector A of a scenario on a dim-dimensional grid."""
+
+    scalar: Zero | Harmonic | Quadratic = Zero()
+    vector: Zero | Uniform = Zero()
+    dim: ClassVar[int] = 1
+
+    def __post_init__(self):
+        _require(not isinstance(self.vector, Uniform)
+                 or len(self.vector.components) == self.dim,
+                 f"vector.components: needs {self.dim} value(s), one per grid axis")
+
+    def build(self, mass: float) -> PotentialSpec:
+        return PotentialSpec(scalar=self.scalar.scalar(mass), vector=self.vector.vector())
+
+
+@_block
+class Potential2d(Potential):
+    dim = 2
+
+
+@_block
+class Confining(Potential):
+    def __post_init__(self):
+        super().__post_init__()
+        v = self.scalar
+        _require(isinstance(v, Harmonic) or isinstance(v, Quadratic) and v.coefficient > 0,
+                 "scalar: ehrenfest needs a confining potential (harmonic, or "
+                 "quadratic with coefficient > 0)")
+
+
+@_block
+class Solver:
+    dt: float
+    t_end: float
+    snapshot_every: int = 1
+
+    def __post_init__(self):
+        _positive(self, "dt", "t_end", "snapshot_every")
+
+    def config(self, params: PhysParams, pot: PotentialSpec) -> SolverConfig:
+        return SolverConfig(dt=self.dt, t_end=self.t_end,
+                            snapshot_every=self.snapshot_every, params=params, pot=pot)
+
+
+@_block
+class Convergence:
+    """t_end of the dt-halving runs."""
+
+    t_end: float = 1.0
+
+    def __post_init__(self):
+        _positive(self, "t_end")
+
+
+@_block
+class Output:
+    directory: str | None = None
+
+
+@_block
+class _Separated:
+    """The profile of V = v1(x) and the interval [lo, hi] the envelope is
+    built on; subclasses add the family's constants."""
+
+    v1: Zero | Quadratic = Zero()
+    domain: tuple[float, float]
+
+    def __post_init__(self):
+        _require(self.domain[0] < self.domain[1], "domain: must be [lo, hi] with hi > lo")
+
+    def profiled(self):
+        """The constants with the v1 profile filled in."""
+        v1, v1_prime = self.v1.profile()
+        return replace(self.constants, v1=v1, v1_prime=v1_prime)
+
+    def potential(self) -> PotentialSpec:
+        return PotentialSpec(scalar=self.v1.scalar())
+
+
+@_block
+class Class1(_Separated):
+    """sigma vanishes at sigma_zero, by default the interval midpoint."""
+
+    constants: Class1Params = field(metadata=_INLINE)
+    sigma_zero: float | None = None
+
+    def fields(self, phys: PhysParams):
+        return separated_class1(self.profiled(), self.domain, phys,
+                                sigma_zero=self.sigma_zero)
+
+
+@_block
+class SampledClass1(_Separated):
+    constants: Class1Params = field(metadata=_INLINE)
+    grid: SampleGrid
+
+    def fields(self, phys: PhysParams):
+        return separated_class1(self.profiled(), self.domain, phys)
+
+
+@_block
+class SampledClass2(_Separated):
+    constants: Class2Params = field(metadata=_INLINE)
+    grid: SampleGrid
+
+    def fields(self, phys: PhysParams):
+        return separated_class2(self.profiled(), self.domain, phys)
+
+
+@_block
+class SampledSoliton:
+    constants: SolitonParams = field(metadata=_INLINE)
+    grid: SampleGrid
+
+
+@_block
+class SampledCylindrical:
+    constants: CylindricalParams = field(metadata=_INLINE)
+    grid: Grid2d
+
+
+@_block
+class SolitonFamily:
+    soliton: SolitonParams
+
+
+@_block
+class ConcentrationFamily(SolitonFamily):
+    eval_time: float = 0.0
+
+
+@_block
+class ScalingFamily:
+    """type picks the class1 or the soliton block."""
+
+    type: Literal["class1", "soliton"]
+    class1: Class1 | None = None
+    soliton: SolitonParams | None = None
+    correction_c1: float = 0.0
+    eval_time: float = 0.0
+
+    def __post_init__(self):
+        _require(getattr(self, self.type) is not None,
+                 f"{self.type}: required for type {self.type}")
+
+    def fields(self, phys: PhysParams):
+        """Fields plus the potential they solve."""
+        if self.type == "soliton":
+            return soliton_correction_fields(self.soliton, phys), free_potential()
+        return self.class1.fields(phys), self.class1.potential()
+
+
+@_block
+class IdentityFamily:
+    """The soliton's grid spans [-20, 20) and a separated family's its
+    interval, unless lo and hi are given."""
+
+    soliton: SampledSoliton
+    class1: SampledClass1
+    class2: SampledClass2
+    cylindrical: SampledCylindrical
+    eval_time: float = 0.25
+
+    def __post_init__(self):
+        self.grids()
+
+    def grids(self) -> tuple[Grid, ...]:
+        return (self.soliton.grid.build(-20.0, 20.0),
+                self.class1.grid.build(*self.class1.domain),
+                self.class2.grid.build(*self.class2.domain),
+                self.cylindrical.grid.build())
+
+
+@_block
+class CylindricalFamily:
+    cylindrical: CylindricalParams
+    eval_time: float = 0.0
+
+
+# One class per scenario document; its docstring is the scenario's
+# one-line description.
+
+
+@_block
+class _Scenario:
+    scenario: str
+    output: Output = Output()
+
+
+@_block
+class SolitonPropagation(_Scenario):
+    """closed-form solitary wave through the propagator: terminal error,
+    mass drift, peak velocity, dt-halving order"""
+
+    grid: Grid1d
+    params: Params
+    family: SolitonFamily
+    solver: Solver
+    potential: Potential = Potential()
+    convergence: Convergence = Convergence()
+
+
+@_block
+class Ehrenfest(_Scenario):
+    """packet centroid versus the classical orbit for several
+    self-attraction strengths"""
+
+    grid: Grid1d
+    params: EhrenfestParams
+    family: SolitonFamily
+    solver: Solver
+    potential: Confining
+
+
+@_block
+class ResidualScaling(_Scenario):
+    """equation residual of the leading and corrected fields across an
+    hbar sweep with fitted slopes"""
+
+    grid: Grid1d
+    params: SweepParams
+    family: ScalingFamily
+
+
+@_block
+class Concentration(_Scenario):
+    """width decay, variance oracle, and mass-in-ball concentration of
+    the solitary family"""
+
+    grid: Grid1d
+    params: SweepParams
+    family: ConcentrationFamily
+
+
+@_block
+class IdentitySuite(_Scenario):
+    """pointwise identities: assembly routes, transport reduction, first
+    integral, eikonal residual"""
+
+    params: Params
+    family: IdentityFamily
+
+
+@_block
+class CylindricalCheck(_Scenario):
+    """radial special solution: residual decay in hbar and reflection
+    symmetry of the modulus"""
+
+    grid: Grid2d
+    params: SweepParams
+    family: CylindricalFamily
+    potential: Potential2d = Potential2d()
+
+
+# the one list of scenarios: name -> schema of its configuration
+SCHEMAS = {
+    "soliton-propagation": SolitonPropagation,
+    "ehrenfest": Ehrenfest,
+    "residual-scaling": ResidualScaling,
+    "concentration": Concentration,
+    "identity-suite": IdentitySuite,
+    "cylindrical-check": CylindricalCheck,
+}
+SCENARIO_NAMES = tuple(SCHEMAS)
+
+
 def default_config_path(scenario: str) -> Path:
     """Path of the packaged acceptance-grade config for a scenario."""
-    if scenario not in SCENARIO_NAMES:
+    if scenario not in SCHEMAS:
         raise ConfigError([f"scenario: unknown scenario {scenario!r}"])
     name = scenario.replace("-", "_") + ".yaml"
     return Path(resources.files("semiwave.harness").joinpath("configs", name))
 
 
 # ---------------------------------------------------------------------------
-# validation
+# walker
+
+_KINDS = {float: "a number", int: "an integer", str: "a string"}
 
 
-def _check_number(problems, block, path, key, *, positive=False, required=True):
-    if key not in block:
-        if required:
-            problems.append(f"{path}.{key}: required")
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+@cache
+def _keys(cls) -> tuple:
+    """(field, type) of each key a block class declares; callable fields
+    hold code and are never read from a file."""
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls)
+                 if Callable not in map(get_origin, (hints[f.name], *get_args(hints[f.name]))))
+
+
+def _fill(cls, raw, path: str, problems: list, known: set | None = None):
+    """cls from the mapping raw, or None once a problem is recorded.  An
+    inline field's class reads the same mapping and adds its key names to
+    the caller's known set."""
+    inline = known is not None
+    if not inline and not isinstance(raw, dict):
+        problems.append(f"{path}: must be a mapping")
         return None
-    val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        problems.append(f"{path}.{key}: must be a number")
+    start, kwargs, known = len(problems), {}, known if inline else set()
+    for f, tp in _keys(cls):
+        key = _join(path, f.name)
+        if f.metadata.get("inline"):
+            kwargs[f.name] = _fill(tp, raw, path, problems, known)
+            continue
+        known.add(f.name)
+        if f.name in raw:
+            kwargs[f.name] = _value(tp, raw[f.name], key, problems)
+        elif f.default is MISSING and is_dataclass(tp):  # name its missing keys
+            kwargs[f.name] = _fill(tp, {}, key, problems)
+        elif f.default is MISSING:
+            problems.append(f"{key}: required")
+    if not inline:
+        expected = f" (expected one of {', '.join(sorted(known))})" if known else ""
+        problems.extend(f"{_join(path, k)}: unknown key{expected}"
+                        for k in sorted(set(raw) - known, key=str))
+    if len(problems) == start:
+        try:
+            return cls(**kwargs)
+        except ConfigError as err:
+            problems.extend(_join(path, p) for p in err.problems)
+        except ValueError as err:
+            problems.append(f"{path or '<root>'}: {err}")
+    return None
+
+
+def _value(tp, v, path: str, problems: list):
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp):
+        return _fill(tp, v, path, problems)
+    if origin in (Union, UnionType):
+        options = [a for a in args if a is not NoneType]
+        if v is None and len(options) < len(args):
+            return None
+        if len(options) == 1:
+            return _value(options[0], v, path, problems)
+        forms = {opt.form: opt for opt in options}  # closed forms, picked by name
+        name = v.get("form") if isinstance(v, dict) else None
+        if isinstance(name, str) and name in forms:
+            rest = {k: x for k, x in v.items() if k != "form"}
+            return _fill(forms[name], rest, path, problems)
+        if not isinstance(v, dict):
+            problems.append(f"{path}: must be a mapping")
+        else:
+            what = f"unknown form {name!r}" if "form" in v else "required"
+            problems.append(f"{path}.form: {what} (choose from {', '.join(forms)})")
         return None
-    if positive and not val > 0:
-        problems.append(f"{path}.{key}: must be positive")
-        return None
-    return float(val)
-
-
-def _check_hbar(problems, params, scenario):
-    hbar = params.get("hbar")
-    if hbar is None:
-        problems.append("params.hbar: required")
-        return
-    sweep = scenario in _SWEEP_SCENARIOS
-    if isinstance(hbar, (int, float)) and not isinstance(hbar, bool):
-        if sweep:
-            problems.append(
-                "params.hbar: this scenario sweeps hbar and needs a list"
-            )
-        elif not hbar > 0:
-            problems.append("params.hbar: must be positive")
-        return
-    if isinstance(hbar, list):
-        if not sweep:
-            problems.append("params.hbar: this scenario needs a single value")
-            return
-        if len(hbar) < 3:
-            problems.append("params.hbar: sweep needs at least 3 values")
-            return
-        vals = []
-        for item in hbar:
-            if isinstance(item, bool) or not isinstance(item, (int, float)) or item <= 0:
-                problems.append("params.hbar: sweep entries must be positive numbers")
-                return
-            vals.append(float(item))
-        if any(b >= a for a, b in zip(vals, vals[1:])):
-            problems.append("params.hbar: sweep must be strictly decreasing")
-        return
-    problems.append("params.hbar: must be a number or a list")
-
-
-def _check_r(problems, params):
-    has_r = "r" in params
-    has_kappa = "kappa" in params
-    if not has_r and not has_kappa:
-        problems.append("params.r: required (or params.kappa)")
-        return
-    if has_r:
-        val = params["r"]
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            problems.append("params.r: must be a number")
-    if has_kappa:
-        val = params["kappa"]
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or val == 0:
-            problems.append("params.kappa: must be a nonzero number")
-    if has_r and has_kappa and isinstance(params.get("r"), (int, float)) \
-            and isinstance(params.get("kappa"), (int, float)):
-        if float(params["r"]) != float(params["kappa"]) ** 2:
-            problems.append("params.r: inconsistent with params.kappa (r must equal kappa**2)")
-
-
-def _check_grid_n(problems, block, path):
-    n = block.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 16 \
-            or n & (n - 1) != 0:
-        problems.append(f"{path}.n: must be a power-of-two integer >= 16")
-
-
-def _check_grid_1d(problems, grid):
-    _check_number(problems, grid, "grid", "lo")
-    _check_number(problems, grid, "grid", "hi")
-    _check_grid_n(problems, grid, "grid")
-    lo, hi = grid.get("lo"), grid.get("hi")
-    if isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and not hi > lo:
-        problems.append("grid.hi: must exceed grid.lo")
-
-
-def _check_grid_2d(problems, grid):
-    _check_number(problems, grid, "grid", "half_width", positive=True)
-    _check_grid_n(problems, grid, "grid")
-
-
-def _check_scalar_potential(problems, spec, path):
-    form = spec.get("form")
-    if form is None:
-        problems.append(f"{path}.form: required")
-        return
-    if form == "zero":
-        return
-    if form == "harmonic":
-        _check_number(problems, spec, path, "omega", positive=True)
-        _check_number(problems, spec, path, "center", required=False)
-        return
-    if form == "quadratic":
-        _check_number(problems, spec, path, "coefficient")
-        return
-    problems.append(f"{path}.form: unknown form {form!r}")
-
-
-def _check_vector_potential(problems, spec, path):
-    form = spec.get("form", "zero")
-    if form == "zero":
-        return
-    if form == "uniform":
-        comps = spec.get("components")
-        if not isinstance(comps, list) or not comps or not all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in comps
-        ):
-            problems.append(f"{path}.components: must be a list of numbers")
-        return
-    problems.append(f"{path}.form: unknown form {form!r}")
-
-
-def _check_solver(problems, solver):
-    _check_number(problems, solver, "solver", "dt", positive=True)
-    _check_number(problems, solver, "solver", "t_end", positive=True)
-    se = solver.get("snapshot_every", 1)
-    if not isinstance(se, int) or isinstance(se, bool) or se < 1:
-        problems.append("solver.snapshot_every: must be a positive integer")
-
-
-def _check_soliton(problems, family, *, require_x0=False):
-    sub = family.get("soliton")
-    if not isinstance(sub, dict):
-        problems.append("family.soliton: required block")
-        return
-    _check_number(problems, sub, "family.soliton", "eta", positive=True)
-    _check_number(problems, sub, "family.soliton", "xi")
-    if require_x0:
-        _check_number(problems, sub, "family.soliton", "x0")
+    if origin is Literal:
+        ok, what = v in args, f"must be one of {', '.join(args)}"
+    elif origin is tuple:
+        size = None if args[-1] is Ellipsis else len(args)
+        ok = isinstance(v, list) and all(map(_is_number, v)) and size in (None, len(v))
+        what = f"needs a list of {'' if size is None else f'{size} '}numbers"
+        v = tuple(map(float, v)) if ok else v
+    elif isinstance(v, list):
+        ok, what = False, "must be a single value, not a list"
     else:
-        _check_number(problems, sub, "family.soliton", "x0", required=False)
-    _check_number(problems, sub, "family.soliton", "phi0", required=False)
+        ok = _is_number(v) if tp is float else isinstance(v, tp) and not isinstance(v, bool)
+        what = f"must be {_KINDS[tp]}"
+        v = float(v) if ok and tp is float else v
+    if ok:
+        return v
+    problems.append(f"{path}: {what}")
+    return None
 
 
-def _check_named_profile(problems, sub, path):
-    prof = sub.get("v1")
-    if prof is None:
-        return
-    if not isinstance(prof, dict):
-        problems.append(f"{path}.v1: must be a mapping")
-        return
-    form = prof.get("form")
-    if form == "zero":
-        return
-    if form == "quadratic":
-        _check_number(problems, prof, f"{path}.v1", "coefficient")
-        return
-    problems.append(f"{path}.v1.form: unknown form {form!r}")
-
-
-def _check_domain(problems, sub, path):
-    dom = sub.get("domain")
-    if (not isinstance(dom, list) or len(dom) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in dom)
-            or not dom[1] > dom[0]):
-        problems.append(f"{path}.domain: must be [lo, hi] with hi > lo")
-
-
-def _check_class1(problems, family):
-    sub = family.get("class1")
-    if not isinstance(sub, dict):
-        problems.append("family.class1: required block")
-        return
-    _check_number(problems, sub, "family.class1", "c1")
-    for key in ("c2", "c3", "c4"):
-        _check_number(problems, sub, "family.class1", key, required=False)
-    _check_named_profile(problems, sub, "family.class1")
-    _check_domain(problems, sub, "family.class1")
-
-
-def _check_class2(problems, family):
-    sub = family.get("class2")
-    if not isinstance(sub, dict):
-        problems.append("family.class2: required block")
-        return
-    c1 = _check_number(problems, sub, "family.class2", "c1")
-    if c1 == 0.0:
-        problems.append("family.class2.c1: must be nonzero")
-    for key in ("c2", "c3", "c4", "a1", "a2", "a3", "a4"):
-        _check_number(problems, sub, "family.class2", key, required=False)
-    _check_named_profile(problems, sub, "family.class2")
-    _check_domain(problems, sub, "family.class2")
-
-
-def _check_cylindrical(problems, family):
-    sub = family.get("cylindrical")
-    if not isinstance(sub, dict):
-        problems.append("family.cylindrical: required block")
-        return
-    c1 = _check_number(problems, sub, "family.cylindrical", "c1")
-    if c1 == 0.0:
-        problems.append("family.cylindrical.c1: must be nonzero")
-    for key in ("b1", "a1", "a2", "a3", "c2", "c3"):
-        _check_number(problems, sub, "family.cylindrical", key, required=False)
+def parse_config(cfg: ExperimentConfig):
+    """The scenario's typed configuration, an instance of its SCHEMAS
+    class; raises ConfigError listing every problem by dotted path."""
+    schema = SCHEMAS.get(cfg.scenario)
+    if schema is None:
+        raise ConfigError(
+            [f"scenario: unknown scenario {cfg.scenario!r} "
+             f"(choose from {', '.join(SCHEMAS)})"]
+        )
+    raw = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    problems: list[str] = []
+    spec = _fill(schema, {k: v for k, v in raw.items() if v != {}}, "", problems)
+    if problems:
+        raise ConfigError(problems)
+    return spec
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigError listing every schema violation by field path."""
-    problems: list[str] = []
-    if cfg.scenario not in SCENARIO_NAMES:
-        raise ConfigError(
-            [f"scenario: unknown scenario {cfg.scenario!r} "
-             f"(choose from {', '.join(SCENARIO_NAMES)})"]
-        )
-
-    _check_hbar(problems, cfg.params, cfg.scenario)
-    _check_number(problems, cfg.params, "params", "mass", positive=True)
-    _check_r(problems, cfg.params)
-
-    scen = cfg.scenario
-    if scen == "soliton-propagation":
-        _check_grid_1d(problems, cfg.grid)
-        _check_soliton(problems, cfg.family, require_x0=True)
-        _check_solver(problems, cfg.solver)
-        if cfg.convergence:
-            _check_number(problems, cfg.convergence, "convergence", "t_end",
-                          positive=True, required=False)
-    elif scen == "ehrenfest":
-        _check_grid_1d(problems, cfg.grid)
-        _check_soliton(problems, cfg.family, require_x0=True)
-        _check_solver(problems, cfg.solver)
-        scalar = cfg.potential.get("scalar", {})
-        _check_scalar_potential(problems, scalar, "potential.scalar")
-        if scalar.get("form") == "zero":
-            problems.append("potential.scalar.form: ehrenfest needs a confining potential")
-        rvals = cfg.params.get("r_values")
-        if rvals is not None:
-            if not isinstance(rvals, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in rvals
-            ):
-                problems.append("params.r_values: must be a list of numbers")
-    elif scen == "residual-scaling":
-        _check_grid_1d(problems, cfg.grid)
-        fam_type = cfg.family.get("type")
-        if fam_type not in ("class1", "soliton"):
-            problems.append("family.type: must be class1 or soliton for residual-scaling")
-        elif fam_type == "class1":
-            _check_class1(problems, cfg.family)
-        else:
-            _check_soliton(problems, cfg.family)
-    elif scen == "concentration":
-        _check_grid_1d(problems, cfg.grid)
-        _check_soliton(problems, cfg.family)
-    elif scen == "identity-suite":
-        _check_soliton(problems, cfg.family)
-        _check_class1(problems, cfg.family)
-        _check_class2(problems, cfg.family)
-        _check_cylindrical(problems, cfg.family)
-        for name in ("class1", "class2"):
-            sub = cfg.family.get(name)
-            if isinstance(sub, dict):
-                grid_block = sub.get("grid")
-                if not isinstance(grid_block, dict):
-                    problems.append(f"family.{name}.grid: required block")
-                else:
-                    _check_grid_n(problems, grid_block, f"family.{name}.grid")
-        sol = cfg.family.get("soliton")
-        if isinstance(sol, dict) and not isinstance(sol.get("grid"), dict):
-            problems.append("family.soliton.grid: required block")
-        cyl = cfg.family.get("cylindrical")
-        if isinstance(cyl, dict):
-            grid_block = cyl.get("grid")
-            if not isinstance(grid_block, dict):
-                problems.append("family.cylindrical.grid: required block")
-            else:
-                _check_number(problems, grid_block, "family.cylindrical.grid",
-                              "half_width", positive=True)
-    elif scen == "cylindrical-check":
-        _check_grid_2d(problems, cfg.grid)
-        _check_cylindrical(problems, cfg.family)
-
-    vec = cfg.potential.get("vector")
-    if isinstance(vec, dict):
-        _check_vector_potential(problems, vec, "potential.vector")
-
-    if problems:
-        raise ConfigError(problems)
-
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-def build_params(cfg: ExperimentConfig, hbar: float | None = None) -> PhysParams:
-    """PhysParams from the params block; hbar overrides the block value
-    (used when iterating a sweep)."""
-    params = cfg.params
-    if hbar is None:
-        hbar = float(params["hbar"])
-    mass = float(params["mass"])
-    if "kappa" in params:
-        return PhysParams.from_kappa(hbar=hbar, mass=mass, kappa=float(params["kappa"]))
-    return PhysParams(hbar=hbar, mass=mass, r=float(params.get("r", 0.0)))
-
-
-def hbar_sweep(cfg: ExperimentConfig) -> list[float]:
-    hbar = cfg.params["hbar"]
-    if isinstance(hbar, list):
-        return [float(h) for h in hbar]
-    return [float(hbar)]
-
-
-def build_grid(cfg: ExperimentConfig) -> Grid:
-    g = cfg.grid
-    if "half_width" in g:
-        return make_axis_offset_grid(2, float(g["half_width"]), int(g["n"]))
-    return make_uniform_grid(1, float(g["lo"]), float(g["hi"]), int(g["n"]))
-
-
-def build_scalar_potential(spec: dict, mass: float) -> ScalarPotential:
-    form = spec.get("form", "zero")
-    if form == "zero":
-        return ZeroScalar()
-    if form == "harmonic":
-        return HarmonicScalar(omega=(float(spec["omega"]),),
-                              center=(float(spec.get("center", 0.0)),),
-                              mass=mass)
-    if form == "quadratic":
-        c = float(spec["coefficient"])
-        return SeparatedScalar(v1=lambda x: c * x * x,
-                               v1_prime=lambda x: 2.0 * c * x)
-    raise ConfigError([f"potential.scalar.form: unknown form {form!r}"])
-
-
-def build_vector_potential(spec: dict) -> VectorPotential:
-    form = spec.get("form", "zero")
-    if form == "zero":
-        return ZeroVector()
-    if form == "uniform":
-        comps = tuple(float(c) for c in spec["components"])
-        return UniformVector(a_of_t=lambda t: comps)
-    raise ConfigError([f"potential.vector.form: unknown form {form!r}"])
-
-
-def build_potential(cfg: ExperimentConfig, mass: float) -> PotentialSpec:
-    scalar = build_scalar_potential(cfg.potential.get("scalar", {}), mass)
-    vector = build_vector_potential(cfg.potential.get("vector", {}))
-    return PotentialSpec(scalar=scalar, vector=vector)
-
-
-def named_profile(spec: dict | None):
-    """(v1, v1_prime) callables of a named 1D profile block, or (None, None)."""
-    if not spec or spec.get("form") == "zero":
-        return None, None
-    form = spec.get("form")
-    if form == "quadratic":
-        c = float(spec["coefficient"])
-        return (lambda x: c * np.asarray(x) ** 2), (lambda x: 2.0 * c * np.asarray(x))
-    raise ConfigError([f"v1.form: unknown form {form!r}"])
+    parse_config(cfg)

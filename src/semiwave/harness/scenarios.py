@@ -1,9 +1,10 @@
 """Named reproduction scenarios and their report rows.
 
-Each scenario is a pure function from a validated configuration to a
-ScenarioResult: a list of metric rows plus plot tables and optional field
-snapshots.  Writing files is emit()'s job, so identical configurations
-give identical results objects and, through emit, identical bytes.
+Each scenario is a pure function from its typed configuration (the
+scenario's schema in config.py) to a ScenarioResult: a list of metric rows
+plus plot tables and optional field snapshots.  Writing files is emit()'s
+job, so identical configurations give identical results objects and,
+through emit, identical bytes.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..asymptotics import (
-    Class1Params,
-    Class2Params,
     CorrectionParams,
-    CylindricalParams,
-    SolitonParams,
     assemble_leading_term,
     corrected_term_with_dt,
     cylindrical_fields,
@@ -26,33 +23,25 @@ from ..asymptotics import (
     leading_term_time_derivative,
     one_soliton,
     psi_via_representation,
-    separated_class1,
-    separated_class2,
     soliton_correction_fields,
     transport_residuals,
 )
 from ..classical import PhasePoint, integrate_bicharacteristic
-from ..core import (
-    ComplexField,
-    PotentialSpec,
-    SeparatedScalar,
-    free_potential,
-    make_axis_offset_grid,
-    make_uniform_grid,
-    norm_squared,
-)
+from ..core import ComplexField, free_potential, norm_squared
 from ..moments import concentration_scaling, fit_scaling, mass_within_radius, \
     mean_momentum, mean_position, centered_moment
 from ..solver import SolverConfig, apply_nlse_operator, evolve, relative_residual, \
     split_step
 from .config import (
+    SCHEMAS,
+    Concentration,
+    CylindricalCheck,
+    Ehrenfest,
     ExperimentConfig,
-    build_grid,
-    build_params,
-    build_potential,
-    hbar_sweep,
-    named_profile,
-    validate_config,
+    IdentitySuite,
+    ResidualScaling,
+    SolitonPropagation,
+    parse_config,
 )
 
 
@@ -121,28 +110,16 @@ def _l2_relative(a: ComplexField, b: ComplexField) -> float:
 # soliton-propagation
 
 
-def _soliton_params(sub: dict) -> SolitonParams:
-    return SolitonParams(
-        xi=float(sub["xi"]),
-        eta=float(sub["eta"]),
-        x0=float(sub.get("x0", 0.0)),
-        phi0=float(sub.get("phi0", 0.0)),
-    )
-
-
-def run_soliton_propagation(cfg: ExperimentConfig) -> ScenarioResult:
+def run_soliton_propagation(spec: SolitonPropagation) -> ScenarioResult:
     """Propagate the closed-form solitary wave and compare against itself:
     terminal error, mass drift, fitted peak velocity, one-step norm
     preservation, and a dt-halving order check."""
-    scen = cfg.scenario
-    params = build_params(cfg)
-    grid = build_grid(cfg)
-    pot = build_potential(cfg, params.mass)
-    sp = _soliton_params(cfg.family["soliton"])
-    sol = cfg.solver
-    config = SolverConfig(dt=float(sol["dt"]), t_end=float(sol["t_end"]),
-                          snapshot_every=int(sol.get("snapshot_every", 1)),
-                          params=params, pot=pot)
+    scen = spec.scenario
+    params = spec.params.phys()
+    grid = spec.grid.build()
+    pot = spec.potential.build(params.mass)
+    sp = spec.family.soliton
+    config = spec.solver.config(params, pot)
 
     psi0 = one_soliton(sp, grid, 0.0, params)
     rec = evolve(psi0, config)
@@ -166,7 +143,7 @@ def run_soliton_propagation(cfg: ExperimentConfig) -> ScenarioResult:
     drift = abs(norm_squared(stepped) - norm_squared(psi0)) / norm_squared(psi0)
     result.rows.append(_below(scen, "propagation", "step_norm_drift", drift, 1e-12))
 
-    conv_t = float(cfg.convergence.get("t_end", 1.0))
+    conv_t = spec.convergence.t_end
 
     def terminal(dt):
         c = SolverConfig(dt=dt, t_end=conv_t, snapshot_every=10 ** 9,
@@ -193,19 +170,16 @@ def run_soliton_propagation(cfg: ExperimentConfig) -> ScenarioResult:
 # ehrenfest
 
 
-def run_ehrenfest(cfg: ExperimentConfig) -> ScenarioResult:
+def run_ehrenfest(spec: Ehrenfest) -> ScenarioResult:
     """Track the packet centroid against the classical orbit for each
     requested self-attraction strength; the initial profile is built once
     with the base parameters and held fixed."""
-    scen = cfg.scenario
-    params = build_params(cfg)
-    grid = build_grid(cfg)
-    pot = build_potential(cfg, params.mass)
-    sp = _soliton_params(cfg.family["soliton"])
-    sol = cfg.solver
-    dt = float(sol["dt"])
-    t_end = float(sol["t_end"])
-    r_values = [float(v) for v in cfg.params.get("r_values", [params.r])]
+    scen = spec.scenario
+    params = spec.params.phys()
+    grid = spec.grid.build()
+    pot = spec.potential.build(params.mass)
+    sp = spec.family.soliton
+    dt, t_end = spec.solver.dt, spec.solver.t_end
 
     psi0 = one_soliton(sp, grid, 0.0, params)
     z0 = PhasePoint(x=(sp.x0,), p=(2.0 * sp.xi,), t=0.0)
@@ -215,12 +189,8 @@ def run_ehrenfest(cfg: ExperimentConfig) -> ScenarioResult:
     cp = traj.momenta()[:, 0]
 
     result = ScenarioResult(scenario=scen)
-    for idx, r in enumerate(r_values):
-        run_params = params.with_r(r)
-        config = SolverConfig(dt=dt, t_end=t_end,
-                              snapshot_every=int(sol.get("snapshot_every", 1)),
-                              params=run_params, pot=pot)
-        rec = evolve(psi0, config)
+    for idx, r in enumerate(spec.params.r_values or (params.r,)):
+        rec = evolve(psi0, spec.solver.config(params.with_r(r), pot))
         ts = np.array(rec.times)
         xs = np.array([mean_position(s)[0] for s in rec.snapshots])
         ps = np.array([mean_momentum(s)[0] for s in rec.snapshots])
@@ -244,36 +214,16 @@ def run_ehrenfest(cfg: ExperimentConfig) -> ScenarioResult:
 # residual-scaling
 
 
-def _scaling_family(cfg: ExperimentConfig, params):
-    """Fields plus matching potential for the residual sweep."""
-    fam_type = cfg.family.get("type", "class1")
-    if fam_type == "soliton":
-        sp = _soliton_params(cfg.family["soliton"])
-        return soliton_correction_fields(sp, params), free_potential()
-    sub = cfg.family["class1"]
-    v1, v1p = named_profile(sub.get("v1"))
-    p1 = Class1Params(c1=float(sub["c1"]), c2=float(sub.get("c2", 0.0)),
-                      c3=float(sub.get("c3", 0.0)), c4=float(sub.get("c4", 0.0)),
-                      v1=v1, v1_prime=v1p)
-    domain = tuple(float(v) for v in sub["domain"])
-    w = separated_class1(p1, domain, params,
-                         sigma_zero=sub.get("sigma_zero"))
-    pot = PotentialSpec(scalar=SeparatedScalar(v1=v1, v1_prime=v1p)) \
-        if v1 is not None else free_potential()
-    return w, pot
-
-
-def run_residual_scaling(cfg: ExperimentConfig) -> ScenarioResult:
+def run_residual_scaling(spec: ResidualScaling) -> ScenarioResult:
     """Relative residual of the leading and the corrected field across the
     hbar sweep, with fitted log-log slopes."""
-    scen = cfg.scenario
-    grid = build_grid(cfg)
-    hbars = hbar_sweep(cfg)
-    base = build_params(cfg, hbar=hbars[0])
-    w, pot = _scaling_family(cfg, base)
-    t_eval = float(cfg.family.get("eval_time", 0.0))
-    c1 = float(cfg.family.get("correction_c1", 0.0))
-    cp = CorrectionParams(C1=c1)
+    scen = spec.scenario
+    grid = spec.grid.build()
+    hbars = spec.params.hbars
+    base = spec.params.phys()
+    w, pot = spec.family.fields(base)
+    t_eval = spec.family.eval_time
+    cp = CorrectionParams(C1=spec.family.correction_c1)
 
     lead, corr = [], []
     for hb in hbars:
@@ -307,15 +257,15 @@ def run_residual_scaling(cfg: ExperimentConfig) -> ScenarioResult:
 # concentration
 
 
-def run_concentration(cfg: ExperimentConfig) -> ScenarioResult:
+def run_concentration(spec: Concentration) -> ScenarioResult:
     """Width decay across the sweep, the variance oracle at hbar = 1, and
     the mass fraction in the shrinking ball."""
-    scen = cfg.scenario
-    grid = build_grid(cfg)
-    hbars = hbar_sweep(cfg)
-    base = build_params(cfg, hbar=hbars[0])
-    sp = _soliton_params(cfg.family["soliton"])
-    t_eval = float(cfg.family.get("eval_time", 0.0))
+    scen = spec.scenario
+    grid = spec.grid.build()
+    hbars = spec.params.hbars
+    base = spec.params.phys()
+    sp = spec.family.soliton
+    t_eval = spec.family.eval_time
 
     fields = [one_soliton(sp, grid, t_eval, base.with_hbar(h)) for h in hbars]
     pos = concentration_scaling(fields)
@@ -352,54 +302,18 @@ def run_concentration(cfg: ExperimentConfig) -> ScenarioResult:
 # identity-suite
 
 
-def _grid_1d_from(sub: dict, default_lo: float, default_hi: float):
-    g = sub["grid"]
-    lo = float(g.get("lo", default_lo))
-    hi = float(g.get("hi", default_hi))
-    return make_uniform_grid(1, lo, hi, int(g["n"]))
-
-
-def _identity_families(cfg: ExperimentConfig, params):
+def _identity_families(spec: IdentitySuite, params):
     """(name, fields, grid, potential) for all four shipped families."""
-    fam = cfg.family
-    out = []
-
-    sp = _soliton_params(fam["soliton"])
-    sgrid = _grid_1d_from(fam["soliton"], -20.0, 20.0)
-    out.append(("soliton", soliton_correction_fields(sp, params), sgrid,
-                free_potential()))
-
-    for name, builder, par_cls in (("class1", separated_class1, Class1Params),
-                                   ("class2", separated_class2, Class2Params)):
-        sub = fam[name]
-        v1, v1p = named_profile(sub.get("v1"))
-        kwargs = {"c1": float(sub["c1"]), "v1": v1, "v1_prime": v1p}
-        for key in ("c2", "c3", "c4"):
-            if key in sub:
-                kwargs[key] = float(sub[key])
-        if par_cls is Class2Params:
-            for key in ("a1", "a2", "a3", "a4"):
-                if key in sub:
-                    kwargs[key] = float(sub[key])
-        domain = tuple(float(v) for v in sub["domain"])
-        w = builder(par_cls(**kwargs), domain, params)
-        grid = _grid_1d_from(sub, domain[0], domain[1])
-        pot = PotentialSpec(scalar=SeparatedScalar(v1=v1, v1_prime=v1p)) \
-            if v1 is not None else free_potential()
-        out.append((name, w, grid, pot))
-
-    sub = fam["cylindrical"]
-    cp = CylindricalParams(
-        c1=float(sub["c1"]), b1=float(sub.get("b1", 0.0)),
-        a1=float(sub.get("a1", 0.0)), a2=float(sub.get("a2", 0.0)),
-        a3=float(sub.get("a3", 0.0)), c2=float(sub.get("c2", 0.0)),
-        c3=float(sub.get("c3", 0.0)),
+    fam = spec.family
+    sgrid, grid1, grid2, cgrid = fam.grids()
+    return (
+        ("soliton", soliton_correction_fields(fam.soliton.constants, params), sgrid,
+         free_potential()),
+        ("class1", fam.class1.fields(params), grid1, fam.class1.potential()),
+        ("class2", fam.class2.fields(params), grid2, fam.class2.potential()),
+        ("cylindrical", cylindrical_fields(fam.cylindrical.constants, params), cgrid,
+         free_potential()),
     )
-    g = sub["grid"]
-    cgrid = make_axis_offset_grid(2, float(g["half_width"]), int(g["n"]))
-    out.append(("cylindrical", cylindrical_fields(cp, params), cgrid,
-                free_potential()))
-    return out
 
 
 def _reduced_transport(w, xs, t, params):
@@ -421,14 +335,14 @@ def _reduced_transport(w, xs, t, params):
     return red_a, red_b
 
 
-def run_identity_suite(cfg: ExperimentConfig) -> ScenarioResult:
+def run_identity_suite(spec: IdentitySuite) -> ScenarioResult:
     """Pointwise identities: both assembly routes agree, the general
     transport pair matches its 1D reduction, the envelope first integral
     vanishes, and the eikonal residual is at rounding level."""
-    scen = cfg.scenario
-    params = build_params(cfg)
-    t_eval = float(cfg.family.get("eval_time", 0.25))
-    families = _identity_families(cfg, params)
+    scen = spec.scenario
+    params = spec.params.phys()
+    t_eval = spec.family.eval_time
+    families = _identity_families(spec, params)
 
     repr_max = 0.0
     reduction_max = 0.0
@@ -473,22 +387,16 @@ def run_identity_suite(cfg: ExperimentConfig) -> ScenarioResult:
 # cylindrical-check
 
 
-def run_cylindrical_check(cfg: ExperimentConfig) -> ScenarioResult:
+def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     """Residual decay of the radial special solution across the sweep and
     exact reflection symmetry of its modulus on the offset grid."""
-    scen = cfg.scenario
-    grid = build_grid(cfg)
-    hbars = hbar_sweep(cfg)
-    base = build_params(cfg, hbar=hbars[0])
-    sub = cfg.family["cylindrical"]
-    cpar = CylindricalParams(
-        c1=float(sub["c1"]), b1=float(sub.get("b1", 0.0)),
-        a1=float(sub.get("a1", 0.0)), a2=float(sub.get("a2", 0.0)),
-        a3=float(sub.get("a3", 0.0)), c2=float(sub.get("c2", 0.0)),
-        c3=float(sub.get("c3", 0.0)),
-    )
-    t_eval = float(cfg.family.get("eval_time", 0.0))
-    pot = build_potential(cfg, base.mass)
+    scen = spec.scenario
+    grid = spec.grid.build()
+    hbars = spec.params.hbars
+    base = spec.params.phys()
+    cpar = spec.family.cylindrical
+    t_eval = spec.family.eval_time
+    pot = spec.potential.build(base.mass)
 
     residuals = []
     sym_max = 0.0
@@ -527,42 +435,21 @@ def run_cylindrical_check(cfg: ExperimentConfig) -> ScenarioResult:
 # registry
 
 
-SCENARIOS = {
-    "soliton-propagation": (
-        run_soliton_propagation,
-        "closed-form solitary wave through the propagator: terminal error, "
-        "mass drift, peak velocity, dt-halving order",
-    ),
-    "ehrenfest": (
-        run_ehrenfest,
-        "packet centroid versus the classical orbit for several "
-        "self-attraction strengths",
-    ),
-    "residual-scaling": (
-        run_residual_scaling,
-        "equation residual of the leading and corrected fields across an "
-        "hbar sweep with fitted slopes",
-    ),
-    "concentration": (
-        run_concentration,
-        "width decay, variance oracle, and mass-in-ball concentration of "
-        "the solitary family",
-    ),
-    "identity-suite": (
-        run_identity_suite,
-        "pointwise identities: assembly routes, transport reduction, first "
-        "integral, eikonal residual",
-    ),
-    "cylindrical-check": (
-        run_cylindrical_check,
-        "radial special solution: residual decay in hbar and reflection "
-        "symmetry of the modulus",
-    ),
+_RUNNERS = {
+    SolitonPropagation: run_soliton_propagation,
+    Ehrenfest: run_ehrenfest,
+    ResidualScaling: run_residual_scaling,
+    Concentration: run_concentration,
+    IdentitySuite: run_identity_suite,
+    CylindricalCheck: run_cylindrical_check,
 }
+
+# scenario name -> (runner, one-line description from the schema)
+SCENARIOS = {name: (_RUNNERS[schema], " ".join(schema.__doc__.split()))
+             for name, schema in SCHEMAS.items()}
 
 
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
-    """Validate, then dispatch to the scenario named by the configuration."""
-    validate_config(cfg)
-    fn, _ = SCENARIOS[cfg.scenario]
-    return fn(cfg)
+    """Parse the configuration, then run the scenario it names."""
+    spec = parse_config(cfg)
+    return _RUNNERS[type(spec)](spec)

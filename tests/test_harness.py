@@ -10,10 +10,12 @@ Oracle values used here:
 """
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from semiwave import ComplexField, make_uniform_grid
 from semiwave.harness import (
@@ -26,6 +28,7 @@ from semiwave.harness import (
     default_config_path,
     emit,
     main,
+    parse_config,
     run_scenario,
     validate_config,
 )
@@ -146,6 +149,63 @@ def test_override_values_are_yaml_parsed():
         cfg.apply_override("nope.key=1")
     with pytest.raises(ConfigError, match="path=value"):
         cfg.apply_override("solver.dt")
+
+
+# Each row is a key the scenario cannot use: missing, mistyped, misspelled,
+# outside the range the scenario needs, or in a block it does not read.
+# Parsing refuses it by dotted path before any work starts.
+REJECTED = [
+    ("identity-suite", "family.soliton.grid={}", "family.soliton.grid.n"),
+    ("identity-suite", "family.class1.grid.lo=abc", "family.class1.grid.lo"),
+    ("concentration", "family.eval_time=abc", "family.eval_time"),
+    ("residual-scaling", "family.correction_c1=[1]", "family.correction_c1"),
+    ("residual-scaling", "family.class1.sigma_zero=abc", "family.class1.sigma_zero"),
+    ("soliton-propagation", "potential.scalar={form: harmonic}", "potential.scalar.omega"),
+    ("soliton-propagation", "potential.scalar=[1]", "potential.scalar"),
+    ("cylindrical-check", "potential.vector={form: uniform, components: [1.0]}",
+     "potential.vector.components"),
+    ("ehrenfest", "params.r_values=[]", "params.r_values"),
+    ("ehrenfest", "potential.scalar={form: quadratic, coefficient: -1}",
+     "potential.scalar"),
+    ("soliton-propagation", "solver.snapshot_evry=5", "solver.snapshot_evry"),
+    ("identity-suite", "solver.dt=0.1", "solver"),
+]
+
+
+@pytest.mark.parametrize("scenario, override, path", REJECTED)
+def test_schema_rejects_with_dotted_path(scenario, override, path):
+    cfg = ExperimentConfig.from_file(default_config_path(scenario))
+    cfg.apply_override(override)
+    with pytest.raises(ConfigError, match=rf"(^|; ){re.escape(path)}: "):
+        validate_config(cfg)
+
+
+def _mapping_paths(node, prefix=""):
+    for key, val in node.items():
+        if isinstance(val, dict):
+            path = f"{prefix}{key}"
+            yield path
+            yield from _mapping_paths(val, path + ".")
+
+
+def test_unknown_keys_rejected_in_every_block():
+    """A key no block declares is refused wherever it appears, so a typo
+    never runs with the default silently in its place."""
+    for name in SCENARIO_NAMES:
+        raw = yaml.safe_load(default_config_path(name).read_text())
+        for path in _mapping_paths(raw):
+            cfg = ExperimentConfig.from_dict(raw)
+            cfg.apply_override(f"{path}.bogus_key=1")
+            with pytest.raises(ConfigError, match=rf"{re.escape(path)}\.bogus_key: unknown key"):
+                validate_config(cfg)
+
+
+def test_kappa_alone_fixes_r():
+    cfg = ExperimentConfig.from_dict(small_propagation_dict())
+    del cfg.params["r"]
+    cfg.params["kappa"] = 0.5
+    phys = parse_config(cfg).params.phys()
+    assert (phys.r, phys.kappa) == (0.25, 0.5)
 
 
 def test_run_scenario_validates_first():
@@ -304,6 +364,12 @@ def test_cli_validate_packaged(capsys):
     assert "configuration ok" in capsys.readouterr().out
 
 
+def test_cli_accepts_file_stem(capsys):
+    """The stem of a packaged file names its scenario too."""
+    assert main(["validate", "soliton_propagation"]) == 0
+    assert "scenario soliton-propagation" in capsys.readouterr().out
+
+
 def test_cli_rejects_unknown_config(capsys):
     assert main(["run", "not-a-thing", "--out", "unused"]) == 2
     assert "neither an existing file nor a scenario name" in capsys.readouterr().err
@@ -327,7 +393,6 @@ def test_cli_run_with_overrides(tmp_path, capsys):
 def test_cli_failing_run_exits_one(tmp_path, capsys):
     """A report with a failing row exits 1 and prints the FAIL marker, so
     shell pipelines can gate on the outcome."""
-    import yaml
 
     cfg_path = tmp_path / "wide.yaml"
     cfg_path.write_text(yaml.safe_dump(failing_concentration_dict()))
@@ -339,7 +404,6 @@ def test_cli_failing_run_exits_one(tmp_path, capsys):
 
 
 def test_cli_validate_reports_problems(tmp_path, capsys):
-    import yaml
 
     bad = failing_concentration_dict()
     del bad["family"]["soliton"]["eta"]
