@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from semiwave.core import ComplexField, Grid, PhysParams, PotentialSpec
+from semiwave.core import ComplexField, Grid, PhysParams, PotentialSpec, _constant, _diff
 from semiwave.asymptotics.fields import (
     WkbFields,
     assemble_leading_term,
@@ -32,7 +32,6 @@ from semiwave.asymptotics.fields import (
 
 _RHO_FLOOR = 1e-300
 _EXP_CLIP = 700.0
-_T_STEP = 1e-6
 
 
 @dataclass
@@ -46,7 +45,7 @@ class CorrectionParams:
     def c1_values(self, xs, t):
         if callable(self.C1):
             return np.asarray(self.C1(xs, t), dtype=float)
-        return np.full_like(np.asarray(xs[0], dtype=float), float(self.C1))
+        return _constant(xs[0], float(self.C1))
 
 
 def _epsilon(sigma: np.ndarray) -> np.ndarray:
@@ -158,12 +157,7 @@ def corrected_term_with_dt(w: WkbFields, cp: CorrectionParams, grid: Grid,
     du_chain = (P * sech2 + R * du_shape) * theta_t
     dv_chain = W * dv_shape * theta_t
 
-    h = _T_STEP * (1.0 + abs(t))
-    cp_plus = _coefficients(w, cp, xs, t + h, pot, params)
-    cp_minus = _coefficients(w, cp, xs, t - h, pot, params)
-    dP, dQ, dR, dW = (
-        (cp_plus[k] - cp_minus[k]) / (2.0 * h) for k in range(4)
-    )
+    dP, dQ, dR, dW = _diff(lambda s: np.stack(_coefficients(w, cp, xs, s, pot, params)), t)
     du = du_chain + dP * tanh + dQ + dR * u_shape
     dv = dv_chain + dP + dW * v_shape
 

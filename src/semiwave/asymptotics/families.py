@@ -21,12 +21,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from semiwave.core import ComplexField, Grid, PhysParams
+from semiwave.core import ComplexField, Grid, PhysParams, SeparatedScalar, _constant, _diff
 from semiwave.asymptotics.fields import WkbFields, _sech, envelope_amplitude
 from semiwave.asymptotics.quadrature import Antiderivative
-
-_FD_STEP = 1e-6
-_FD_STEP2 = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +78,7 @@ class SolitonFields(WkbFields):
         zeta = np.asarray(xs[0], dtype=complex) - self.a * t
         if self.sp.fprime is not None:
             return np.asarray(self.sp.fprime(zeta), dtype=complex)
-        h = _FD_STEP * (1.0 + np.abs(zeta))
-        return (self.sp.f(zeta + h) - self.sp.f(zeta - h)) / (2.0 * h)
+        return _diff(self.sp.f, zeta)
 
     def S(self, xs, t):
         x = np.asarray(xs[0], dtype=float)
@@ -99,10 +95,10 @@ class SolitonFields(WkbFields):
         return self._w(xs, t).imag
 
     def grad_S(self, xs, t):
-        return (np.full_like(np.asarray(xs[0], dtype=float), self.alpha2),)
+        return (_constant(xs[0], self.alpha2),)
 
     def grad_sigma(self, xs, t):
-        return (np.full_like(np.asarray(xs[0], dtype=float), self.beta2),)
+        return (_constant(xs[0], self.beta2),)
 
     def grad_S1(self, xs, t):
         return (self._wprime(xs, t).real,)
@@ -111,10 +107,10 @@ class SolitonFields(WkbFields):
         return (self._wprime(xs, t).imag,)
 
     def dt_S(self, xs, t):
-        return np.full_like(np.asarray(xs[0], dtype=float), self.alpha1)
+        return _constant(xs[0], self.alpha1)
 
     def dt_sigma(self, xs, t):
-        return np.full_like(np.asarray(xs[0], dtype=float), self.beta1)
+        return _constant(xs[0], self.beta1)
 
     def dt_S1(self, xs, t):
         return (-self.a * self._wprime(xs, t)).real
@@ -123,19 +119,19 @@ class SolitonFields(WkbFields):
         return (-self.a * self._wprime(xs, t)).imag
 
     def lap_S(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
     def lap_sigma(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
     def grad_sigma_sq(self, xs, t):
-        return np.full_like(np.asarray(xs[0], dtype=float), self.beta2**2)
+        return _constant(xs[0], self.beta2**2)
 
     def grad_of_grad_sigma_sq(self, xs, t):
-        return (np.zeros_like(np.asarray(xs[0], dtype=float)),)
+        return (_constant(xs[0]),)
 
     def dt_grad_sigma_sq(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
 
 def soliton_correction_fields(sp: SolitonParams, params: PhysParams) -> SolitonFields:
@@ -220,6 +216,7 @@ class Class1Fields(WkbFields):
                  mass: float, sigma_zero: float | None = None):
         lo, hi = float(domain[0]), float(domain[1])
         self.p1 = p1
+        self._pot = SeparatedScalar(p1.v0, p1.v1, p1.v1_prime)
         self.mass = mass
         self.domain = (lo, hi)
         probe = np.linspace(lo, hi, 4097)
@@ -231,35 +228,25 @@ class Class1Fields(WkbFields):
                                        base_point=sigma_zero)
         self._v0int = _TimeQuadrature(p1.v0)
 
-    # envelope slope and its derivative, both closed-form
+    # envelope slope and its derivative; the derivative is closed-form when
+    # v1_prime is given
     def _sigma_x(self, x):
         x = np.asarray(x, dtype=float)
         v1 = np.asarray(self.p1.v1(x), dtype=float) if self.p1.v1 is not None \
-            else np.zeros_like(x)
+            else _constant(x)
         return np.sqrt(2.0 * self.mass * (self.p1.c1 + v1))
 
-    def _v1_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.p1.v1 is None:
-            return np.zeros_like(x)
-        if self.p1.v1_prime is not None:
-            return np.asarray(self.p1.v1_prime(x), dtype=float)
-        h = _FD_STEP * (1.0 + np.abs(x))
-        return (np.asarray(self.p1.v1(x + h)) - np.asarray(self.p1.v1(x - h))) / (2.0 * h)
-
     def _sigma_xx(self, x):
-        return self.mass * self._v1_prime(x) / self._sigma_x(x)
+        return self.mass * self._pot.gradient((x,), 0.0)[0] / self._sigma_x(x)
 
     def S(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        return np.full_like(x, self.p1.c1 * t - self._v0int(t))
+        return _constant(xs[0], self.p1.c1 * t - self._v0int(t))
 
     def sigma(self, xs, t):
         return self._sigma(np.asarray(xs[0], dtype=float))
 
     def S1(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        return np.full_like(x, self.p1.c2 * t + self.p1.c3)
+        return _constant(xs[0], self.p1.c2 * t + self.p1.c3)
 
     def sigma1(self, xs, t):
         x = np.asarray(xs[0], dtype=float)
@@ -269,13 +256,13 @@ class Class1Fields(WkbFields):
         return out
 
     def grad_S(self, xs, t):
-        return (np.zeros_like(np.asarray(xs[0], dtype=float)),)
+        return (_constant(xs[0]),)
 
     def grad_sigma(self, xs, t):
         return (self._sigma_x(np.asarray(xs[0], dtype=float)),)
 
     def grad_S1(self, xs, t):
-        return (np.zeros_like(np.asarray(xs[0], dtype=float)),)
+        return (_constant(xs[0]),)
 
     def grad_sigma1(self, xs, t):
         x = np.asarray(xs[0], dtype=float)
@@ -284,19 +271,19 @@ class Class1Fields(WkbFields):
 
     def dt_S(self, xs, t):
         v0 = self.p1.v0(t) if self.p1.v0 is not None else 0.0
-        return np.full_like(np.asarray(xs[0], dtype=float), self.p1.c1 - v0)
+        return _constant(xs[0], self.p1.c1 - v0)
 
     def dt_sigma(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
     def dt_S1(self, xs, t):
-        return np.full_like(np.asarray(xs[0], dtype=float), self.p1.c2)
+        return _constant(xs[0], self.p1.c2)
 
     def dt_sigma1(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
     def lap_S(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
     def lap_sigma(self, xs, t):
         return self._sigma_xx(np.asarray(xs[0], dtype=float))
@@ -309,7 +296,7 @@ class Class1Fields(WkbFields):
         return (2.0 * self._sigma_x(x) * self._sigma_xx(x),)
 
     def dt_grad_sigma_sq(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
 
 def separated_class1(p1: Class1Params, domain: tuple[float, float],
@@ -364,6 +351,7 @@ class Class2Fields(WkbFields):
     def __init__(self, p2: Class2Params, domain: tuple[float, float], mass: float):
         lo, hi = float(domain[0]), float(domain[1])
         self.p2 = p2
+        self._pot = SeparatedScalar(p2.v0, p2.v1, p2.v1_prime)
         self.mass = mass
         self.domain = (lo, hi)
         self._p = Antiderivative(self._p_x, lo, hi)
@@ -374,16 +362,7 @@ class Class2Fields(WkbFields):
 
     def _v1(self, x):
         return np.asarray(self.p2.v1(x), dtype=float) if self.p2.v1 is not None \
-            else np.zeros_like(np.asarray(x, dtype=float))
-
-    def _v1_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.p2.v1 is None:
-            return np.zeros_like(x)
-        if self.p2.v1_prime is not None:
-            return np.asarray(self.p2.v1_prime(x), dtype=float)
-        h = _FD_STEP * (1.0 + np.abs(x))
-        return (np.asarray(self.p2.v1(x + h)) - np.asarray(self.p2.v1(x - h))) / (2.0 * h)
+            else _constant(x)
 
     def _p_x(self, x):
         w = self._v1(x) + self.p2.c3
@@ -392,7 +371,7 @@ class Class2Fields(WkbFields):
 
     def _p_xx(self, x):
         w = self._v1(x) + self.p2.c3
-        qprime = self._v1_prime(x) * (w / np.sqrt(w * w + self.p2.c1**2) - 1.0)
+        qprime = self._pot.gradient((x,), 0.0)[0] * (w / np.sqrt(w * w + self.p2.c1**2) - 1.0)
         return self.mass * qprime / (2.0 * self._p_x(x))
 
     def _f_x(self, x):
@@ -439,16 +418,16 @@ class Class2Fields(WkbFields):
 
     def dt_S(self, xs, t):
         v0 = self.p2.v0(t) if self.p2.v0 is not None else 0.0
-        return np.full_like(np.asarray(xs[0], dtype=float), self.p2.c3 - v0)
+        return _constant(xs[0], self.p2.c3 - v0)
 
     def dt_sigma(self, xs, t):
-        return np.full_like(np.asarray(xs[0], dtype=float), self.p2.c1)
+        return _constant(xs[0], self.p2.c1)
 
     def dt_S1(self, xs, t):
-        return np.full_like(np.asarray(xs[0], dtype=float), self.p2.a1)
+        return _constant(xs[0], self.p2.a1)
 
     def dt_sigma1(self, xs, t):
-        return np.full_like(np.asarray(xs[0], dtype=float), self.p2.a2)
+        return _constant(xs[0], self.p2.a2)
 
     def lap_S(self, xs, t):
         return self._p_xx(np.asarray(xs[0], dtype=float))
@@ -467,7 +446,7 @@ class Class2Fields(WkbFields):
         return (-2.0 * c * self._p_xx(x) / self._p_x(x) ** 3,)
 
     def dt_grad_sigma_sq(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
 
 def separated_class2(p2: Class2Params, domain: tuple[float, float],
@@ -530,8 +509,7 @@ class CylindricalFields(WkbFields):
                 np.asarray(xs[1], dtype=float) / r), r
 
     def S(self, xs, t):
-        r = self._r(xs)
-        return np.full_like(r, self.cp.c1**2 / (2.0 * self.mass) * t + self.cp.c2)
+        return _constant(self._r(xs), self.cp.c1**2 / (2.0 * self.mass) * t + self.cp.c2)
 
     def sigma(self, xs, t):
         return self.cp.c1 * self._r(xs) + self.cp.a1
@@ -547,8 +525,7 @@ class CylindricalFields(WkbFields):
 
     def grad_S(self, xs, t):
         r = self._r(xs)
-        z = np.zeros_like(r)
-        return (z, z.copy())
+        return (_constant(r), _constant(r))
 
     def grad_sigma(self, xs, t):
         (ex, ey), _ = self._rhat(xs)
@@ -565,32 +542,32 @@ class CylindricalFields(WkbFields):
         return (c * ex, c * ey)
 
     def dt_S(self, xs, t):
-        return np.full_like(self._r(xs), self.cp.c1**2 / (2.0 * self.mass))
+        return _constant(self._r(xs), self.cp.c1**2 / (2.0 * self.mass))
 
     def dt_sigma(self, xs, t):
-        return np.zeros_like(self._r(xs))
+        return _constant(self._r(xs))
 
     def dt_S1(self, xs, t):
-        return np.full_like(self._r(xs), self.cp.a2 * self.cp.c1 / self.mass)
+        return _constant(self._r(xs), self.cp.a2 * self.cp.c1 / self.mass)
 
     def dt_sigma1(self, xs, t):
-        return np.full_like(self._r(xs), self.cp.c1 * self.cp.b1)
+        return _constant(self._r(xs), self.cp.c1 * self.cp.b1)
 
     def lap_S(self, xs, t):
-        return np.zeros_like(self._r(xs))
+        return _constant(self._r(xs))
 
     def lap_sigma(self, xs, t):
         return self.cp.c1 / self._r(xs)
 
     def grad_sigma_sq(self, xs, t):
-        return np.full_like(self._r(xs), self.cp.c1**2)
+        return _constant(self._r(xs), self.cp.c1**2)
 
     def grad_of_grad_sigma_sq(self, xs, t):
-        z = np.zeros_like(self._r(xs))
-        return (z, z.copy())
+        r = self._r(xs)
+        return (_constant(r), _constant(r))
 
     def dt_grad_sigma_sq(self, xs, t):
-        return np.zeros_like(self._r(xs))
+        return _constant(self._r(xs))
 
 
 def cylindrical_fields(cp: CylindricalParams, params: PhysParams) -> CylindricalFields:

@@ -9,24 +9,18 @@ The envelope is
 
 and the assembled state is rho * exp(i S/hbar + i S1).  A WkbFields object
 bundles the four scalars with their derivative evaluators; families override
-the finite-difference defaults with closed forms.
+the finite-difference defaults with closed forms.  The defaults take central
+differences through the package's one difference pair, `core._diff` (first
+derivatives in x and t) and `core._diff2` (second derivatives in x).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from semiwave.core import ComplexField, Grid, PhysParams
+from semiwave.core import ComplexField, Grid, PhysParams, _along, _constant, _diff, _diff2
 
-_FD_STEP = 1e-6
-_FD_STEP2 = 1e-4  # second differences lose digits at the first-order step
 _THETA_GUARD = 300.0
-
-
-def _shift(xs, axis, delta):
-    out = list(xs)
-    out[axis] = xs[axis] + delta
-    return tuple(out)
 
 
 class WkbFields:
@@ -49,63 +43,52 @@ class WkbFields:
         raise NotImplementedError
 
     def S1(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
     def sigma1(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
-    # --- finite-difference helpers ---------------------------------------
-    def _ddx(self, f, xs, t, axis):
-        h = _FD_STEP * (1.0 + np.abs(np.asarray(xs[axis], dtype=float)))
-        return (f(_shift(xs, axis, h), t) - f(_shift(xs, axis, -h), t)) / (2.0 * h)
+    # --- finite-difference defaults ---------------------------------------
+    def _grad(self, f, xs, t):
+        return tuple(_diff(*_along(f, xs, t, ax)) for ax in range(self.dim))
 
-    def _d2dx2(self, f, xs, t, axis):
-        h = _FD_STEP2 * (1.0 + np.abs(np.asarray(xs[axis], dtype=float)))
-        return (
-            f(_shift(xs, axis, h), t) - 2.0 * f(xs, t) + f(_shift(xs, axis, -h), t)
-        ) / (h * h)
-
-    def _ddt(self, f, xs, t):
-        h = _FD_STEP * (1.0 + abs(t))
-        return (f(xs, t + h) - f(xs, t - h)) / (2.0 * h)
+    def _lap(self, f, xs, t):
+        out = 0.0
+        for ax in range(self.dim):
+            out = out + _diff2(*_along(f, xs, t, ax))
+        return out
 
     # --- first derivatives ------------------------------------------------
     def grad_S(self, xs, t):
-        return tuple(self._ddx(self.S, xs, t, ax) for ax in range(self.dim))
+        return self._grad(self.S, xs, t)
 
     def grad_sigma(self, xs, t):
-        return tuple(self._ddx(self.sigma, xs, t, ax) for ax in range(self.dim))
+        return self._grad(self.sigma, xs, t)
 
     def grad_S1(self, xs, t):
-        return tuple(self._ddx(self.S1, xs, t, ax) for ax in range(self.dim))
+        return self._grad(self.S1, xs, t)
 
     def grad_sigma1(self, xs, t):
-        return tuple(self._ddx(self.sigma1, xs, t, ax) for ax in range(self.dim))
+        return self._grad(self.sigma1, xs, t)
 
     def dt_S(self, xs, t):
-        return self._ddt(self.S, xs, t)
+        return _diff(lambda s: self.S(xs, s), t)
 
     def dt_sigma(self, xs, t):
-        return self._ddt(self.sigma, xs, t)
+        return _diff(lambda s: self.sigma(xs, s), t)
 
     def dt_S1(self, xs, t):
-        return self._ddt(self.S1, xs, t)
+        return _diff(lambda s: self.S1(xs, s), t)
 
     def dt_sigma1(self, xs, t):
-        return self._ddt(self.sigma1, xs, t)
+        return _diff(lambda s: self.sigma1(xs, s), t)
 
     # --- second-order quantities -----------------------------------------
     def lap_S(self, xs, t):
-        out = 0.0
-        for ax in range(self.dim):
-            out = out + self._d2dx2(self.S, xs, t, ax)
-        return out
+        return self._lap(self.S, xs, t)
 
     def lap_sigma(self, xs, t):
-        out = 0.0
-        for ax in range(self.dim):
-            out = out + self._d2dx2(self.sigma, xs, t, ax)
-        return out
+        return self._lap(self.sigma, xs, t)
 
     def grad_sigma_sq(self, xs, t):
         """(grad sigma)^2, the square of the envelope slope."""
@@ -116,12 +99,10 @@ class WkbFields:
 
     def grad_of_grad_sigma_sq(self, xs, t):
         """Gradient of (grad sigma)^2."""
-        return tuple(
-            self._ddx(self.grad_sigma_sq, xs, t, ax) for ax in range(self.dim)
-        )
+        return self._grad(self.grad_sigma_sq, xs, t)
 
     def dt_grad_sigma_sq(self, xs, t):
-        return self._ddt(self.grad_sigma_sq, xs, t)
+        return _diff(lambda s: self.grad_sigma_sq(xs, s), t)
 
     # --- convenience ------------------------------------------------------
     def theta(self, xs, t, hbar: float):

@@ -37,77 +37,72 @@ class PhasePoint:
 
 @dataclass
 class Trajectory:
-    """Uniform-step solution of the characteristic system."""
+    """Uniform-step solution of the characteristic system: the times t, and
+    the positions x and momenta p as (steps, dim) arrays."""
 
-    points: list[PhasePoint]
+    t: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
     dt: float
 
     def __post_init__(self):
-        ts = self.times()
-        if np.any(np.diff(ts) <= 0):
+        if np.any(np.diff(self.t) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
 
+    @property
+    def points(self) -> list[PhasePoint]:
+        """The samples as phase points, built on each read."""
+        return [PhasePoint(x, p, t)
+                for t, x, p in zip(self.t.tolist(), self.x.tolist(), self.p.tolist())]
+
     def times(self) -> np.ndarray:
-        return np.array([pt.t for pt in self.points])
+        return self.t
 
     def positions(self) -> np.ndarray:
-        return np.array([pt.x for pt in self.points])
+        return self.x
 
     def momenta(self) -> np.ndarray:
-        return np.array([pt.p for pt in self.points])
+        return self.p
 
 
-def _as_arrays(point: PhasePoint):
-    xs = tuple(np.asarray([v], dtype=float) for v in point.x)
-    return xs
+def _sample(comps) -> np.ndarray:
+    """The single value of each one-sample component array."""
+    return np.array([np.asarray(c).ravel()[0] for c in comps], dtype=float)
 
 
 def classical_hamiltonian(point: PhasePoint, pot: PotentialSpec, mass: float) -> float:
     """H(x, p, t) = (p - A)^2/(2m) + V."""
-    xs = _as_arrays(point)
-    v = float(np.asarray(pot.scalar.value(xs, point.t)).ravel()[0])
-    a = [float(np.asarray(c).ravel()[0]) for c in pot.vector.value(xs, point.t)]
+    xs = tuple(np.array(point.x)[:, None])
+    v = float(np.ravel(pot.scalar.value(xs, point.t))[0])
+    a = _sample(pot.vector.value(xs, point.t)).tolist()
     kin = sum((pj - aj) ** 2 for pj, aj in zip(point.p, a)) / (2.0 * mass)
     return kin + v
 
 
-def hamilton_rhs(point: PhasePoint, pot: PotentialSpec, mass: float):
-    """Right-hand side (dx/dt, dp/dt) of the characteristic system.
+def _rhs(x: np.ndarray, p: np.ndarray, t: float, pot: PotentialSpec, mass: float):
+    """Right-hand side (dx/dt, dp/dt) of the characteristic system at the
+    position x and momentum p, both float arrays of length dim.
 
     dx_i/dt = (p_i - A_i)/m
     dp_i/dt = -dV/dx_i + sum_j (dA_j/dx_i) (p_j - A_j)/m
     """
-    xs = _as_arrays(point)
-    t = point.t
-    a = [float(np.asarray(c).ravel()[0]) for c in pot.vector.value(xs, t)]
-    gradv = [float(np.asarray(c).ravel()[0]) for c in pot.scalar.gradient(xs, t)]
-    jac = pot.vector.jacobian(xs, t)
-    vel = tuple((pj - aj) / mass for pj, aj in zip(point.p, a))
+    xs = tuple(x[:, None])
+    u = p - _sample(pot.vector.value(xs, t))
     dp = []
-    for i in range(point.dim):
-        force = -gradv[i]
-        for j in range(point.dim):
-            force += float(np.asarray(jac[i][j]).ravel()[0]) * (point.p[j] - a[j]) / mass
+    for gi, row in zip(_sample(pot.scalar.gradient(xs, t)).tolist(), pot.vector.jacobian(xs, t)):
+        # summed in index order on floats; a matrix product may round differently
+        force = -gi
+        for jij, uj in zip(_sample(row).tolist(), u.tolist()):
+            force += jij * uj / mass
         dp.append(force)
-    return vel, tuple(dp)
+    return u / mass, np.array(dp)
 
 
-def _rk4_step(point: PhasePoint, dt: float, pot: PotentialSpec, mass: float) -> PhasePoint:
-    x0 = np.array(point.x)
-    p0 = np.array(point.p)
-    t0 = point.t
-
-    def rhs(x, p, t):
-        vel, dp = hamilton_rhs(PhasePoint(tuple(x), tuple(p), t), pot, mass)
-        return np.array(vel), np.array(dp)
-
-    k1x, k1p = rhs(x0, p0, t0)
-    k2x, k2p = rhs(x0 + 0.5 * dt * k1x, p0 + 0.5 * dt * k1p, t0 + 0.5 * dt)
-    k3x, k3p = rhs(x0 + 0.5 * dt * k2x, p0 + 0.5 * dt * k2p, t0 + 0.5 * dt)
-    k4x, k4p = rhs(x0 + dt * k3x, p0 + dt * k3p, t0 + dt)
-    x1 = x0 + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    p1 = p0 + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return PhasePoint(tuple(x1), tuple(p1), t0 + dt)
+def hamilton_rhs(point: PhasePoint, pot: PotentialSpec, mass: float):
+    """Right-hand side (dx/dt, dp/dt) of the characteristic system at a
+    phase point, as tuples; see `_rhs`."""
+    vel, dp = _rhs(np.array(point.x), np.array(point.p), point.t, pot, mass)
+    return tuple(vel.tolist()), tuple(dp.tolist())
 
 
 def integrate_bicharacteristic(
@@ -125,12 +120,21 @@ def integrate_bicharacteristic(
     if span < 0:
         raise ValueError("t1 must not precede the initial time")
     nsteps = int(round(span / dt))
-    pts = [z0]
-    cur = z0
+    t, x, p = z0.t, np.array(z0.x), np.array(z0.p)
+    t_all = np.empty(nsteps + 1)
+    x_all = np.empty((nsteps + 1, z0.dim))
+    p_all = np.empty((nsteps + 1, z0.dim))
+    t_all[0], x_all[0], p_all[0] = t, x, p
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(nsteps):
-            cur = _rk4_step(cur, dt, pot, mass)
-            if not all(np.isfinite(cur.x)) or not all(np.isfinite(cur.p)):
-                raise RuntimeError(f"trajectory blew up at step {step + 1}")
-            pts.append(cur)
-    return Trajectory(points=pts, dt=dt)
+        for step in range(1, nsteps + 1):
+            k1x, k1p = _rhs(x, p, t, pot, mass)
+            k2x, k2p = _rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p, t + 0.5 * dt, pot, mass)
+            k3x, k3p = _rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p, t + 0.5 * dt, pot, mass)
+            k4x, k4p = _rhs(x + dt * k3x, p + dt * k3p, t + dt, pot, mass)
+            x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+            p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            t = t + dt
+            if not (np.isfinite(x).all() and np.isfinite(p).all()):
+                raise RuntimeError(f"trajectory blew up at step {step}")
+            t_all[step], x_all[step], p_all[step] = t, x, p
+    return Trajectory(t=t_all, x=x_all, p=p_all, dt=dt)

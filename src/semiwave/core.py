@@ -225,19 +225,36 @@ def apply_momentum(psi: ComplexField, axis: int = 0) -> ComplexField:
 #
 # The scalar part V(x, t) and the vector part A(x, t) of the external field
 # are given as small spec objects.  Built-in forms carry analytic gradients;
-# the expression forms fall back on central differences.
+# the expression forms fall back on central differences.  `_diff` and
+# `_diff2` below are the package's one first- and second-difference pair:
+# every derivative fallback, here and in the asymptotics, goes through them.
 
 _FD_STEP = 1e-6
+_FD_STEP2 = 1e-4  # second differences lose digits at the first-order step
 
 
-def _central_diff(f: Callable, x: Sequence[np.ndarray], t: float, axis: int) -> np.ndarray:
-    xs = [np.asarray(c, dtype=float) for c in x]
-    h = _FD_STEP * (1.0 + np.abs(xs[axis]))
-    xp = list(xs)
-    xm = list(xs)
-    xp[axis] = xs[axis] + h
-    xm[axis] = xs[axis] - h
-    return (f(tuple(xp), t) - f(tuple(xm), t)) / (2.0 * h)
+def _diff(f: Callable, x):
+    """Central first difference of f at x, relative step _FD_STEP*(1 + |x|)."""
+    h = _FD_STEP * (1.0 + np.abs(x))
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def _diff2(f: Callable, x):
+    """Central second difference of f at x, relative step _FD_STEP2*(1 + |x|)."""
+    h = _FD_STEP2 * (1.0 + np.abs(x))
+    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
+
+def _along(f: Callable, xs: Sequence, t: float, axis: int):
+    """f(xs, t) as a function of coordinate `axis` alone, and that coordinate:
+    `_diff(*_along(f, xs, t, axis))` is the partial derivative along it."""
+    xs = tuple(np.asarray(c, dtype=float) for c in xs)
+    return (lambda s: f(xs[:axis] + (s,) + xs[axis + 1:], t)), xs[axis]
+
+
+def _constant(like, value: float = 0.0) -> np.ndarray:
+    """Float array shaped like `like` with every entry equal to value."""
+    return np.full_like(np.asarray(like, dtype=float), value)
 
 
 class ScalarPotential:
@@ -254,7 +271,7 @@ class ScalarPotential:
         raise NotImplementedError
 
     def gradient(self, xs: tuple[np.ndarray, ...], t: float) -> tuple[np.ndarray, ...]:
-        return tuple(_central_diff(self.value, xs, t, ax) for ax in range(len(xs)))
+        return tuple(_diff(*_along(self.value, xs, t, ax)) for ax in range(len(xs)))
 
 
 @dataclass
@@ -262,10 +279,10 @@ class ZeroScalar(ScalarPotential):
     static = True
 
     def value(self, xs, t):
-        return np.zeros(np.broadcast(*xs).shape) if len(xs) > 1 else np.zeros_like(xs[0], dtype=float)
+        return np.zeros(np.broadcast(*xs).shape)
 
     def gradient(self, xs, t):
-        return tuple(np.zeros_like(np.asarray(c, dtype=float)) for c in xs)
+        return tuple(_constant(c) for c in xs)
 
 
 @dataclass
@@ -289,14 +306,14 @@ class HarmonicScalar(ScalarPotential):
 
     def value(self, xs, t):
         out = 0.0
-        for x, w, c in zip(xs, self.omega, self.center):
+        for x, w, c in zip(xs, self.omega, self.center, strict=True):
             out = out + 0.5 * self.mass * w * w * (np.asarray(x, dtype=float) - c) ** 2
         return out
 
     def gradient(self, xs, t):
         return tuple(
             self.mass * w * w * (np.asarray(x, dtype=float) - c)
-            for x, w, c in zip(xs, self.omega, self.center)
+            for x, w, c in zip(xs, self.omega, self.center, strict=True)
         )
 
 
@@ -318,7 +335,7 @@ class SeparatedScalar(ScalarPotential):
 
     def value(self, xs, t):
         x = np.asarray(xs[0], dtype=float)
-        out = np.zeros_like(x)
+        out = _constant(x)
         if self.v0 is not None:
             out = out + float(self.v0(t))
         if self.v1 is not None:
@@ -328,11 +345,10 @@ class SeparatedScalar(ScalarPotential):
     def gradient(self, xs, t):
         x = np.asarray(xs[0], dtype=float)
         if self.v1 is None:
-            return (np.zeros_like(x),)
+            return (_constant(x),)
         if self.v1_prime is not None:
             return (np.asarray(self.v1_prime(x), dtype=float),)
-        h = _FD_STEP * (1.0 + np.abs(x))
-        return ((np.asarray(self.v1(x + h)) - np.asarray(self.v1(x - h))) / (2.0 * h),)
+        return (_diff(self.v1, x),)
 
 
 @dataclass
@@ -396,37 +412,37 @@ class VectorPotential:
         raise NotImplementedError
 
     def divergence(self, xs, t) -> np.ndarray:
-        comps = self.value(xs, t)
-        out = np.zeros_like(np.asarray(comps[0], dtype=float))
-        for ax in range(len(xs)):
-            out = out + _central_diff(lambda q, s, ax=ax: self.value(q, s)[ax], xs, t, ax)
-        return out
+        return sum(_diff(*_along(lambda q, s, j=j: self.value(q, s)[j], xs, t, j))
+                   for j in range(len(xs)))
 
     def jacobian(self, xs, t) -> list[list[np.ndarray]]:
         """J[i][j] = dA_j/dx_i."""
         d = len(xs)
         return [
-            [_central_diff(lambda q, s, j=j: self.value(q, s)[j], xs, t, i) for j in range(d)]
+            [_diff(*_along(lambda q, s, j=j: self.value(q, s)[j], xs, t, i)) for j in range(d)]
             for i in range(d)
         ]
 
 
-@dataclass
-class ZeroVector(VectorPotential):
-    def value(self, xs, t):
-        return tuple(np.zeros_like(np.asarray(c, dtype=float)) for c in xs)
+class _SpatiallyConstant(VectorPotential):
+    """A that does not vary in space: zero divergence and jacobian."""
 
     def divergence(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
+        return _constant(xs[0])
 
     def jacobian(self, xs, t):
-        d = len(xs)
-        z = np.zeros_like(np.asarray(xs[0], dtype=float))
-        return [[z.copy() for _ in range(d)] for _ in range(d)]
+        z = _constant(xs[0])
+        return [[z.copy() for _ in xs] for _ in xs]
 
 
 @dataclass
-class UniformVector(VectorPotential):
+class ZeroVector(_SpatiallyConstant):
+    def value(self, xs, t):
+        return tuple(_constant(c) for c in xs)
+
+
+@dataclass
+class UniformVector(_SpatiallyConstant):
     """Spatially uniform A(t); the only vector form the propagator accepts."""
 
     a_of_t: Callable[[float], Sequence[float]]
@@ -438,15 +454,7 @@ class UniformVector(VectorPotential):
         comps = self.components(t)
         if len(comps) != len(xs):
             raise ValueError("vector potential dimension mismatch")
-        return tuple(np.full_like(np.asarray(c, dtype=float), a) for c, a in zip(xs, comps))
-
-    def divergence(self, xs, t):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
-
-    def jacobian(self, xs, t):
-        d = len(xs)
-        z = np.zeros_like(np.asarray(xs[0], dtype=float))
-        return [[z.copy() for _ in range(d)] for _ in range(d)]
+        return tuple(_constant(c, a) for c, a in zip(xs, comps))
 
 
 @dataclass

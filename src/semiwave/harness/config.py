@@ -285,6 +285,12 @@ class Potential:
 class Potential2d(Potential):
     dim = 2
 
+    def __post_init__(self):
+        super().__post_init__()
+        _require(isinstance(self.scalar, Zero),
+                 "scalar: the harmonic and quadratic forms depend on x alone; "
+                 "a 2D grid takes only the zero form")
+
 
 @_block
 class Confining(Potential):

@@ -5,6 +5,9 @@ Oracles:
   * harmonic trap (omega = m = 1): x(t) = x0 cos t + p0 sin t,
     p(t) = p0 cos t - x0 sin t
   * uniform vector potential A: velocity is (p - A)/m while p stays fixed
+  * uniform magnetic field B in the symmetric gauge A = (B/2)(-y, x),
+    from the origin with p = (1, 0): x = sin(w t)/w, y = -(1 - cos w t)/w
+    with w = B/m, and the canonical momentum is m v + A
 """
 
 import inspect
@@ -19,6 +22,7 @@ from semiwave.classical import (
     integrate_bicharacteristic,
 )
 from semiwave.core import (
+    ExpressionVector,
     HarmonicScalar,
     PotentialSpec,
     UniformVector,
@@ -112,6 +116,22 @@ def test_uniform_vector_potential_velocity():
     end = integrate_bicharacteristic(z0, 4.0, 1e-2, pot, 2.0).points[-1]
     assert end.p[0] == pytest.approx(1.0, abs=1e-13)
     assert end.x[0] == pytest.approx(4.0 * 0.375, abs=1e-10)
+
+
+def test_lorentz_force_circular_orbit():
+    # the only orbit test with a nonzero dA/dx; the jacobian of the
+    # expression form goes through the central-difference fallback
+    B, m = 2.0, 1.0
+    w = B / m
+    pot = PotentialSpec(vector=ExpressionVector(fn=lambda xs, t: (-0.5 * B * xs[1], 0.5 * B * xs[0])))
+    traj = integrate_bicharacteristic(PhasePoint(x=(0.0, 0.0), p=(1.0, 0.0)), 2.0 * np.pi / w,
+                                      1e-2, pot, m)
+    t, xy, p = traj.times(), traj.positions(), traj.momenta()
+    x, y = np.sin(w * t) / w, -(1.0 - np.cos(w * t)) / w
+    px, py = m * np.cos(w * t) - 0.5 * B * y, -m * np.sin(w * t) + 0.5 * B * x
+    # measured 4.2e-9 (positions) and 8.4e-9 (momenta) at dt = 1e-2: 2.4x margin
+    assert np.max(np.abs(xy - np.column_stack([x, y]))) < 1e-8
+    assert np.max(np.abs(p - np.column_stack([px, py]))) < 2e-8
 
 
 def test_2d_point_and_motion():

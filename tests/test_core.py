@@ -9,9 +9,18 @@ Oracle values used here:
 import numpy as np
 import pytest
 
+from semiwave.asymptotics.families import (
+    Class1Params,
+    Class2Params,
+    SolitonFields,
+    SolitonParams,
+    separated_class1,
+    separated_class2,
+)
 from semiwave.core import (
     ComplexField,
     ExpressionScalar,
+    ExpressionVector,
     Grid,
     HarmonicScalar,
     PhysParams,
@@ -195,14 +204,93 @@ def test_harmonic_potential_value():
     assert pot.gradient((x,), 0.0)[0][0] == pytest.approx(2.0)
 
 
-def test_separated_potential_gradient_fd_matches_analytic():
+def test_harmonic_potential_needs_one_omega_per_axis():
+    # one omega on a 2D mesh used to drop the y term silently
+    pot = HarmonicScalar(omega=(1.0,), center=(0.0,))
+    X, Y = make_uniform_grid(2, -1.0, 1.0, 16).mesh()
+    with pytest.raises(ValueError):
+        pot.value((X, Y), 0.0)
+    with pytest.raises(ValueError):
+        pot.gradient((X, Y), 0.0)
+
+
+_X = np.linspace(-3.0, 3.0, 7)
+_MESH = tuple(np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 3.0, 9), indexing="ij"))
+_XF = np.linspace(-2.5, 2.5, 101)
+_PARAMS = PhysParams(hbar=0.1, mass=1.0, r=0.5)
+
+
+def _separated_scalar():
     v1 = lambda x: 0.1 * x**2
-    with_fd = SeparatedScalar(v0=None, v1=v1)
-    with_exact = SeparatedScalar(v0=None, v1=v1, v1_prime=lambda x: 0.2 * x)
-    x = np.linspace(-3, 3, 7)
-    gf = with_fd.gradient((x,), 0.0)[0]
-    ge = with_exact.gradient((x,), 0.0)[0]
-    assert np.max(np.abs(gf - ge)) < 1e-6 * (1 + np.max(np.abs(ge)))
+    return (SeparatedScalar(v1=v1).gradient((_X,), 0.0),
+            SeparatedScalar(v1=v1, v1_prime=lambda x: 0.2 * x).gradient((_X,), 0.0))
+
+
+def _expression_scalar():
+    X, Y = _MESH
+    pot = ExpressionScalar(fn=lambda xs, t: np.sin(xs[0]) * np.cos(xs[1]) + t * xs[0] ** 2)
+    return (pot.gradient(_MESH, 0.5),
+            (np.cos(X) * np.cos(Y) + X, -np.sin(X) * np.sin(Y)))
+
+
+_A = ExpressionVector(fn=lambda xs, t: (np.sin(xs[0]) * xs[1], xs[0] * np.cos(xs[1])))
+
+
+def _vector_divergence():
+    X, Y = _MESH
+    return _A.divergence(_MESH, 0.0), np.cos(X) * Y - X * np.sin(Y)
+
+
+def _vector_jacobian():
+    X, Y = _MESH
+    return (_A.jacobian(_MESH, 0.0),
+            [[np.cos(X) * Y, np.cos(Y)], [np.sin(X), -X * np.sin(Y)]])
+
+
+def _family(build):
+    """The family built without v1_prime against the same family with it."""
+    v1, v1_prime = (lambda x: 0.3 * np.cos(x)), (lambda x: -0.3 * np.sin(x))
+    fd, exact = build(v1, None), build(v1, v1_prime)
+    return [[fields.grad_sigma1((_XF,), 0.0)[0], fields.lap_sigma((_XF,), 0.0),
+             fields.lap_S((_XF,), 0.0)] for fields in (fd, exact)]
+
+
+def _class1():
+    return _family(lambda v1, v1p: separated_class1(
+        Class1Params(c1=1.0, c2=0.2, v1=v1, v1_prime=v1p), (-3.0, 3.0), _PARAMS))
+
+
+def _class2():
+    return _family(lambda v1, v1p: separated_class2(
+        Class2Params(c1=0.8, c3=0.5, a1=0.1, a2=0.2, v1=v1, v1_prime=v1p), (-3.0, 3.0), _PARAMS))
+
+
+def _soliton():
+    f = lambda z: 0.1 * np.sin(z)
+    fd = SolitonFields(SolitonParams(xi=0.3, eta=0.5, f=f), 1.0)
+    exact = SolitonFields(SolitonParams(xi=0.3, eta=0.5, f=f, fprime=lambda z: 0.1 * np.cos(z)), 1.0)
+    return [[w.grad_S1((_XF,), 0.3)[0], w.grad_sigma1((_XF,), 0.3)[0],
+             w.dt_S1((_XF,), 0.3), w.dt_sigma1((_XF,), 0.3)] for w in (fd, exact)]
+
+
+# Each bound is the measured error times a margin of about 10; the error is
+# max |fallback - closed form| / (1 + max |closed form|), rounding in a
+# central difference of step 1e-6 relative.
+FALLBACKS = [
+    pytest.param(_separated_scalar, 1.1e-10, id="separated-scalar"),  # measured 1.08e-11
+    pytest.param(_expression_scalar, 4.2e-10, id="expression-scalar"),  # measured 4.18e-11
+    pytest.param(_vector_divergence, 2.0e-10, id="vector-divergence"),  # measured 1.97e-11
+    pytest.param(_vector_jacobian, 2.0e-10, id="vector-jacobian"),  # measured 1.93e-11
+    pytest.param(_class1, 1.2e-10, id="class1-family"),  # measured 1.11e-11
+    pytest.param(_class2, 1.1e-10, id="class2-family"),  # measured 1.01e-11
+    pytest.param(_soliton, 7.0e-11, id="soliton-dressing"),  # measured 6.83e-12
+]
+
+
+@pytest.mark.parametrize("case, bound", FALLBACKS)
+def test_fd_fallback_matches_closed_form(case, bound):
+    approx, exact = (np.asarray(v, dtype=float) for v in case())
+    assert np.max(np.abs(approx - exact)) / (1.0 + np.max(np.abs(exact))) < bound
 
 
 def test_eval_potential_shapes_and_uniform_vector():

@@ -164,6 +164,7 @@ REJECTED = [
     ("soliton-propagation", "potential.scalar=[1]", "potential.scalar"),
     ("cylindrical-check", "potential.vector={form: uniform, components: [1.0]}",
      "potential.vector.components"),
+    ("cylindrical-check", "potential.scalar={form: harmonic, omega: 1.0}", "potential.scalar"),
     ("ehrenfest", "params.r_values=[]", "params.r_values"),
     ("ehrenfest", "potential.scalar={form: quadratic, coefficient: -1}",
      "potential.scalar"),
