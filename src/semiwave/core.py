@@ -211,13 +211,18 @@ def norm_squared(psi: ComplexField) -> float:
     return val
 
 
+def _momentum(values: np.ndarray, grid: Grid, hbar: float, axis: int) -> np.ndarray:
+    """-i*hbar*d/dx_axis applied to plain samples in Fourier space: the one
+    momentum operator of the package."""
+    mult = hbar * grid.axis_wavenumber(axis)
+    return np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis)
+
+
 def apply_momentum(psi: ComplexField, axis: int = 0) -> ComplexField:
     """Apply the momentum operator -i*hbar*d/dx_axis in Fourier space."""
     if not 0 <= axis < psi.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {psi.grid.dim}")
-    mult = psi.hbar * psi.grid.axis_wavenumber(axis)
-    out = np.fft.ifft(mult * np.fft.fft(psi.values, axis=axis), axis=axis)
-    return psi.with_values(out)
+    return psi.with_values(_momentum(psi.values, psi.grid, psi.hbar, axis))
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +417,13 @@ class VectorPotential:
         raise NotImplementedError
 
     def divergence(self, xs, t) -> np.ndarray:
-        return sum(_diff(*_along(lambda q, s, j=j: self.value(q, s)[j], xs, t, j))
-                   for j in range(len(xs)))
+        jac = self.jacobian(xs, t)
+        return sum(jac[j][j] for j in range(len(xs)))
 
     def jacobian(self, xs, t) -> list[list[np.ndarray]]:
-        """J[i][j] = dA_j/dx_i."""
-        d = len(xs)
-        return [
-            [_diff(*_along(lambda q, s, j=j: self.value(q, s)[j], xs, t, i)) for j in range(d)]
-            for i in range(d)
-        ]
+        """J[i][j] = dA_j/dx_i, from one stacked +-h pair of A per axis i."""
+        return [list(_diff(*_along(lambda q, s: np.stack(self.value(q, s)), xs, t, i)))
+                for i in range(len(xs))]
 
 
 class _SpatiallyConstant(VectorPotential):

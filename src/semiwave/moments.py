@@ -1,11 +1,17 @@
 """Expectation values, centered Weyl moments and concentration diagnostics.
 
-Position moments are quadratures of the density; momentum moments apply
--i hbar d/dx spectrally, which is exact for band-limited samples.  The one
-place operator ordering matters at second order is the mixed position and
-momentum moment, taken as the symmetrized average.  Concentration in the
-small parameter is probed two ways: the decay slope of the width across an
-hbar sweep, and the mass fraction inside a shrinking ball around the
+Every centered moment of order <= 2 is read off one Gram matrix.  For a
+field psi and a phase-space centre z = (x0, p0), take the 2dim+1 vectors
+
+    u = (psi, (x_j - x0_j) psi, (P_j - p0_j) psi),   P_j = -i hbar d/dx_j,
+
+with P applied spectrally, which is exact for band-limited samples; then
+G_ab = Re<u_a, u_b> / ||psi||^2.  Row 0 holds the first moments, and the
+rest is the 2dim x 2dim second-moment matrix.  Taking the real part makes
+the position-momentum entries the symmetrized products, the one place
+where operator ordering matters at second order.  Concentration in the
+small parameter is probed two ways: the decay slope of the width across
+an hbar sweep, and the mass fraction inside a shrinking ball around the
 centroid.
 """
 
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import PhasePoint
-from .core import ComplexField, apply_momentum, inner_product, norm_squared
+from .core import ComplexField, _momentum, apply_momentum, inner_product, norm_squared
 
 _IMAG_WARN = 1e-8
 
@@ -149,9 +155,21 @@ def _center_point(psi: ComplexField, z: PhasePoint | None) -> PhasePoint:
     )
 
 
-def _shifted_momentum(psi: ComplexField, axis: int, p0: float) -> ComplexField:
-    shifted = apply_momentum(psi, axis)
-    return psi.with_values(shifted.values - p0 * psi.values)
+def _gram(psi: ComplexField, zc: PhasePoint) -> np.ndarray:
+    """G_ab = Re<u_a, u_b> dV / ||psi||^2 over the 2dim+1 vectors
+    u = (psi, (x_j - x0_j) psi, (P_j - p0_j) psi), with P_j = -i hbar d/dx_j
+    and the centre zc = (x0, p0).  The pairs are taken one np.vdot at a time
+    so that no conjugated copy of the stack is made."""
+    grid, vals = psi.grid, psi.values
+    us = [vals]
+    us += [(x - x0) * vals for x, x0 in zip(grid.mesh(), zc.x)]
+    us += [_momentum(vals, grid, psi.hbar, ax) - p0 * vals for ax, p0 in enumerate(zc.p)]
+    scale = grid.cell_volume / norm_squared(psi)
+    g = np.empty((len(us), len(us)))
+    for a in range(len(us)):
+        for b in range(a, len(us)):
+            g[a, b] = g[b, a] = np.vdot(us[a], us[b]).real * scale
+    return g
 
 
 def centered_moment(psi: ComplexField, alpha, beta, z: PhasePoint | None = None) -> float:
@@ -173,42 +191,14 @@ def centered_moment(psi: ComplexField, alpha, beta, z: PhasePoint | None = None)
         raise ValueError(
             f"moments of order {na + nb} are not supported (maximum 2)"
         )
-    zc = _center_point(psi, z)
-    nsq = norm_squared(psi)
-
-    if na == 0 and nb == 0:
-        return 1.0
-
-    if na == 0:
-        dens = psi.density()
-        xs = psi.grid.mesh()
-        weight = np.ones_like(dens)
-        for ax, b in enumerate(beta):
-            if b:
-                weight = weight * (xs[ax] - zc.x[ax]) ** b
-        return float(np.sum(weight * dens) * psi.grid.cell_volume / nsq)
-
-    if nb == 0:
-        first = next(ax for ax, a in enumerate(alpha) if a > 0)
-        if na == 1:
-            val = inner_product(psi, _shifted_momentum(psi, first, zc.p[first]))
-        else:
-            # split the two applications across the inner product; the
-            # factors are Hermitian and commute, so this is exact
-            left = _shifted_momentum(psi, first, zc.p[first])
-            remaining = list(alpha)
-            remaining[first] -= 1
-            second = next(ax for ax, a in enumerate(remaining) if a > 0)
-            val = inner_product(left, _shifted_momentum(psi, second, zc.p[second]))
-        return float(val.real) / nsq
-
-    # mixed second order: one momentum axis, one position axis
-    ax_p = next(ax for ax, a in enumerate(alpha) if a > 0)
-    ax_x = next(ax for ax, b in enumerate(beta) if b > 0)
-    xs = psi.grid.mesh()
-    xfield = psi.with_values((xs[ax_x] - zc.x[ax_x]) * psi.values)
-    pfield = _shifted_momentum(psi, ax_p, zc.p[ax_p])
-    return float(inner_product(xfield, pfield).real) / nsq
+    g = _gram(psi, _center_point(psi, z))
+    if na + nb == 0:
+        return 1.0  # G[0, 0] up to rounding
+    # one u index per unit factor, padded with the index of psi itself
+    idx = [1 + ax for ax, b in enumerate(beta) for _ in range(b)]
+    idx += [1 + dim + ax for ax, a in enumerate(alpha) for _ in range(a)]
+    a, b = (idx + [0])[:2]
+    return float(g[a, b])
 
 
 def compute_moment_record(psi: ComplexField, z: PhasePoint | None = None) -> MomentRecord:
@@ -217,31 +207,7 @@ def compute_moment_record(psi: ComplexField, z: PhasePoint | None = None) -> Mom
     against the hbar/2 bound as a quadrature sanity gate."""
     zc = _center_point(psi, z)
     dim = psi.grid.dim
-    d2 = np.zeros((2 * dim, 2 * dim))
-
-    def unit(ax):
-        e = [0] * dim
-        e[ax] = 1
-        return tuple(e)
-
-    zero = (0,) * dim
-    for i in range(dim):
-        for j in range(i, dim):
-            beta = list(zero)
-            beta[i] += 1
-            beta[j] += 1
-            d2[i, j] = d2[j, i] = centered_moment(psi, zero, tuple(beta), zc)
-            alpha = list(zero)
-            alpha[i] += 1
-            alpha[j] += 1
-            d2[dim + i, dim + j] = d2[dim + j, dim + i] = centered_moment(
-                psi, tuple(alpha), zero, zc
-            )
-    for i in range(dim):
-        for j in range(dim):
-            val = centered_moment(psi, unit(i), unit(j), zc)
-            d2[dim + i, j] = d2[j, dim + i] = val
-
+    d2 = _gram(psi, zc)[1:, 1:]
     hbar = psi.hbar
     for ax in range(dim):
         prod = d2[ax, ax] * d2[dim + ax, dim + ax]
@@ -271,18 +237,11 @@ def mass_within_radius(psi: ComplexField, radius: float, center=None) -> float:
 
 
 def _width_observable(psi: ComplexField, z: PhasePoint | None, observable: str) -> float:
-    zc = _center_point(psi, z)
+    """Root of the trace of the position or the momentum block of G."""
     dim = psi.grid.dim
-    zero = (0,) * dim
-    total = 0.0
-    for ax in range(dim):
-        idx = [0] * dim
-        idx[ax] = 2
-        if observable == "position":
-            total += centered_moment(psi, zero, tuple(idx), zc)
-        else:
-            total += centered_moment(psi, tuple(idx), zero, zc)
-    return float(np.sqrt(total))
+    lo = 1 if observable == "position" else 1 + dim
+    block = _gram(psi, _center_point(psi, z))[lo:lo + dim, lo:lo + dim]
+    return float(np.sqrt(np.trace(block)))
 
 
 def concentration_scaling(fields, z: PhasePoint | None = None,

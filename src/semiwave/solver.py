@@ -40,7 +40,6 @@ constructions satisfy the equation to the advertised order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +53,9 @@ from .core import (
     TIME_ATOL,
     UniformVector,
     ZeroVector,
+    _momentum,
     norm_squared,
 )
-
-# fraction of a radian the advisory guard allows the fastest kinetic phase
-# to turn per step before warning
-_PHASE_GUARD = 0.1
 
 
 @dataclass(frozen=True)
@@ -89,14 +85,6 @@ class SolverConfig:
             raise ValueError("SolverConfig needs params")
         if self.pot is None:
             object.__setattr__(self, "pot", PotentialSpec())
-
-    def advisory_dt_limit(self, grid: Grid) -> float:
-        """Step below which the fastest kinetic phase turns less than
-        _PHASE_GUARD radians per step.  Exceeding it is legal (the factors
-        stay unitary) but accuracy rests on the smoothness of the state,
-        so evolve() warns."""
-        kmax = max(np.pi / h for h in grid.spacing)
-        return _PHASE_GUARD * self.params.mass / (self.params.hbar * kmax * kmax)
 
 
 @dataclass
@@ -287,14 +275,6 @@ def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
             f"t_end={config.t_end:g} precedes the initial time {t0:g}; "
             "evolve only runs forward"
         )
-    limit = config.advisory_dt_limit(grid)
-    if config.dt > limit:
-        warnings.warn(
-            f"dt={config.dt:g} exceeds the advisory kinetic-phase guard "
-            f"{limit:g}; results remain unitary but accuracy rests on the "
-            "smoothness of the state",
-            stacklevel=2,
-        )
 
     hbar = config.params.hbar
     snapshots = [ComplexField(grid, psi0.values, time=t0, hbar=hbar)]
@@ -327,11 +307,8 @@ def _kinetic_apply(values: np.ndarray, grid: Grid, pot: PotentialSpec,
     a = tuple(np.asarray(c, dtype=float) for c in pot.vector.value(xs, t))
     out = np.zeros_like(values)
     for ax in range(grid.dim):
-        ik = 1j * grid.axis_wavenumber(ax)
-        chi = -1j * hbar * np.fft.ifft(ik * np.fft.fft(values, axis=ax), axis=ax) \
-            - a[ax] * values
-        out = out + (-1j) * hbar * np.fft.ifft(ik * np.fft.fft(chi, axis=ax), axis=ax) \
-            - a[ax] * chi
+        chi = _momentum(values, grid, hbar, ax) - a[ax] * values
+        out = out + _momentum(chi, grid, hbar, ax) - a[ax] * chi
     return out
 
 

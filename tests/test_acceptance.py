@@ -35,9 +35,6 @@ import pytest
 
 from semiwave.harness import ExperimentConfig, default_config_path, run_scenario
 
-pytestmark = pytest.mark.filterwarnings("ignore:dt=.*advisory")
-
-
 def _packaged(name):
     return ExperimentConfig.from_file(default_config_path(name))
 

@@ -293,6 +293,23 @@ def test_fd_fallback_matches_closed_form(case, bound):
     assert np.max(np.abs(approx - exact)) / (1.0 + np.max(np.abs(exact))) < bound
 
 
+def test_vector_fallback_samples_a_once_per_axis_pair():
+    """The jacobian and the divergence difference one stacked +-h pair of
+    the whole vector per axis: 2 * dim calls of fn, 4 in two dimensions."""
+    calls = []
+
+    def fn(xs, t):
+        calls.append(t)
+        return _A.fn(xs, t)
+
+    pot = ExpressionVector(fn=fn)
+    pot.jacobian(_MESH, 0.0)
+    assert len(calls) == 4
+    calls.clear()
+    pot.divergence(_MESH, 0.0)
+    assert len(calls) == 4
+
+
 def test_eval_potential_shapes_and_uniform_vector():
     g = make_uniform_grid(1, -5.0, 5.0, 64)
     spec = PotentialSpec(

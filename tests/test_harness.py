@@ -33,9 +33,6 @@ from semiwave.harness import (
     validate_config,
 )
 
-quiet = pytest.mark.filterwarnings("ignore:dt=.*advisory")
-
-
 def small_propagation_dict():
     return {
         "scenario": "soliton-propagation",
@@ -219,7 +216,6 @@ def test_run_scenario_validates_first():
 # scenario runs (shrunk for speed)
 
 
-@quiet
 def test_propagation_rows_and_snapshots():
     """The propagation report carries the terminal error, mass drift, peak
     velocity, one-step norm drift, and the dt-halving ratio, and stores the
@@ -238,7 +234,6 @@ def test_propagation_rows_and_snapshots():
     assert len(rows) == 256
 
 
-@quiet
 def test_ehrenfest_rows_per_strength():
     """One deviation pair per requested self-attraction strength, plus a
     centroid table for the first run; the quadratic well makes the centroid

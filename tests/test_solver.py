@@ -42,9 +42,6 @@ from semiwave.solver import (
     split_step,
 )
 
-quiet = pytest.mark.filterwarnings("ignore:dt=.*advisory")
-
-
 def gaussian_state(grid, center=0.0, width=1.0, momentum=0.0, hbar=1.0):
     x = grid.axes()[0]
     psi = np.exp(-((x - center) ** 2) / (4.0 * width ** 2)
@@ -81,13 +78,11 @@ def test_plane_wave_kinetic_phase():
     psi0 = ComplexField(grid, np.exp(1j * p0 * x / params.hbar), hbar=params.hbar)
     config = SolverConfig(dt=1e-2, t_end=1.0, snapshot_every=100,
                           params=params, pot=free_potential())
-    with pytest.warns(UserWarning, match="advisory"):
-        rec = evolve(psi0, config)
+    rec = evolve(psi0, config)
     expected = psi0.values * np.exp(-1j * p0 ** 2 * 1.0 / (2.0 * params.hbar))
     assert np.max(np.abs(rec.final.values - expected)) < 1e-10
 
 
-@quiet
 def test_norm_preserved_per_step_and_over_run():
     """Every factor of the splitting is a pure phase, so the norm is
     conserved to rounding over a long nonlinear run."""
@@ -104,7 +99,6 @@ def test_norm_preserved_per_step_and_over_run():
     assert rec.mass_drift < 1e-10
 
 
-@quiet
 def test_free_gaussian_spreading():
     """Linear free evolution widens a Gaussian by the closed-form law
     Var(t) = s0^2 + (hbar t / (2 m s0))^2."""
@@ -119,7 +113,6 @@ def test_free_gaussian_spreading():
     assert abs(var_x(rec.final) - expected) < 1e-6
 
 
-@quiet
 def test_coherent_state_center_oscillates():
     """In a unit harmonic well the displaced ground state swings with
     <x>(t) = a cos(t)."""
@@ -135,7 +128,6 @@ def test_coherent_state_center_oscillates():
     assert abs(mean_x(rec.final) - a * np.cos(1.0)) < 1e-6
 
 
-@quiet
 def test_order_two_convergence():
     """Halving dt shrinks the terminal error fourfold against a dt/8
     reference on a smooth nonlinear run."""
@@ -155,7 +147,6 @@ def test_order_two_convergence():
     assert np.all(np.abs(slopes - 2.0) < 0.1)
 
 
-@quiet
 def test_uniform_vector_potential_gauge_identity():
     """With constant a0 and V = 0 the run equals the a0 = 0 run of the
     momentum-shifted state; commensurate a0/hbar makes it exact."""
@@ -189,7 +180,6 @@ def test_nonuniform_vector_potential_rejected():
         evolve(psi0, config)
 
 
-@quiet
 def test_nan_aborts_with_step_index():
     """A potential that evaluates to NaN poisons the state; the loop stops
     at the first poisoned step and says which one."""
@@ -211,7 +201,6 @@ def test_nan_aborts_with_step_index():
             evolve(psi0, config)
 
 
-@quiet
 def test_nan_in_fused_closing_half_aborts_on_its_step():
     """V turns NaN at t = 1.6e-3, inside the closing half of step 2 (V
     sampled at 1.75e-3).  No snapshot falls before step 100, so that half
@@ -244,7 +233,6 @@ def test_t_end_before_initial_time_rejected():
         evolve(psi0, config)
 
 
-@quiet
 @pytest.mark.parametrize("t_end", [0.2, 0.2037])
 def test_fused_half_steps_match_split_ones(t_end):
     """Fusing the closing local half step of one step with the opening
@@ -281,7 +269,6 @@ class CountingScalar(ScalarPotential):
         return 0.5 * xs[0] ** 2
 
 
-@quiet
 def test_potential_sampled_once_if_static_else_twice_per_step():
     grid = make_uniform_grid(1, -10.0, 10.0, 64)
     params = PhysParams(hbar=1.0, mass=1.0, r=0.5)
@@ -299,7 +286,6 @@ def test_potential_sampled_once_if_static_else_twice_per_step():
     assert calls[False, 41] == 2 * 41
 
 
-@quiet
 def test_snapshot_bookkeeping_and_partial_final_step():
     grid = make_uniform_grid(1, -10.0, 10.0, 64)
     params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
@@ -313,14 +299,6 @@ def test_snapshot_bookkeeping_and_partial_final_step():
     assert abs(rec.times[1] - 0.005) < 1e-12
     assert abs(rec.times[-1] - 0.0105) < 1e-12
     assert len(rec.norms) == len(rec.snapshots)
-
-
-def test_advisory_limit_scales_with_resolution():
-    grid_c = make_uniform_grid(1, -10.0, 10.0, 64)
-    grid_f = make_uniform_grid(1, -10.0, 10.0, 256)
-    config = SolverConfig(dt=1e-3, t_end=1.0, snapshot_every=1,
-                          params=PhysParams(hbar=1.0, mass=1.0), pot=free_potential())
-    assert abs(config.advisory_dt_limit(grid_c) / config.advisory_dt_limit(grid_f) - 16.0) < 1e-12
 
 
 def test_config_validation():
