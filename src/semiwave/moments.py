@@ -7,7 +7,9 @@ field psi and a phase-space centre z = (x0, p0), take the 2dim+1 vectors
 
 with P applied spectrally, which is exact for band-limited samples; then
 G_ab = Re<u_a, u_b> / ||psi||^2.  Row 0 holds the first moments, and the
-rest is the 2dim x 2dim second-moment matrix.  Taking the real part makes
+rest is the 2dim x 2dim second-moment matrix.  Only the vectors a result
+reads are built, and P_j psi, once formed, also gives the mean <P_j> when
+the centre is the field's own.  Taking the real part makes
 the position-momentum entries the symmetrized products, the one place
 where operator ordering matters at second order.  Concentration in the
 small parameter is probed two ways: the decay slope of the width across
@@ -125,46 +127,57 @@ def mean_position(psi: ComplexField) -> np.ndarray:
     return np.array([float(np.sum(x * dens) / total) for x in xs])
 
 
-def mean_momentum(psi: ComplexField) -> np.ndarray:
-    """Real part of <psi| -i hbar d/dx_j |psi> / ||psi||^2 per axis.
+def _momentum_mean(psi: ComplexField, p_vals: np.ndarray, ax: int, nsq: float) -> float:
+    """Re <psi| P_ax psi> / ||psi||^2 from the samples of P_ax psi.
 
     A sizable imaginary part means the state is not resolved by the grid;
     it is reported as a warning, not an error, so sweeps can proceed.
     """
+    val = inner_product(psi, psi.with_values(p_vals)) / nsq
+    if abs(val.imag) > _IMAG_WARN * max(1.0, abs(val.real)):
+        warnings.warn(
+            f"momentum mean has imaginary part {val.imag:.3e} on axis "
+            f"{ax}; the state is not grid-resolved",
+            stacklevel=3,
+        )
+    return val.real
+
+
+def mean_momentum(psi: ComplexField) -> np.ndarray:
+    """Real part of <psi| -i hbar d/dx_j |psi> / ||psi||^2 per axis."""
     nsq = norm_squared(psi)
-    out = []
-    for ax in range(psi.grid.dim):
-        val = inner_product(psi, apply_momentum(psi, ax)) / nsq
-        if abs(val.imag) > _IMAG_WARN * max(1.0, abs(val.real)):
-            warnings.warn(
-                f"momentum mean has imaginary part {val.imag:.3e} on axis "
-                f"{ax}; the state is not grid-resolved",
-                stacklevel=2,
-            )
-        out.append(val.real)
-    return np.array(out)
+    return np.array([_momentum_mean(psi, apply_momentum(psi, ax).values, ax, nsq)
+                     for ax in range(psi.grid.dim)])
 
 
-def _center_point(psi: ComplexField, z: PhasePoint | None) -> PhasePoint:
-    if z is not None:
-        if z.dim != psi.grid.dim:
-            raise ValueError("phase-space point dimension does not match the field")
-        return z
-    return PhasePoint(
-        x=tuple(mean_position(psi)), p=tuple(mean_momentum(psi)), t=psi.time
-    )
-
-
-def _gram(psi: ComplexField, zc: PhasePoint) -> np.ndarray:
-    """G_ab = Re<u_a, u_b> dV / ||psi||^2 over the 2dim+1 vectors
-    u = (psi, (x_j - x0_j) psi, (P_j - p0_j) psi), with P_j = -i hbar d/dx_j
-    and the centre zc = (x0, p0).  The pairs are taken one np.vdot at a time
-    so that no conjugated copy of the stack is made."""
+def _centred(psi: ComplexField, z: PhasePoint | None, x_axes, p_axes):
+    """The centred vectors (x_j - x0_j) psi for j in x_axes, then
+    (P_j - p0_j) psi for j in p_axes, with P_j = -i hbar d/dx_j, about z or
+    the field's own means.  Only these vectors are built, and each P_j is
+    applied once, for its mean and its vector alike.  Returns the centre
+    coordinates along x_axes and p_axes, and the vectors."""
     grid, vals = psi.grid, psi.values
-    us = [vals]
-    us += [(x - x0) * vals for x, x0 in zip(grid.mesh(), zc.x)]
-    us += [_momentum(vals, grid, psi.hbar, ax) - p0 * vals for ax, p0 in enumerate(zc.p)]
-    scale = grid.cell_volume / norm_squared(psi)
+    if z is not None and z.dim != grid.dim:
+        raise ValueError("phase-space point dimension does not match the field")
+    x0, p0, us = [], [], []
+    if x_axes:
+        at = z.x if z is not None else mean_position(psi)
+        mesh = grid.mesh()
+        x0 = [float(at[j]) for j in x_axes]
+        us = [(mesh[j] - c) * vals for j, c in zip(x_axes, x0)]
+    nsq = norm_squared(psi) if p_axes and z is None else None
+    for j in p_axes:
+        p_vals = _momentum(vals, grid, psi.hbar, j)
+        p0.append(z.p[j] if z is not None else _momentum_mean(psi, p_vals, j, nsq))
+        us.append(p_vals - p0[-1] * vals)
+    return tuple(x0), tuple(p0), us
+
+
+def _gram(psi: ComplexField, us) -> np.ndarray:
+    """G_ab = Re<u_a, u_b> dV / ||psi||^2 over the given vectors.  The pairs
+    are taken one np.vdot at a time so that no conjugated copy of the stack
+    is made."""
+    scale = psi.grid.cell_volume / norm_squared(psi)
     g = np.empty((len(us), len(us)))
     for a in range(len(us)):
         for b in range(a, len(us)):
@@ -191,12 +204,16 @@ def centered_moment(psi: ComplexField, alpha, beta, z: PhasePoint | None = None)
         raise ValueError(
             f"moments of order {na + nb} are not supported (maximum 2)"
         )
-    g = _gram(psi, _center_point(psi, z))
+    # one axis per unit factor; each distinct one gets a vector after psi
+    fx = [ax for ax, b in enumerate(beta) for _ in range(b)]
+    fp = [ax for ax, a in enumerate(alpha) for _ in range(a)]
+    x_axes, p_axes = sorted(set(fx)), sorted(set(fp))
+    _, _, us = _centred(psi, z, x_axes, p_axes)
+    g = _gram(psi, [psi.values] + us)
     if na + nb == 0:
         return 1.0  # G[0, 0] up to rounding
-    # one u index per unit factor, padded with the index of psi itself
-    idx = [1 + ax for ax, b in enumerate(beta) for _ in range(b)]
-    idx += [1 + dim + ax for ax, a in enumerate(alpha) for _ in range(a)]
+    idx = [1 + x_axes.index(ax) for ax in fx]
+    idx += [1 + len(x_axes) + p_axes.index(ax) for ax in fp]
     a, b = (idx + [0])[:2]
     return float(g[a, b])
 
@@ -205,9 +222,9 @@ def compute_moment_record(psi: ComplexField, z: PhasePoint | None = None) -> Mom
     """Means and the full second-moment matrix, centered on z or on the
     field's own means.  The per-axis uncertainty product is checked
     against the hbar/2 bound as a quadrature sanity gate."""
-    zc = _center_point(psi, z)
     dim = psi.grid.dim
-    d2 = _gram(psi, zc)[1:, 1:]
+    mean_x, mean_p, us = _centred(psi, z, range(dim), range(dim))
+    d2 = _gram(psi, us)
     hbar = psi.hbar
     for ax in range(dim):
         prod = d2[ax, ax] * d2[dim + ax, dim + ax]
@@ -216,7 +233,7 @@ def compute_moment_record(psi: ComplexField, z: PhasePoint | None = None) -> Mom
                 f"uncertainty product {prod:.3e} on axis {ax} violates the "
                 f"(hbar/2)^2 bound; the moment quadrature is unreliable"
             )
-    return MomentRecord(t=psi.time, hbar=hbar, mean_x=zc.x, mean_p=zc.p, delta2=d2)
+    return MomentRecord(t=psi.time, hbar=hbar, mean_x=mean_x, mean_p=mean_p, delta2=d2)
 
 
 def mass_within_radius(psi: ComplexField, radius: float, center=None) -> float:
@@ -237,11 +254,11 @@ def mass_within_radius(psi: ComplexField, radius: float, center=None) -> float:
 
 
 def _width_observable(psi: ComplexField, z: PhasePoint | None, observable: str) -> float:
-    """Root of the trace of the position or the momentum block of G."""
-    dim = psi.grid.dim
-    lo = 1 if observable == "position" else 1 + dim
-    block = _gram(psi, _center_point(psi, z))[lo:lo + dim, lo:lo + dim]
-    return float(np.sqrt(np.trace(block)))
+    """Root of the summed variances of the position or the momentum vectors."""
+    axes = range(psi.grid.dim)
+    x_axes, p_axes = (axes, ()) if observable == "position" else ((), axes)
+    _, _, us = _centred(psi, z, x_axes, p_axes)
+    return float(np.sqrt(np.trace(_gram(psi, us))))
 
 
 def concentration_scaling(fields, z: PhasePoint | None = None,

@@ -218,10 +218,9 @@ def test_two_dimensional_moment_matrix_closed_form(z):
     assert np.max(np.abs(rec.delta2 - expected)) < 1e-14
 
 
-def test_moment_record_fft_count(monkeypatch):
-    """The record applies P once per axis: 2 forward FFTs of a 2D field
-    with z given, and 2 more for the momentum mean without it."""
-    fld, m, p0, _ = correlated_gaussian_2d()
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Forward FFTs made while a test runs, one entry per call."""
     fft, calls = np.fft.fft, []
 
     def counting(*args, **kwargs):
@@ -229,11 +228,34 @@ def test_moment_record_fft_count(monkeypatch):
         return fft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counting)
+    return calls
+
+
+def test_moment_record_fft_count(fft_calls):
+    """The record applies P once per axis, whether the centre is given or
+    is the field's own means: 2 forward FFTs of a 2D field either way."""
+    fld, m, p0, _ = correlated_gaussian_2d()
     compute_moment_record(fld, PhasePoint(x=tuple(m), p=tuple(p0), t=0.0))
-    assert len(calls) == 2
-    calls.clear()
+    assert len(fft_calls) == 2
+    fft_calls.clear()
     compute_moment_record(fld)
-    assert len(calls) == 4
+    assert len(fft_calls) == 2
+
+
+def test_widths_build_only_the_vectors_they_read(fft_calls):
+    """The position width of a 3-field sweep applies no P at all, the
+    momentum width one per field; a single moment applies P only for a
+    momentum factor."""
+    fields = [soliton_field(h) for h in (0.4, 0.2, 0.1)]
+    concentration_scaling(fields)
+    assert len(fft_calls) == 0
+    concentration_scaling(fields, observable="momentum")
+    assert len(fft_calls) == 3
+    fft_calls.clear()
+    centered_moment(fields[0], (0,), (2,))
+    assert len(fft_calls) == 0
+    centered_moment(fields[0], (1,), (1,))
+    assert len(fft_calls) == 1
 
 
 # ---------------------------------------------------------------------------
