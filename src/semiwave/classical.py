@@ -5,15 +5,22 @@ classical Hamiltonian H = (p - A(x,t))^2 / (2m) + V(x,t).  The
 self-attraction strength never enters these equations, which is why the
 functions below take the mass alone and not the full parameter bundle:
 there is no way to pass the nonlinearity in.
+
+Orbits run on tuples of Python floats: the spec methods (value, gradient,
+jacobian) receive the position as one float per coordinate, return 0-d
+values, and are read with float().  A spatially constant A
+(ZeroVector, UniformVector) has a zero jacobian, so its Lorentz sum is
+skipped rather than evaluated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from semiwave.core import PotentialSpec
+from semiwave.core import PotentialSpec, _SpatiallyConstant
 
 
 @dataclass(frozen=True)
@@ -65,44 +72,46 @@ class Trajectory:
         return self.p
 
 
-def _sample(comps) -> np.ndarray:
-    """The single value of each one-sample component array."""
-    return np.array([np.asarray(c).ravel()[0] for c in comps], dtype=float)
-
-
 def classical_hamiltonian(point: PhasePoint, pot: PotentialSpec, mass: float) -> float:
     """H(x, p, t) = (p - A)^2/(2m) + V."""
-    xs = tuple(np.array(point.x)[:, None])
-    v = float(np.ravel(pot.scalar.value(xs, point.t))[0])
-    a = _sample(pot.vector.value(xs, point.t)).tolist()
+    v = float(pot.scalar.value(point.x, point.t))
+    a = [float(c) for c in pot.vector.value(point.x, point.t)]
     kin = sum((pj - aj) ** 2 for pj, aj in zip(point.p, a)) / (2.0 * mass)
     return kin + v
 
 
-def _rhs(x: np.ndarray, p: np.ndarray, t: float, pot: PotentialSpec, mass: float):
+def _rhs(x: tuple[float, ...], p: tuple[float, ...], t: float, pot: PotentialSpec,
+         mass: float):
     """Right-hand side (dx/dt, dp/dt) of the characteristic system at the
-    position x and momentum p, both float arrays of length dim.
+    position x and momentum p, both tuples of dim floats.
 
     dx_i/dt = (p_i - A_i)/m
     dp_i/dt = -dV/dx_i + sum_j (dA_j/dx_i) (p_j - A_j)/m
     """
-    xs = tuple(x[:, None])
-    u = p - _sample(pot.vector.value(xs, t))
-    dp = []
-    for gi, row in zip(_sample(pot.scalar.gradient(xs, t)).tolist(), pot.vector.jacobian(xs, t)):
-        # summed in index order on floats; a matrix product may round differently
-        force = -gi
-        for jij, uj in zip(_sample(row).tolist(), u.tolist()):
-            force += jij * uj / mass
-        dp.append(force)
-    return u / mass, np.array(dp)
+    u = [pj - float(aj) for pj, aj in zip(p, pot.vector.value(x, t))]
+    grad = pot.scalar.gradient(x, t)
+    if isinstance(pot.vector, _SpatiallyConstant):
+        # zero jacobian; 0.0 - g gives +0.0 for a zero gradient, as the
+        # Lorentz sum -g + 0.0*u/m does whenever u >= 0
+        dp = [0.0 - float(gi) for gi in grad]
+    else:
+        dp = []
+        for gi, row in zip(grad, pot.vector.jacobian(x, t)):
+            force = -float(gi)
+            for jij, uj in zip(row, u):
+                force += float(jij) * uj / mass
+            dp.append(force)
+    return tuple(uj / mass for uj in u), tuple(dp)
 
 
 def hamilton_rhs(point: PhasePoint, pot: PotentialSpec, mass: float):
     """Right-hand side (dx/dt, dp/dt) of the characteristic system at a
     phase point, as tuples; see `_rhs`."""
-    vel, dp = _rhs(np.array(point.x), np.array(point.p), point.t, pot, mass)
-    return tuple(vel.tolist()), tuple(dp.tolist())
+    return _rhs(point.x, point.p, point.t, pot, mass)
+
+
+def _shift(x: tuple[float, ...], h: float, k: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(xi + h * ki for xi, ki in zip(x, k))
 
 
 def integrate_bicharacteristic(
@@ -120,21 +129,27 @@ def integrate_bicharacteristic(
     if span < 0:
         raise ValueError("t1 must not precede the initial time")
     nsteps = int(round(span / dt))
-    t, x, p = z0.t, np.array(z0.x), np.array(z0.p)
+    half, sixth = 0.5 * dt, dt / 6.0
+    t, x, p = z0.t, z0.x, z0.p
     t_all = np.empty(nsteps + 1)
     x_all = np.empty((nsteps + 1, z0.dim))
     p_all = np.empty((nsteps + 1, z0.dim))
     t_all[0], x_all[0], p_all[0] = t, x, p
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, nsteps + 1):
-            k1x, k1p = _rhs(x, p, t, pot, mass)
-            k2x, k2p = _rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p, t + 0.5 * dt, pot, mass)
-            k3x, k3p = _rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p, t + 0.5 * dt, pot, mass)
-            k4x, k4p = _rhs(x + dt * k3x, p + dt * k3p, t + dt, pot, mass)
-            x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            try:
+                k1x, k1p = _rhs(x, p, t, pot, mass)
+                k2x, k2p = _rhs(_shift(x, half, k1x), _shift(p, half, k1p), t + half, pot, mass)
+                k3x, k3p = _rhs(_shift(x, half, k2x), _shift(p, half, k2p), t + half, pot, mass)
+                k4x, k4p = _rhs(_shift(x, dt, k3x), _shift(p, dt, k3p), t + dt, pot, mass)
+            except OverflowError as exc:  # float ** in a spec overflows, where numpy gives inf
+                raise RuntimeError(f"trajectory blew up at step {step}") from exc
+            x = tuple(xi + sixth * (a + 2 * b + 2 * c + d)
+                      for xi, a, b, c, d in zip(x, k1x, k2x, k3x, k4x))
+            p = tuple(pi + sixth * (a + 2 * b + 2 * c + d)
+                      for pi, a, b, c, d in zip(p, k1p, k2p, k3p, k4p))
             t = t + dt
-            if not (np.isfinite(x).all() and np.isfinite(p).all()):
+            if not all(map(math.isfinite, x + p)):
                 raise RuntimeError(f"trajectory blew up at step {step}")
             t_all[step], x_all[step], p_all[step] = t, x, p
     return Trajectory(t=t_all, x=x_all, p=p_all, dt=dt)

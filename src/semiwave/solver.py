@@ -13,8 +13,10 @@ A run builds one propagator plan (_StrangPlan) per (grid, params, pot).
 It holds the mesh and a single cached kinetic factor, rebuilt only when
 the uniform A or the step length changes.  A scalar potential whose
 `static` property is true (ZeroScalar, HarmonicScalar, SeparatedScalar
-without v0) is sampled once per plan; any other is sampled at the
-midpoint of each half step, twice per step.
+without v0) is sampled once per plan, and its term of the local phase
+is kept per total half-step length; when r is 0 as well the local factor
+itself is the same every step and is kept instead.  Any other V is
+sampled at the midpoint of each half step, twice per step.
 
 Because the local factor is a pure phase, |psi|^2 is the same on both
 sides of it, so the closing half step of step n and the opening half step
@@ -150,7 +152,12 @@ class _StrangPlan:
 
     Holds the mesh, the local phase rate V/(2 hbar) when the scalar
     potential is static (sampled once, at t0), and one kinetic factor,
-    rebuilt only when the uniform A or the step length changes.
+    rebuilt only when the uniform A or the step length changes.  For a
+    static V the term hsum * V/(2 hbar) of each total half-step length
+    hsum is built once and kept (h, 2h, and with a shortened last step
+    h + tail and tail: at most four); when r is 0 as well the whole local
+    factor exp(-i hsum V/(2 hbar)) is kept instead, so a step makes no
+    cos/sin pass for it.
     """
 
     def __init__(self, grid: Grid, params: PhysParams, pot: PotentialSpec, t0: float):
@@ -159,6 +166,7 @@ class _StrangPlan:
         self.xs = grid.mesh()
         self.dv = grid.cell_volume
         self.v_rate = self._v_rate(t0) if pot.scalar.static else None
+        self._static = {}  # total half-step length -> its static term
         self.hk = tuple(params.hbar * grid.axis_wavenumber(ax) for ax in range(grid.dim))
         self._kin_key = None
         self._kin = None
@@ -172,12 +180,23 @@ class _StrangPlan:
         each act for h/2 with V sampled at t.  A pure phase leaves |psi|^2
         unchanged, so all of them share dens and combine into one factor."""
         hsum = sum(h for _, h in halves)
-        theta = (self.params.r * hsum / self.params.hbar) * dens
+        r = self.params.r
         if self.v_rate is None:
+            theta = (r * hsum / self.params.hbar) * dens
             for t, h in halves:
                 theta -= h * self._v_rate(t)
-        else:
-            theta -= hsum * self.v_rate
+            return _expi(theta)
+        term = self._static.get(hsum)
+        if term is None:
+            term = hsum * self.v_rate
+            if r == 0:
+                # the nonlinear phase 0*dens is +0.0 for a finite dens >= 0
+                term = _expi(0.0 - term)
+            self._static[hsum] = term
+        if r == 0:
+            return term
+        theta = (r * hsum / self.params.hbar) * dens
+        theta -= term
         return _expi(theta)
 
     def kinetic(self, vals: np.ndarray, t: float, h: float) -> np.ndarray:

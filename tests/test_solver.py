@@ -286,6 +286,54 @@ def test_potential_sampled_once_if_static_else_twice_per_step():
     assert calls[False, 41] == 2 * 41
 
 
+@pytest.mark.parametrize("t_end", [0.041, 0.0405])
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_static_potential_is_only_a_cache(r, t_end):
+    """Declaring a time-independent V static changes no snapshot beyond
+    rounding; t_end=0.0405 ends on a shortened tail step.  At r=0 a whole
+    step's fused phase is -h v - h v against -(2h) v, the same bits.  The
+    tail's -h v - tail v against -(h + tail) v is not exact (it differs at
+    24 of the 64 points; the final snapshot still came out equal), and at
+    r=0.5 the nonlinear phase enters first, so those compare to rounding."""
+    grid = make_uniform_grid(1, -10.0, 10.0, 64)
+    params = PhysParams(hbar=1.0, mass=1.0, r=r)
+    psi0 = gaussian_state(grid, center=0.5, momentum=1.0)
+    static, sampled = (
+        evolve(psi0, SolverConfig(dt=1e-3, t_end=t_end, snapshot_every=7, params=params,
+                                  pot=PotentialSpec(scalar=CountingScalar(flag)))).snapshots
+        for flag in (True, False)
+    )
+    assert [s.time for s in static] == [s.time for s in sampled]
+    after_tail = static[-1] if t_end == 0.0405 else None
+    for a, b in zip(static, sampled):
+        if r == 0 and a is not after_tail:
+            assert np.array_equal(a.values, b.values)
+        else:
+            assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
+
+
+def test_static_linear_run_builds_its_local_factor_once(monkeypatch):
+    """With r=0 and a static V the local factor is the same every step:
+    one kinetic factor and the local factors of h and 2h are built, in an
+    11-step run and in a 41-step one alike."""
+    from semiwave import solver
+
+    grid = make_uniform_grid(1, -10.0, 10.0, 64)
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
+    psi0 = gaussian_state(grid)
+    thetas = []
+    expi = solver._expi
+    monkeypatch.setattr(solver, "_expi", lambda theta: thetas.append(theta) or expi(theta))
+    calls = {}
+    for t_end, n_steps in ((0.011, 11), (0.041, 41)):
+        thetas.clear()
+        rec = evolve(psi0, SolverConfig(dt=1e-3, t_end=t_end, snapshot_every=7, params=params,
+                                        pot=PotentialSpec(scalar=CountingScalar(True))))
+        assert rec.final.time == pytest.approx(t_end, abs=1e-15)
+        calls[n_steps] = len(thetas)
+    assert calls[11] == calls[41] == 3
+
+
 def test_snapshot_bookkeeping_and_partial_final_step():
     grid = make_uniform_grid(1, -10.0, 10.0, 64)
     params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
