@@ -3,6 +3,7 @@ and the first correction."""
 
 from semiwave.asymptotics.fields import (
     CallableWkbFields,
+    FieldJet,
     WkbFields,
     assemble_leading_term,
     envelope_amplitude,
@@ -43,6 +44,7 @@ __all__ = [
     "Class2Params",
     "CorrectionParams",
     "CylindricalParams",
+    "FieldJet",
     "SolitonParams",
     "WkbFields",
     "assemble_leading_term",

@@ -22,9 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from semiwave.core import ComplexField, Grid, PhysParams, PotentialSpec, _constant, _diff
+from semiwave.core import ComplexField, Grid, PhysParams, PotentialSpec, _diff
 from semiwave.asymptotics.fields import (
+    FieldJet,
     WkbFields,
+    _positive_slope,
     assemble_leading_term,
     envelope_rho,
     leading_term_time_derivative,
@@ -45,7 +47,7 @@ class CorrectionParams:
     def c1_values(self, xs, t):
         if callable(self.C1):
             return np.asarray(self.C1(xs, t), dtype=float)
-        return _constant(xs[0], float(self.C1))
+        return float(self.C1)
 
 
 def _epsilon(sigma: np.ndarray) -> np.ndarray:
@@ -64,7 +66,7 @@ def _shapes(theta: np.ndarray, eps: np.ndarray):
     return u_shape, v_shape, du_shape, dv_shape
 
 
-def _coefficients(w: WkbFields, cp: CorrectionParams, xs, t: float,
+def _coefficients(jet: FieldJet, cp: CorrectionParams, xs, t: float,
                   pot: PotentialSpec, params: PhysParams):
     """Spatial coefficient fields multiplying the shape factors:
 
@@ -74,58 +76,63 @@ def _coefficients(w: WkbFields, cp: CorrectionParams, xs, t: float,
     R = [lap sigma + <dsigma, d log g>] / (6 g) and
     W = (m/2g) [(lap S - div A)/m + D_t log g]."""
     m = params.mass
-    g = w.grad_sigma_sq(xs, t)
-    if np.any(g <= 0):
-        raise ValueError("degenerate envelope: (grad sigma)^2 must stay positive")
+    g = _positive_slope(jet)
     dim = len(xs)
     A = tuple(np.asarray(a, dtype=float)
               for a in pot.vector.value(xs, t))
     divA = pot.vector.divergence(xs, t)
-    dS = w.grad_S(xs, t)
-    dsig = w.grad_sigma(xs, t)
-    dsig1 = w.grad_sigma1(xs, t)
-    dg = w.grad_of_grad_sigma_sq(xs, t)
-    flow = tuple(dS[j] - A[j] for j in range(dim))
+    dsig, dg = jet.dsigma, jet.dg
+    flow = tuple(jet.dS[j] - A[j] for j in range(dim))
 
     P = (2.0 * m / g) * cp.c1_values(xs, t)
-    Q = sum(dsig[j] * dsig1[j] for j in range(dim)) / g
-    R = (w.lap_sigma(xs, t)
-         + sum(dsig[j] * dg[j] for j in range(dim)) / g) / (6.0 * g)
-    dt_log_g = (w.dt_grad_sigma_sq(xs, t)
-                + sum(flow[j] * dg[j] for j in range(dim)) / m) / g
-    W = (m / (2.0 * g)) * ((w.lap_S(xs, t) - divA) / m + dt_log_g)
+    Q = sum(dsig[j] * jet.dsigma1[j] for j in range(dim)) / g
+    R = (jet.lap_sigma + sum(dsig[j] * dg[j] for j in range(dim)) / g) / (6.0 * g)
+    dt_log_g = (jet.g_t + sum(flow[j] * dg[j] for j in range(dim)) / m) / g
+    W = (m / (2.0 * g)) * ((jet.lap_S - divA) / m + dt_log_g)
     return P, Q, R, W
 
 
-def first_correction_uv(w: WkbFields, cp: CorrectionParams, grid: Grid,
+def _correction(jet: FieldJet, cp: CorrectionParams, xs, t: float,
+                pot: PotentialSpec, params: PhysParams):
+    """u and v with the pieces of their time derivative: tanh(theta), the
+    four shape factors, the coefficients (P, Q, R, W), and the mask of
+    samples where the envelope has underflowed (rho below 1e-300)."""
+    theta = jet.sigma / params.hbar + jet.sigma1
+    shapes = _shapes(theta, _epsilon(jet.sigma))
+    coeffs = P, Q, R, W = _coefficients(jet, cp, xs, t, pot, params)
+    tanh = np.tanh(theta)
+    u = P * tanh + Q + R * shapes[0]
+    v = P + W * shapes[1]
+    tiny = envelope_rho(jet, params) < _RHO_FLOOR
+    return u, v, tanh, shapes, coeffs, tiny
+
+
+def _zero_where(tiny, *arrays):
+    """The correction carries no weight where the envelope has underflowed."""
+    if np.any(tiny):
+        return tuple(np.where(tiny, 0.0, a) for a in arrays)
+    return arrays
+
+
+def first_correction_uv(jet: FieldJet, cp: CorrectionParams, grid: Grid,
                         t: float, pot: PotentialSpec,
                         params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the first correction on the grid.
+    """Real and imaginary parts of the first correction on the grid the jet
+    was sampled on.
 
     Where the envelope has underflowed (rho below 1e-300) the correction is
     set to zero; the field carries no weight there.
     """
-    xs = grid.mesh()
-    theta = w.theta(xs, t, params.hbar)
-    eps = _epsilon(w.sigma(xs, t))
-    u_shape, v_shape, _, _ = _shapes(theta, eps)
-    P, Q, R, W = _coefficients(w, cp, xs, t, pot, params)
-    u = P * np.tanh(theta) + Q + R * u_shape
-    v = P + W * v_shape
-    rho = envelope_rho(w, xs, t, params)
-    tiny = rho < _RHO_FLOOR
-    if np.any(tiny):
-        u = np.where(tiny, 0.0, u)
-        v = np.where(tiny, 0.0, v)
-    return u, v
+    u, v, _, _, _, tiny = _correction(jet, cp, grid.mesh(), t, pot, params)
+    return _zero_where(tiny, u, v)
 
 
-def corrected_leading_term(w: WkbFields, cp: CorrectionParams, grid: Grid,
+def corrected_leading_term(jet: FieldJet, cp: CorrectionParams, grid: Grid,
                            t: float, pot: PotentialSpec,
                            params: PhysParams) -> ComplexField:
     """Psi = Psi0 (1 + hbar (u + i v))."""
-    base = assemble_leading_term(w, grid, t, params)
-    u, v = first_correction_uv(w, cp, grid, t, pot, params)
+    base = assemble_leading_term(jet, grid, t, params)
+    u, v = first_correction_uv(jet, cp, grid, t, pot, params)
     return base.with_values(base.values * (1.0 + params.hbar * (u + 1j * v)))
 
 
@@ -137,37 +144,27 @@ def corrected_term_with_dt(w: WkbFields, cp: CorrectionParams, grid: Grid,
     d/dt (u + i v) splits into the chain-rule part through theta, whose
     theta-derivatives are available in closed form, and the explicit time
     dependence of the coefficient fields, taken by central differences in t
-    (exactly zero for the shipped stationary families).
+    of the coefficients of the fields' jets (exactly zero for the shipped
+    stationary families).
     """
     xs = grid.mesh()
     hbar = params.hbar
-    base = assemble_leading_term(w, grid, t, params)
-    dbase = leading_term_time_derivative(w, grid, t, params)
+    jet = w.jet(xs, t)
+    base = assemble_leading_term(jet, grid, t, params)
+    dbase = leading_term_time_derivative(jet, base, params)
+    u, v, tanh, shapes, (P, Q, R, W), tiny = _correction(jet, cp, xs, t, pot, params)
+    u_shape, v_shape, du_shape, dv_shape = shapes
 
-    theta = w.theta(xs, t, params.hbar)
-    eps = _epsilon(w.sigma(xs, t))
-    u_shape, v_shape, du_shape, dv_shape = _shapes(theta, eps)
-    P, Q, R, W = _coefficients(w, cp, xs, t, pot, params)
-    tanh = np.tanh(theta)
-    u = P * tanh + Q + R * u_shape
-    v = P + W * v_shape
-
-    theta_t = w.dt_sigma(xs, t) / hbar + w.dt_sigma1(xs, t)
+    theta_t = jet.sigma_t / hbar + jet.sigma1_t
     sech2 = 1.0 - tanh * tanh
     du_chain = (P * sech2 + R * du_shape) * theta_t
     dv_chain = W * dv_shape * theta_t
 
-    dP, dQ, dR, dW = _diff(lambda s: np.stack(_coefficients(w, cp, xs, s, pot, params)), t)
+    dP, dQ, dR, dW = _diff(lambda s: np.stack(np.broadcast_arrays(
+        *_coefficients(w.jet(xs, s), cp, xs, s, pot, params))), t)
     du = du_chain + dP * tanh + dQ + dR * u_shape
     dv = dv_chain + dP + dW * v_shape
-
-    rho = envelope_rho(w, xs, t, params)
-    tiny = rho < _RHO_FLOOR
-    if np.any(tiny):
-        u = np.where(tiny, 0.0, u)
-        v = np.where(tiny, 0.0, v)
-        du = np.where(tiny, 0.0, du)
-        dv = np.where(tiny, 0.0, dv)
+    u, v, du, dv = _zero_where(tiny, u, v, du, dv)
 
     corr = 1.0 + hbar * (u + 1j * v)
     psi = base.with_values(base.values * corr)

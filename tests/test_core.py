@@ -250,9 +250,8 @@ def _vector_jacobian():
 def _family(build):
     """The family built without v1_prime against the same family with it."""
     v1, v1_prime = (lambda x: 0.3 * np.cos(x)), (lambda x: -0.3 * np.sin(x))
-    fd, exact = build(v1, None), build(v1, v1_prime)
-    return [[fields.grad_sigma1((_XF,), 0.0)[0], fields.lap_sigma((_XF,), 0.0),
-             fields.lap_S((_XF,), 0.0)] for fields in (fd, exact)]
+    jets = (build(v1, None).jet((_XF,), 0.0), build(v1, v1_prime).jet((_XF,), 0.0))
+    return [np.broadcast_arrays(jet.dsigma1[0], jet.lap_sigma, jet.lap_S) for jet in jets]
 
 
 def _class1():
@@ -269,8 +268,8 @@ def _soliton():
     f = lambda z: 0.1 * np.sin(z)
     fd = SolitonFields(SolitonParams(xi=0.3, eta=0.5, f=f), 1.0)
     exact = SolitonFields(SolitonParams(xi=0.3, eta=0.5, f=f, fprime=lambda z: 0.1 * np.cos(z)), 1.0)
-    return [[w.grad_S1((_XF,), 0.3)[0], w.grad_sigma1((_XF,), 0.3)[0],
-             w.dt_S1((_XF,), 0.3), w.dt_sigma1((_XF,), 0.3)] for w in (fd, exact)]
+    return [[jet.dS1[0], jet.dsigma1[0], jet.S1_t, jet.sigma1_t]
+            for jet in (fd.jet((_XF,), 0.3), exact.jet((_XF,), 0.3))]
 
 
 # Each bound is the measured error times a margin of about 10; the error is

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
-from semiwave import ComplexField, make_uniform_grid
+from semiwave import ComplexField, WkbFields, make_uniform_grid
 from semiwave.harness import (
     SCENARIO_NAMES,
     SCENARIOS,
@@ -276,6 +276,30 @@ def test_concentration_failure_is_reported_not_raised():
 
 def test_registry_matches_scenario_names():
     assert set(SCENARIOS) == set(SCENARIO_NAMES)
+
+
+@pytest.mark.parametrize("scenario, jets", [
+    ("cylindrical-check", ["CylindricalFields"] * 3),
+    ("identity-suite", ["SolitonFields", "Class1Fields", "Class2Fields",
+                        "CylindricalFields"]),
+])
+def test_one_jet_per_family_grid_and_time(scenario, jets, monkeypatch):
+    """The state, its time derivative and every residual at one (family,
+    grid, t) are read off one jet: cylindrical-check evaluates one per
+    hbar of its sweep, identity-suite one per family."""
+    built = []
+
+    def counting(jet):
+        def wrapper(self, xs, t):
+            built.append(type(self).__name__)
+            return jet(self, xs, t)
+        return wrapper
+
+    for cls in WkbFields.__subclasses__():
+        if "jet" in vars(cls):
+            monkeypatch.setattr(cls, "jet", counting(cls.jet))
+    assert run_scenario(ExperimentConfig.from_file(default_config_path(scenario))).all_passed()
+    assert built == jets
 
 
 # ---------------------------------------------------------------------------

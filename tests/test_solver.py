@@ -30,6 +30,7 @@ from semiwave.core import (
 )
 from semiwave.asymptotics import (
     SolitonParams,
+    assemble_leading_term,
     leading_term_time_derivative,
     one_soliton,
     soliton_correction_fields,
@@ -367,7 +368,8 @@ def soliton_pair(grid, t, params, xi=0.25, eta=0.5):
     sp = SolitonParams(xi=xi, eta=eta)
     w = soliton_correction_fields(sp, params)
     psi = one_soliton(sp, grid, t, params)
-    dpsi = leading_term_time_derivative(w, grid, t, params)
+    jet = w.jet(grid.mesh(), t)
+    dpsi = leading_term_time_derivative(jet, assemble_leading_term(jet, grid, t, params), params)
     return psi, dpsi
 
 
