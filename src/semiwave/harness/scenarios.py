@@ -144,6 +144,7 @@ def run_soliton_propagation(spec: SolitonPropagation) -> ScenarioResult:
     peaks = np.array([_peak_position(s) for s in rec.snapshots])
     velocity = float(np.polyfit(times, peaks, 1)[0])
     target = 2.0 * sp.xi / params.mass
+    # reported only: the peak_velocity_error row below gates it
     result.rows.append(_report(scen, "propagation", "peak_velocity", velocity))
     result.rows.append(_below(scen, "propagation", "peak_velocity_error",
                               abs(velocity - target), 1e-3))
@@ -163,6 +164,7 @@ def run_soliton_propagation(spec: SolitonPropagation) -> ScenarioResult:
     e_coarse = float(np.max(np.abs(terminal(config.dt) - ref)))
     e_fine = float(np.max(np.abs(terminal(config.dt / 2.0) - ref)))
     ratio = e_coarse / e_fine
+    # reported only: the convergence_ratio_deviation row below gates it
     result.rows.append(_report(scen, "convergence", "convergence_ratio", ratio))
     result.rows.append(_below(scen, "convergence", "convergence_ratio_deviation",
                               abs(ratio - 4.0), 0.8))
@@ -283,8 +285,11 @@ def run_concentration(spec: Concentration) -> ScenarioResult:
     result.rows.append(ReportRow(scen, "position", "position_width_slope",
                                  float(pos.slope), 0.02,
                                  bool(abs(pos.slope - 1.0) <= 0.02)))
-    result.rows.append(_report(scen, "momentum", "momentum_width_slope",
-                               mom.slope))
+    # exactly 0 in theory; measured at most 2.9e-16 over construct-sweep
+    # seeds 1-20 at the shipped and refined grids, gated 34x above that
+    result.rows.append(ReportRow(scen, "momentum", "momentum_width_slope",
+                                 float(mom.slope), 1e-14,
+                                 bool(abs(mom.slope) < 1e-14)))
 
     unit = one_soliton(sp, grid, t_eval, base.with_hbar(1.0))
     var = centered_moment(unit, (0,), (2,))

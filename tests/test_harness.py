@@ -362,6 +362,22 @@ def test_emission_is_deterministic(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+@pytest.mark.parametrize("scenario", ["residual-scaling", "concentration",
+                                      "identity-suite", "cylindrical-check"])
+def test_rerun_is_byte_identical(scenario, tmp_path):
+    """Two runs of a shipped construction scenario emit the same bytes, so
+    results.csv and plotdata/ can be compared with cmp across runs."""
+    cfg = ExperimentConfig.from_file(default_config_path(scenario))
+    a, b = tmp_path / "a", tmp_path / "b"
+    emit(run_scenario(cfg), a)
+    emit(run_scenario(cfg), b)
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert Path("results.csv") in files
+    for rel in files:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
 def test_emit_rejects_empty_and_unknown(tmp_path):
     empty = ScenarioResult(scenario="concentration")
     with pytest.raises(ValueError, match="no report rows"):

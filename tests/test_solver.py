@@ -9,11 +9,13 @@ Oracle values used here:
     the state premultiplied by exp(-i a0 x / hbar), read back with the
     conjugate factor
   * plane wave with an imposed wrong frequency: residual magnitude equals
-    the dispersion mismatch |p^2/(2m) - hbar w| exactly
+    the dispersion mismatch |(p - A)^2/(2m) - hbar w| exactly, for A = 0
+    and for a uniform A
 """
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from semiwave.core import (
     ComplexField,
@@ -393,21 +395,83 @@ def test_exact_soliton_residual_stencil():
     assert relative_residual(res, fields[1]) < 1e-8
 
 
-def test_plane_wave_wrong_dispersion_residual():
+@pytest.mark.parametrize("dim, a", [(1, None), (2, (0.3, -0.7))],
+                         ids=["1d-free", "2d-uniform-A"])
+def test_plane_wave_wrong_dispersion_residual(dim, a):
     """Imposing frequency w on a plane wave leaves the mismatch
-    p^2/(2m) - hbar w as the exact pointwise residual."""
-    grid = make_uniform_grid(1, -20.0, 20.0, 256)
+    (p - A)^2/(2m) - hbar w as the exact pointwise residual, for A = 0 and
+    for a uniform A."""
+    grid = make_uniform_grid(dim, -20.0, 20.0, 256 if dim == 1 else 64)
     params = PhysParams(hbar=1.0, mass=2.0, r=0.0)
     dk = 2.0 * np.pi / grid.lengths[0]
-    p0 = 6.0 * dk * params.hbar
+    p = (6.0 * dk * params.hbar, -3.0 * dk * params.hbar)[:dim]
+    pot = free_potential() if a is None else PotentialSpec(
+        vector=UniformVector(lambda t: a))
     wrong_w = 0.8
-    x = grid.axes()[0]
-    vals = np.exp(1j * p0 * x / params.hbar)
+    xs = grid.mesh()
+    vals = np.exp(1j * sum(p_j * x for p_j, x in zip(p, xs)) / params.hbar)
     psi = ComplexField(grid, vals, time=0.0, hbar=params.hbar)
     dpsi = ComplexField(grid, -1j * wrong_w * vals, time=0.0, hbar=params.hbar)
-    res = apply_nlse_operator((psi, dpsi), free_potential(), params)
-    mismatch = abs(p0 ** 2 / (2.0 * params.mass) - params.hbar * wrong_w)
+    res = apply_nlse_operator((psi, dpsi), pot, params)
+    kinetic = sum((p_j - a_j) ** 2 for p_j, a_j in zip(p, a or (0.0,) * dim))
+    mismatch = abs(kinetic / (2.0 * params.mass) - params.hbar * wrong_w)
     assert abs(relative_residual(res, psi) - mismatch) < 1e-12
+
+
+def gaussian_packet_2d(grid, hbar=1.0):
+    x, y = grid.mesh()
+    vals = np.exp(-((x - 0.5) ** 2 + (y + 0.3) ** 2) / 2.0
+                  + 1j * (0.8 * x - 0.4 * y) / hbar)
+    return ComplexField(grid, vals, time=0.0, hbar=hbar)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d-free", "2d-uniform-A"])
+def test_residual_kinetic_is_one_fft_pair(dim, monkeypatch):
+    """With a spatially constant A the kinetic operator is one multiply
+    between one n-D FFT pair, and no one-axis transform is taken."""
+    calls = {}
+
+    def counting(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.5)
+    if dim == 1:
+        grid = make_uniform_grid(1, -10.0, 10.0, 128)
+        psi, pot = gaussian_state(grid), free_potential()
+    else:
+        grid = make_uniform_grid(2, -8.0, 8.0, 32)
+        psi = gaussian_packet_2d(grid)
+        pot = PotentialSpec(vector=UniformVector(lambda t: (0.3, -0.2)))
+    dpsi = psi.with_values(np.zeros_like(psi.values))
+    for name in ("fftn", "ifftn"):
+        counting(scipy.fft, name)
+    for name in ("fft", "ifft"):
+        counting(np.fft, name)
+    apply_nlse_operator((psi, dpsi), pot, params)
+    assert calls == {"fftn": 1, "ifftn": 1}
+
+
+def test_uniform_a_paths_agree():
+    """The same constant A given as an ExpressionVector (two momentum
+    passes per axis) and as a UniformVector (one diagonal multiply) gives
+    the same residual up to rounding."""
+    grid = make_uniform_grid(2, -8.0, 8.0, 64)
+    params = PhysParams(hbar=0.5, mass=1.5, r=0.5)
+    psi = gaussian_packet_2d(grid, hbar=params.hbar)
+    dpsi = psi.with_values(np.zeros_like(psi.values))
+    a = (0.35, -0.6)
+    per_axis = PotentialSpec(vector=ExpressionVector(lambda xs, t: a))
+    diagonal = PotentialSpec(vector=UniformVector(lambda t: a))
+    ref = apply_nlse_operator((psi, dpsi), per_axis, params).values
+    got = apply_nlse_operator((psi, dpsi), diagonal, params).values
+    # measured 1.1e-15 here, and at most 1.4e-14 over n in {64, 128, 256}
+    # and hbar in {0.25, 0.5, 1}; the bound is 7x the largest of those
+    assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-13
 
 
 def test_stencil_validation_errors():
