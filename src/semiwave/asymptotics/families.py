@@ -12,7 +12,11 @@ Four families ship with the package:
 
 Each family is a WkbFields whose jet(xs, t) writes every entry in closed
 form, computing the shared intermediates (the radius, the envelope slope,
-the dressing and its derivative) once per jet.
+the dressing and its derivative) once per jet.  The spatial derivatives go
+in the jet's derivative block, a closure over those intermediates that runs
+only when a derivative is read: the ring state's block (unit radial vector,
+1/radius) is never evaluated when only the leading state and its time
+derivative are built.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from semiwave.core import ComplexField, Grid, PhysParams, SeparatedScalar, _constant, _diff
+from semiwave.core import (ComplexField, Grid, PhysParams, SeparatedScalar, _constant, _diff,
+                           _expi)
 from semiwave.asymptotics.fields import FieldJet, WkbFields, _sech
 from semiwave.asymptotics.quadrature import Antiderivative
 
@@ -96,9 +101,11 @@ class SolitonFields(WkbFields):
             S=self.alpha1 * t + self.alpha2 * x + self.sp.phi0,
             sigma=self.beta1 * t + self.beta2 * (x - self.sp.x0),
             S1=w.real, sigma1=w.imag,
-            dS=(self.alpha2,), dsigma=(self.beta2,), dS1=(wp.real,), dsigma1=(wp.imag,),
             S_t=self.alpha1, sigma_t=self.beta1, S1_t=w_t.real, sigma1_t=w_t.imag,
-            lap_S=0.0, lap_sigma=0.0, g=self.beta2**2, dg=(0.0,), g_t=0.0)
+            g=self.beta2**2, g_t=0.0,
+            derivatives=lambda: dict(
+                dS=(self.alpha2,), dsigma=(self.beta2,), dS1=(wp.real,),
+                dsigma1=(wp.imag,), lap_S=0.0, lap_sigma=0.0, dg=(0.0,)))
 
 
 def soliton_correction_fields(sp: SolitonParams, params: PhysParams) -> SolitonFields:
@@ -129,7 +136,9 @@ def one_soliton(sp: SolitonParams, grid: Grid, t: float, params: PhysParams) -> 
         + sp.phi0
         + hbar * w.real
     ) / hbar
-    return ComplexField(grid, amp * _sech(theta) * np.exp(1j * phase), time=t, hbar=hbar)
+    psi = _expi(phase)
+    return ComplexField(grid, np.multiply(amp * _sech(theta), psi, out=psi), time=t,
+                        hbar=hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +213,22 @@ class Class1Fields(WkbFields):
         p1, m = self.p1, self.mass
         x = np.asarray(xs[0], dtype=float)
         sx = self._sigma_x(x)
-        sxx = m * self._pot.gradient((x,), 0.0)[0] / sx
         sigma1 = 1.5 * np.log(sx) + p1.c4
         if p1.c2 != 0.0:
             sigma1 = sigma1 + m * p1.c2 * self._inv_int(x)
         v0 = p1.v0(t) if p1.v0 is not None else 0.0
+
+        def derivatives():
+            sxx = m * self._pot.gradient((x,), 0.0)[0] / sx
+            return dict(dS=(0.0,), dsigma=(sx,), dS1=(0.0,),
+                        dsigma1=(1.5 * sxx / sx + m * p1.c2 / sx,),
+                        lap_S=0.0, lap_sigma=sxx, dg=(2.0 * sx * sxx,))
+
         return FieldJet(
             S=p1.c1 * t - self._v0int(t), sigma=self._sigma(x),
             S1=p1.c2 * t + p1.c3, sigma1=sigma1,
-            dS=(0.0,), dsigma=(sx,), dS1=(0.0,), dsigma1=(1.5 * sxx / sx + m * p1.c2 / sx,),
             S_t=p1.c1 - v0, sigma_t=0.0, S1_t=p1.c2, sigma1_t=0.0,
-            lap_S=0.0, lap_sigma=sxx, g=sx**2, dg=(2.0 * sx * sxx,), g_t=0.0)
+            g=sx**2, g_t=0.0, derivatives=derivatives)
 
 
 def separated_class1(p1: Class1Params, domain: tuple[float, float],
@@ -298,16 +312,20 @@ class Class2Fields(WkbFields):
     def jet(self, xs, t) -> FieldJet:
         p2, m = self.p2, self.mass
         x = np.asarray(xs[0], dtype=float)
-        px, pxx, fx, gx = self._slopes(x)
         v0 = p2.v0(t) if p2.v0 is not None else 0.0
+
+        def derivatives():
+            px, pxx, fx, gx = self._slopes(x)
+            return dict(dS=(px,), dsigma=(-p2.c1 * m / px,), dS1=(fx,), dsigma1=(gx,),
+                        lap_S=pxx, lap_sigma=p2.c1 * m * pxx / px**2,
+                        dg=(-2.0 * (p2.c1 * m) ** 2 * pxx / px**3,))
+
         return FieldJet(
             S=p2.c3 * t - self._v0int(t) + p2.c4 + self._p(x),
             sigma=p2.c1 * (t - m * self._inv_int(x)) + p2.c2,
             S1=p2.a1 * t + p2.a3 + self._f(x), sigma1=p2.a2 * t + p2.a4 + self._g(x),
-            dS=(px,), dsigma=(-p2.c1 * m / px,), dS1=(fx,), dsigma1=(gx,),
             S_t=p2.c3 - v0, sigma_t=p2.c1, S1_t=p2.a1, sigma1_t=p2.a2,
-            lap_S=pxx, lap_sigma=p2.c1 * m * pxx / px**2, g=(p2.c1 * m / px) ** 2,
-            dg=(-2.0 * (p2.c1 * m) ** 2 * pxx / px**3,), g_t=0.0)
+            g=(p2.c1 * m / self._p_x(x)) ** 2, g_t=0.0, derivatives=derivatives)
 
 
 def separated_class2(p2: Class2Params, domain: tuple[float, float],
@@ -362,18 +380,23 @@ class CylindricalFields(WkbFields):
                 "radial fields sampled on the symmetry axis; use an "
                 "axis-offset grid"
             )
-        ex, ey = x / r, y / r
-        c = -m * cp.b1
-        c_sigma1 = cp.a2 + 0.5 / r
         return FieldJet(
             S=cp.c1**2 / (2.0 * m) * t + cp.c2, sigma=cp.c1 * r + cp.a1,
             S1=(cp.a2 * cp.c1 / m) * t - m * cp.b1 * r + cp.c3,
             sigma1=cp.a2 * r + cp.c1 * cp.b1 * t + 0.5 * np.log(r) + cp.a3,
-            dS=(0.0, 0.0), dsigma=(cp.c1 * ex, cp.c1 * ey),
-            dS1=(c * ex, c * ey), dsigma1=(c_sigma1 * ex, c_sigma1 * ey),
             S_t=cp.c1**2 / (2.0 * m), sigma_t=0.0, S1_t=cp.a2 * cp.c1 / m,
-            sigma1_t=cp.c1 * cp.b1, lap_S=0.0, lap_sigma=cp.c1 / r,
-            g=cp.c1**2, dg=(0.0, 0.0), g_t=0.0)
+            sigma1_t=cp.c1 * cp.b1, g=cp.c1**2, g_t=0.0,
+            derivatives=lambda: self._derivatives(x, y, r))
+
+    def _derivatives(self, x, y, r) -> dict:
+        """The spatial-derivative block of the jet at (x, y), radius r."""
+        cp, m = self.cp, self.mass
+        ex, ey = x / r, y / r
+        c = -m * cp.b1
+        c_sigma1 = cp.a2 + 0.5 / r
+        return dict(dS=(0.0, 0.0), dsigma=(cp.c1 * ex, cp.c1 * ey),
+                    dS1=(c * ex, c * ey), dsigma1=(c_sigma1 * ex, c_sigma1 * ey),
+                    lap_S=0.0, lap_sigma=cp.c1 / r, dg=(0.0, 0.0))
 
 
 def cylindrical_fields(cp: CylindricalParams, params: PhysParams) -> CylindricalFields:
@@ -404,5 +427,6 @@ def cylindrical_special(cp: CylindricalParams, grid: Grid, t: float,
         + cp.a1 / hbar + cp.a3
     phase = (cp.c1**2 / (2.0 * m * hbar) + cp.a2 * cp.c1 / m) * t \
         - m * cp.b1 * rad + cp.c2 / hbar + cp.c3
-    return ComplexField(grid, amp * _sech(theta) * np.exp(1j * phase),
+    psi = _expi(phase)
+    return ComplexField(grid, np.multiply(amp * _sech(theta), psi, out=psi),
                         time=t, hbar=hbar)

@@ -9,24 +9,33 @@ The envelope is
 
 and the assembled state is rho * exp(i S/hbar + i S1).  A WkbFields object
 evaluates one FieldJet at a time: the four phases and every derivative the
-construction reads, sampled at (xs, t).  The shipped families compute their
-jets in closed form from shared intermediates; CallableWkbFields takes the
-derivatives by central differences through the package's one difference
-pair, `core._diff` (first derivatives in x and t) and `core._diff2` (second
-derivatives in x).
+construction reads, sampled at (xs, t).  The phases, their time derivatives
+and g = (grad sigma)^2 with its time derivative are computed with the jet;
+the seven spatial-derivative entries come from one derivative block that
+the family supplies and the jet evaluates on first read, at most once.  The
+shipped families compute their jets in closed form from shared
+intermediates; CallableWkbFields takes the derivatives by central
+differences through the package's one difference pair, `core._diff` (first
+derivatives in x and t) and `core._diff2` (second derivatives in x).
 
 The consumers below read a jet, not the fields, so a caller that needs the
 state, its time derivative and the residuals at one (grid, t) evaluates the
-phases once.
+phases once, and the derivative block only if a residual reads it.  The
+leading state is built in the array of its phase factor exp(i(S/hbar + S1))
+(`core._expi`) and its time derivative in that of its logarithmic
+derivative, with the operations and operand order of the plain formulas, so
+the values have the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from semiwave.core import ComplexField, Grid, PhysParams, _along, _diff, _diff2
+from semiwave.core import ComplexField, Grid, PhysParams, _along, _diff, _diff2, _expi
 
 _THETA_GUARD = 300.0
 
@@ -36,27 +45,41 @@ class FieldJet:
     """The phases and their derivatives at one set of sample points and time.
 
     Every entry is an array of the sample shape, or a plain float where it
-    does not vary in space; the gradients hold one such entry per axis.
-    g = (grad sigma)^2 is the square of the envelope slope.
+    does not vary in space (sigma, whose slope builds the envelope, always
+    varies); the gradients hold one such entry per axis.  g = (grad sigma)^2
+    is the square of the envelope slope.
+
+    The ten value and time entries are computed when the jet is built.  The
+    seven spatial-derivative entries (dS, dsigma, dS1, dsigma1, lap_S,
+    lap_sigma, dg) come from one block: `derivatives()` returns them as a
+    dict keyed by name, and the jet calls it on the first read of any of
+    them and at most once.  The leading state and its time derivative read
+    none of them, so building those never pays for the block.
     """
 
     S: np.ndarray | float
     sigma: np.ndarray | float
     S1: np.ndarray | float
     sigma1: np.ndarray | float
-    dS: tuple
-    dsigma: tuple
-    dS1: tuple
-    dsigma1: tuple
     S_t: np.ndarray | float
     sigma_t: np.ndarray | float
     S1_t: np.ndarray | float
     sigma1_t: np.ndarray | float
-    lap_S: np.ndarray | float
-    lap_sigma: np.ndarray | float
     g: np.ndarray | float
-    dg: tuple
     g_t: np.ndarray | float
+    derivatives: Callable[[], dict] = field(repr=False)
+
+    @cached_property
+    def _block(self) -> dict:
+        return self.derivatives()
+
+    dS = property(lambda self: self._block["dS"])
+    dsigma = property(lambda self: self._block["dsigma"])
+    dS1 = property(lambda self: self._block["dS1"])
+    dsigma1 = property(lambda self: self._block["dsigma1"])
+    lap_S = property(lambda self: self._block["lap_S"])
+    lap_sigma = property(lambda self: self._block["lap_sigma"])
+    dg = property(lambda self: self._block["dg"])
 
 
 class WkbFields:
@@ -103,18 +126,37 @@ class CallableWkbFields(WkbFields):
         dsigma = _grad(sigma, xs, t, dim)
         return FieldJet(
             S=S(xs, t), sigma=sigma(xs, t), S1=S1(xs, t), sigma1=sigma1(xs, t),
-            dS=_grad(S, xs, t, dim), dsigma=dsigma,
-            dS1=_grad(S1, xs, t, dim), dsigma1=_grad(sigma1, xs, t, dim),
             S_t=dt(S), sigma_t=dt(sigma), S1_t=dt(S1), sigma1_t=dt(sigma1),
-            lap_S=lap(S), lap_sigma=lap(sigma),
-            g=sum(c * c for c in dsigma), dg=_grad(g, xs, t, dim), g_t=dt(g))
+            g=sum(c * c for c in dsigma), g_t=dt(g),
+            derivatives=lambda: dict(
+                dS=_grad(S, xs, t, dim), dsigma=dsigma,
+                dS1=_grad(S1, xs, t, dim), dsigma1=_grad(sigma1, xs, t, dim),
+                lap_S=lap(S), lap_sigma=lap(sigma), dg=_grad(g, xs, t, dim)))
 
 
-def _sech(z):
-    # 2 e^{-|z|} / (1 + e^{-2|z|}) never overflows
-    a = np.abs(z)
-    e = np.exp(-a)
-    return 2.0 * e / (1.0 + e * e)
+def _sech(z, out=None):
+    """sech z as 2 e^{-|z|} / (1 + e^{-2|z|}), which never overflows, built
+    in `out` (z itself may be passed) or in one new array."""
+    e = np.abs(z, out=np.empty(np.shape(z)) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e * e
+    den += 1.0
+    e *= 2.0
+    e /= den
+    return e
+
+
+def _envelope_argument(jet: FieldJet, hbar: float) -> np.ndarray:
+    """theta = sigma/hbar + sigma1, in one new array."""
+    theta = jet.sigma / hbar
+    theta += jet.sigma1
+    return theta
+
+
+def _carrier(jet: FieldJet, grid: Grid, hbar: float) -> np.ndarray:
+    """exp(i (S/hbar + S1)) over the grid, in one new complex array."""
+    return _expi(np.broadcast_to(jet.S / hbar + jet.S1, grid.shape))
 
 
 def _positive_slope(jet: FieldJet):
@@ -140,17 +182,19 @@ def envelope_amplitude(jet: FieldJet, params: PhysParams) -> np.ndarray:
 def envelope_rho(jet: FieldJet, params: PhysParams) -> np.ndarray:
     """Envelope rho = amplitude / cosh(sigma/hbar + sigma1)."""
     amp = envelope_amplitude(jet, params)
-    return amp * _sech(jet.sigma / params.hbar + jet.sigma1)
+    rho = _envelope_argument(jet, params.hbar)
+    _sech(rho, out=rho)
+    return np.multiply(amp, rho, out=rho)
 
 
 def assemble_leading_term(
     jet: FieldJet, grid: Grid, t: float, params: PhysParams
 ) -> ComplexField:
     """Leading-order state rho * exp(i (S/hbar + S1)) on the grid the jet
-    was sampled on."""
+    was sampled on, built in the array of its phase factor."""
     rho = envelope_rho(jet, params)
-    ph = jet.S / params.hbar + jet.S1
-    return ComplexField(grid, rho * np.exp(1j * ph), time=t, hbar=params.hbar)
+    psi = _carrier(jet, grid, params.hbar)
+    return ComplexField(grid, np.multiply(rho, psi, out=psi), time=t, hbar=params.hbar)
 
 
 def psi_via_representation(
@@ -163,14 +207,15 @@ def psi_via_representation(
     form is substituted, so deep tails stay finite.
     """
     amp = envelope_amplitude(jet, params)
-    theta = jet.sigma / params.hbar + jet.sigma1
-    ph = jet.S / params.hbar + jet.S1
+    theta = _envelope_argument(jet, params.hbar)
     safe = np.abs(theta) <= _THETA_GUARD
     th = np.where(safe, theta, 0.0)
     e = np.exp(-th)
     rational = 2.0 * e / (1.0 + e * e)
     env = np.where(safe, rational, _sech(theta))
-    return ComplexField(grid, amp * env * np.exp(1j * ph), time=t, hbar=params.hbar)
+    psi = _carrier(jet, grid, params.hbar)
+    return ComplexField(grid, np.multiply(amp * env, psi, out=psi), time=t,
+                        hbar=params.hbar)
 
 
 def leading_term_time_derivative(
@@ -180,18 +225,19 @@ def leading_term_time_derivative(
 
     With rho = a(x,t) sech(theta), the logarithmic derivative is
     a_t/a - tanh(theta) theta_t + i (S_t/hbar + S1_t), and
-    a_t/a = (d/dt (grad sigma)^2) / (2 (grad sigma)^2).
+    a_t/a = (d/dt (grad sigma)^2) / (2 (grad sigma)^2).  The result is
+    built in the array of the logarithmic derivative.
     """
     g = np.asarray(jet.g, dtype=float)
     adot_over_a = np.asarray(jet.g_t, dtype=float) / (2.0 * g)
     theta_t = jet.sigma_t / params.hbar + jet.sigma1_t
     phase_t = jet.S_t / params.hbar + jet.S1_t
-    logderiv = (
-        adot_over_a
-        - np.tanh(jet.sigma / params.hbar + jet.sigma1) * theta_t
-        + 1j * phase_t
-    )
-    return psi.with_values(logderiv * psi.values)
+    real = _envelope_argument(jet, params.hbar)
+    np.tanh(real, out=real)
+    np.multiply(real, theta_t, out=real)
+    np.subtract(adot_over_a, real, out=real)
+    logderiv = np.add(real, 1j * phase_t)
+    return psi.with_values(np.multiply(logderiv, psi.values, out=logderiv))
 
 
 def exponential_inner_field(
@@ -201,7 +247,7 @@ def exponential_inner_field(
     that generates the rational representation; optionally with its analytic
     time derivative.  Used to probe the linear-equation property of the
     construction."""
-    theta = jet.sigma / params.hbar + jet.sigma1
+    theta = _envelope_argument(jet, params.hbar)
     ph = jet.S / params.hbar + jet.S1
     if np.any(np.abs(theta) > 700.0):
         raise ValueError("exponential representation overflows; evaluate on a "

@@ -218,6 +218,17 @@ def _momentum(values: np.ndarray, grid: Grid, hbar: float, axis: int) -> np.ndar
     return np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis)
 
 
+def _expi(theta) -> np.ndarray:
+    """exp(i theta) of a real array, from one cos and one sin pass written
+    straight into the real and imaginary parts, with no complex argument
+    built: every phase factor of a real phase in the package goes through
+    it."""
+    out = np.empty(np.shape(theta), dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def apply_momentum(psi: ComplexField, axis: int = 0) -> ComplexField:
     """Apply the momentum operator -i*hbar*d/dx_axis in Fourier space."""
     if not 0 <= axis < psi.grid.dim:

@@ -42,7 +42,9 @@ diagonal in Fourier space, with symbol sum_j (hbar k_j - a_j)^2, and is
 applied as one n-D FFT pair; any other A takes two momentum passes per
 axis, which keep it exact for x-dependent A as well.  The Strang kinetic
 step and this diagonal operator go through one spectral-multiplier helper,
-_spectral_multiply.
+_spectral_multiply.  The other three terms are summed into the kinetic
+term's array in the order of the written equation, so the residual holds
+no full-size temporary per term; a ZeroScalar V is not sampled.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ from .core import (
     PotentialSpec,
     TIME_ATOL,
     UniformVector,
+    ZeroScalar,
     ZeroVector,
     _SpatiallyConstant,
+    _expi,
     _momentum,
     norm_squared,
 )
@@ -140,14 +144,6 @@ def _uniform_components(pot: PotentialSpec, xs: tuple[np.ndarray, ...],
             )
         out.append(0.5 * (lo + hi))
     return tuple(out)
-
-
-def _expi(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta) of a real array, from one cos and one sin pass."""
-    out = np.empty(np.shape(theta), dtype=np.complex128)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
 
 
 def _density(vals: np.ndarray) -> np.ndarray:
@@ -393,17 +389,27 @@ def apply_nlse_operator(psi_series, pot: PotentialSpec, params: PhysParams) -> C
     at the time of the supplied field.  psi_series is either the pair
     (field, analytic time derivative) or three equally spaced snapshots
     for a central difference.
+
+    The terms are summed left to right into the kinetic term's array, with
+    one complex and one real scratch array for the others, so the result
+    has the bits of the sum written out above.  A ZeroScalar V is not
+    sampled and its term not added, which can only leave a -0.0 where the
+    full sum has +0.0.
     """
     psi, dpsi = _resolve_series(psi_series)
     grid, t = psi.grid, psi.time
     vals = psi.values
-    v = np.asarray(pot.scalar.value(grid.mesh(), t), dtype=float)
-    res = (
-        -1j * params.hbar * dpsi
-        + _kinetic_apply(vals, grid, pot, t, params) / (2.0 * params.mass)
-        + v * vals
-        - 2.0 * params.r * np.abs(vals) ** 2 * vals
-    )
+    res = _kinetic_apply(vals, grid, pot, t, params)
+    res /= 2.0 * params.mass
+    term = np.multiply(-1j * params.hbar, dpsi)
+    np.add(term, res, out=res)
+    if not isinstance(pot.scalar, ZeroScalar):
+        v = np.asarray(pot.scalar.value(grid.mesh(), t), dtype=float)
+        res += np.multiply(v, vals, out=term)
+    dens = np.abs(vals)
+    np.square(dens, out=dens)
+    np.multiply(2.0 * params.r, dens, out=dens)
+    res -= np.multiply(dens, vals, out=term)
     return ComplexField(grid, res, time=t, hbar=params.hbar)
 
 

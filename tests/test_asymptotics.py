@@ -270,13 +270,13 @@ class _Analytic1D(WkbFields):
             sigma=x + (0.2 + 0.02 * t) * np.sin(x),
             S1=0.04 * x * x - 0.1 * x * t,
             sigma1=0.1 * np.cos(2.0 * x) + 0.05 * t,
-            dS=(0.6 * x + 0.05 * t,), dsigma=(sigma_x,),
-            dS1=(0.08 * x - 0.1 * t,), dsigma1=(-0.2 * np.sin(2.0 * x),),
             S_t=0.1 + 0.05 * x, sigma_t=0.02 * np.sin(x), S1_t=-0.1 * x, sigma1_t=0.05,
-            lap_S=0.6, lap_sigma=sigma_xx,
             # d/dt sigma_x = 0.02 cos(x)
-            g=sigma_x ** 2, dg=(2.0 * sigma_x * sigma_xx,),
-            g_t=2.0 * sigma_x * 0.02 * np.cos(x))
+            g=sigma_x ** 2, g_t=2.0 * sigma_x * 0.02 * np.cos(x),
+            derivatives=lambda: dict(
+                dS=(0.6 * x + 0.05 * t,), dsigma=(sigma_x,),
+                dS1=(0.08 * x - 0.1 * t,), dsigma1=(-0.2 * np.sin(2.0 * x),),
+                lap_S=0.6, lap_sigma=sigma_xx, dg=(2.0 * sigma_x * sigma_xx,)))
 
 
 def test_transport_one_dimensional_reduction():

@@ -11,6 +11,8 @@ Oracle values used here:
     is sech(x) with unit peak
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from semiwave.core import (
 )
 from semiwave.asymptotics import (
     CallableWkbFields,
-    FieldJet,
     Class1Params,
     Class2Params,
     CylindricalParams,
@@ -34,12 +35,15 @@ from semiwave.asymptotics import (
     cylindrical_fields,
     cylindrical_special,
     envelope_rho,
+    hj_residual,
     one_soliton,
     separated_class1,
     separated_class2,
     soliton_correction_fields,
     transport_residuals,
 )
+from semiwave.asymptotics.families import CylindricalFields
+from semiwave.harness.scenarios import _leading_pair
 
 HALF_FOCUSING = PhysParams(hbar=1.0, mass=1.0, r=0.5)
 
@@ -334,35 +338,41 @@ _RTOL = {"lap_S": 1e-6, "lap_sigma": 1e-6,  # measured 1.2e-7 and 2.0e-7
          "dg": 5e-3}  # measured 1.2e-3
 
 
+# the 17 entries of a jet: ten built with it, then its derivative block
+JET_ENTRIES = ("S", "sigma", "S1", "sigma1", "S_t", "sigma_t", "S1_t", "sigma1_t",
+               "g", "g_t", "dS", "dsigma", "dS1", "dsigma1", "lap_S", "lap_sigma", "dg")
+
+
+def _sampled_family(family, params, rng):
+    """A family with 100 random interior sample points."""
+    if family == "soliton":
+        sp = SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.1 * np.sin(z))
+        return soliton_correction_fields(sp, params), (rng.uniform(-8.0, 8.0, 100),)
+    if family == "class1":
+        p1 = Class1Params(c1=0.5, c2=0.3, v1=lambda x: 0.1 * x * x,
+                          v1_prime=lambda x: 0.2 * x)
+        return separated_class1(p1, (-4.0, 4.0), params), (rng.uniform(-3.8, 3.8, 100),)
+    if family == "class2":
+        p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05,
+                          v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
+        return separated_class2(p2, (-4.0, 4.0), params), (rng.uniform(-3.8, 3.8, 100),)
+    w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 100)
+    rad = rng.uniform(0.3, 1.8, 100)
+    return w, (rad * np.cos(ang), rad * np.sin(ang))
+
+
 @pytest.mark.parametrize("family", ["soliton", "class1", "class2", "radial"])
 def test_gradients_match_finite_differences(family):
     """Every entry of each family's analytic jet agrees with the
     finite-difference jet of its values at randomly sampled interior
-    points."""
-    rng = np.random.default_rng(7)
+    points; the reference is a CallableWkbFields jet, so its 17 entries,
+    derivative block included, are read as well."""
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    if family == "soliton":
-        sp = SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.1 * np.sin(z))
-        w = soliton_correction_fields(sp, params)
-        xs = (rng.uniform(-8.0, 8.0, 100),)
-    elif family == "class1":
-        p1 = Class1Params(c1=0.5, c2=0.3, v1=lambda x: 0.1 * x * x,
-                          v1_prime=lambda x: 0.2 * x)
-        w = separated_class1(p1, (-4.0, 4.0), params)
-        xs = (rng.uniform(-3.8, 3.8, 100),)
-    elif family == "class2":
-        p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05,
-                          v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
-        w = separated_class2(p2, (-4.0, 4.0), params)
-        xs = (rng.uniform(-3.8, 3.8, 100),)
-    else:
-        w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
-        ang = rng.uniform(0.0, 2.0 * np.pi, 100)
-        rad = rng.uniform(0.3, 1.8, 100)
-        xs = (rad * np.cos(ang), rad * np.sin(ang))
+    w, xs = _sampled_family(family, params, np.random.default_rng(7))
     t = 0.37
     jet, ref = w.jet(xs, t), _fd_reference(w).jet(xs, t)
-    for name in FieldJet.__dataclass_fields__:
+    for name in JET_ENTRIES:
         a, b = getattr(jet, name), getattr(ref, name)
         rtol = _RTOL.get(name, 1e-6)
         if isinstance(a, tuple):
@@ -371,3 +381,44 @@ def test_gradients_match_finite_differences(family):
                 _compare(a[axis], b[axis], rtol)
         else:
             _compare(a, b, rtol)
+
+
+@pytest.mark.parametrize("family", ["soliton", "class1", "class2", "radial", "callable"])
+def test_derivative_block_evaluated_once_per_jet(family):
+    """A jet evaluates its derivative block on the first read of a
+    derivative entry and never again: reading the ten value and time
+    entries calls it 0 times, then reading all seven derivative entries
+    twice calls it once."""
+    params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
+    w, xs = _sampled_family("radial" if family == "callable" else family, params,
+                            np.random.default_rng(3))
+    if family == "callable":
+        w = _fd_reference(w)
+    jet = w.jet(xs, 0.37)
+    calls = []
+    jet = dataclasses.replace(jet, derivatives=lambda block=jet.derivatives:
+                              calls.append(1) or block())
+    for name in JET_ENTRIES[:10]:
+        getattr(jet, name)
+    assert calls == []
+    for name in JET_ENTRIES[10:] * 2:
+        getattr(jet, name)
+    assert calls == [1]
+
+
+def test_leading_pair_never_evaluates_the_radial_derivative_block(monkeypatch):
+    """The leading state and its time derivative read no spatial derivative,
+    so building them for the ring state never evaluates the jet's
+    derivative block; the eikonal residual, which reads two derivative
+    entries, evaluates it once."""
+    calls = []
+    block = CylindricalFields._derivatives
+    monkeypatch.setattr(CylindricalFields, "_derivatives",
+                        lambda self, *args: calls.append(1) or block(self, *args))
+    params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
+    w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
+    grid = make_axis_offset_grid(2, 4.0, 64)
+    _leading_pair(w, grid, 0.3, params)
+    assert calls == []
+    hj_residual(w.jet(grid.mesh(), 0.3), grid, 0.3, free_potential(), params)
+    assert calls == [1]

@@ -11,11 +11,15 @@ Oracle values used here:
   * plane wave with an imposed wrong frequency: residual magnitude equals
     the dispersion mismatch |(p - A)^2/(2m) - hbar w| exactly, for A = 0
     and for a uniform A
+  * exact symmetries of a run with V = 0 and a uniform A(t): translation
+    by whole cells and a global phase factor commute with it
 """
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiwave.core import (
     ComplexField,
@@ -37,6 +41,7 @@ from semiwave.asymptotics import (
     one_soliton,
     soliton_correction_fields,
 )
+from semiwave import solver
 from semiwave.solver import (
     SolverConfig,
     apply_nlse_operator,
@@ -319,8 +324,6 @@ def test_static_linear_run_builds_its_local_factor_once(monkeypatch):
     """With r=0 and a static V the local factor is the same every step:
     one kinetic factor and the local factors of h and 2h are built, in an
     11-step run and in a 41-step one alike."""
-    from semiwave import solver
-
     grid = make_uniform_grid(1, -10.0, 10.0, 64)
     params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
     psi0 = gaussian_state(grid)
@@ -513,3 +516,101 @@ def test_residual_with_spatially_varying_vector_potential():
     expected = ((p0 - A) ** 2 + 1j * params.hbar * amp * kA * np.cos(kA * x)) \
         / (2.0 * params.mass) * vals
     assert np.max(np.abs(res.values - expected)) < 1e-9
+
+
+@pytest.mark.parametrize("dim, a", [(1, (0.4,)), (2, (0.3, -0.5))],
+                         ids=["1d-uniform-A", "2d-uniform-A"])
+def test_residual_with_potential_and_nonlinearity(dim, a):
+    """A Gaussian packet with a non-zero V, r > 0 and a given dpsi/dt: the
+    residual matches the equation written out pointwise from the packet's
+    closed-form derivatives, and has the bits of the unfused sum of its
+    four terms.  (Every other residual test has V = 0.)"""
+    grid = make_uniform_grid(dim, -10.0, 10.0, 256 if dim == 1 else 64)
+    params = PhysParams(hbar=0.7, mass=1.3, r=0.45)
+    hbar, m, t = params.hbar, params.mass, 0.2
+    center, p, s2 = (0.6, -0.4)[:dim], (0.9, 0.5)[:dim], 1.0
+    xs = grid.mesh()
+    vals = np.exp(sum(-(x - c) ** 2 / (2.0 * s2) + 1j * pj * x / hbar
+                      for x, c, pj in zip(xs, center, p)))
+    # d_j psi = u_j psi and d_j^2 psi = (u_j^2 - 1/s2) psi
+    u = [-(x - c) / s2 + 1j * pj / hbar for x, c, pj in zip(xs, center, p)]
+    dvals = (0.3 - 0.8j * xs[0]) * vals
+
+    def v_fn(ys, s):
+        return 0.5 * ys[0] ** 2 + 0.3 * np.sin(ys[-1]) + s
+
+    pot = PotentialSpec(scalar=ExpressionScalar(v_fn), vector=UniformVector(lambda s: a))
+    psi = ComplexField(grid, vals, time=t, hbar=hbar)
+    res = apply_nlse_operator((psi, psi.with_values(dvals)), pot, params)
+
+    # (-i hbar d_j - a_j)^2 psi = -hbar^2 d_j^2 psi + 2 i hbar a_j d_j psi + a_j^2 psi
+    kinetic = sum(-hbar ** 2 * (uj * uj - 1.0 / s2) + 2j * hbar * aj * uj + aj * aj
+                  for uj, aj in zip(u, a)) * vals
+    expected = (-1j * hbar * dvals + kinetic / (2.0 * m) + v_fn(xs, t) * vals
+                - 2.0 * params.r * np.abs(vals) ** 2 * vals)
+    # measured 4.4e-14 (1D) and 4.3e-15 (2D) relative to max |expected|, a
+    # margin of 23x; without the V term the gap is 2.2 and 1.4
+    assert np.max(np.abs(res.values - expected)) < 1e-12 * np.max(np.abs(expected))
+
+    unfused = (-1j * hbar * dvals
+               + solver._kinetic_apply(vals, grid, pot, t, params) / (2.0 * m)
+               + v_fn(xs, t) * vals - 2.0 * params.r * np.abs(vals) ** 2 * vals)
+    assert res.values.tobytes() == unfused.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# symmetry oracles of a run
+
+
+def _symmetry_run(dim, packet, r, a0, a1):
+    """A 10-step run with V = 0 and A(t) = a0 + a1 t on every axis, of a
+    Gaussian packet (centre, momentum) given per axis."""
+    grid = make_uniform_grid(dim, -8.0, 8.0, 128 if dim == 1 else 32)
+    params = PhysParams(hbar=0.5, mass=1.0, r=r)
+    xs = grid.mesh()
+    vals = np.exp(sum(-(x - c) ** 2 + 1j * p * x / params.hbar
+                      for x, (c, p) in zip(xs, packet)))
+    pot = PotentialSpec(vector=UniformVector(lambda t: (a0 + a1 * t,) * dim))
+    config = SolverConfig(dt=0.01, t_end=0.1, snapshot_every=5, params=params, pot=pot)
+
+    def run(values):
+        rec = evolve(ComplexField(grid, values, hbar=params.hbar), config)
+        return np.stack([s.values for s in rec.snapshots])
+    return vals, run
+
+
+_RUNS = settings(max_examples=10, deadline=None, database=None)
+_PACKET = st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0))
+_COEFFS = dict(r=st.floats(0.0, 1.0), a0=st.floats(-0.5, 0.5), a1=st.floats(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@_RUNS
+@given(packet=st.lists(_PACKET, min_size=2, max_size=2),
+       shift=st.tuples(st.integers(-12, 12), st.integers(-12, 12)), **_COEFFS)
+def test_translation_by_whole_cells_commutes_with_a_run(dim, packet, shift, r, a0, a1):
+    """With V = 0 and a uniform A(t) the run commutes with a shift of the
+    samples by whole cells, at every snapshot, up to rounding."""
+    vals, run = _symmetry_run(dim, packet[:dim], r, a0, a1)
+    axes = tuple(range(1, dim + 1))
+    moved = run(np.roll(vals, shift[:dim], axis=tuple(range(dim))))
+    ref = np.roll(run(vals), shift[:dim], axis=axes)
+    # measured at most 1.8e-15 relative to max |psi| over 120 random draws
+    # per dimension; the bound is 11x that
+    assert np.max(np.abs(moved - ref)) < 2e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@_RUNS
+@given(packet=st.lists(_PACKET, min_size=2, max_size=2),
+       phase=st.floats(-np.pi, np.pi), **_COEFFS)
+def test_global_phase_passes_through_a_run(dim, packet, phase, r, a0, a1):
+    """A global phase factor exp(i alpha) on psi0 comes out of the run
+    unchanged, at every snapshot, up to rounding."""
+    vals, run = _symmetry_run(dim, packet[:dim], r, a0, a1)
+    factor = np.exp(1j * phase)
+    rotated = run(factor * vals)
+    ref = factor * run(vals)
+    # measured at most 1.4e-15 relative to max |psi| over 120 random draws
+    # per dimension; the bound is 14x that
+    assert np.max(np.abs(rotated - ref)) < 2e-14 * np.max(np.abs(ref))
