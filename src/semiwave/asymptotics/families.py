@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+import scipy  # submodules load on first attribute access (tests/test_cold_start.py)
 
 from semiwave.core import (ComplexField, Grid, PhysParams, SeparatedScalar, _constant, _diff,
                            _expi)
@@ -176,7 +176,7 @@ class _TimeQuadrature:
             return 0.0
         key = float(t)
         if key not in self._cache:
-            val, _ = quad(self.fn, 0.0, key, epsabs=1e-12, limit=200)
+            val, _ = scipy.integrate.quad(self.fn, 0.0, key, epsabs=1e-12, limit=200)
             self._cache[key] = val
         return self._cache[key]
 

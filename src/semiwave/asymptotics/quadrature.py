@@ -11,7 +11,7 @@ requested absolute tolerance.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+import scipy  # submodules load on first attribute access (tests/test_cold_start.py)
 
 _DEFAULT_TOL = 1e-10
 _MAX_POINTS = 1 << 17
@@ -36,7 +36,7 @@ class Antiderivative:
             ys = np.asarray(f(xs), dtype=float)
             if not np.all(np.isfinite(ys)):
                 raise ValueError("integrand not finite on the tabulation interval")
-            spl = CubicSpline(xs, ys).antiderivative()
+            spl = scipy.interpolate.CubicSpline(xs, ys).antiderivative()
             if prev is not None:
                 probe = np.linspace(lo, hi, 513)
                 err = np.max(np.abs((spl(probe) - spl(base)) - (prev(probe) - prev(base))))

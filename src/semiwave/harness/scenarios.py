@@ -108,9 +108,11 @@ def _l2_relative(a: ComplexField, b: ComplexField) -> float:
 
 def _leading_pair(w, grid, t, params) -> tuple[ComplexField, ComplexField]:
     """The leading-order state and its time derivative from one jet.  The
-    jet is dropped on return, so it is not held while the operator residual
-    allocates its own arrays."""
-    jet = w.jet(grid.mesh(), t)
+    jet is sampled on the open mesh (one broadcast axis per dimension), which
+    gives the same entries as the full mesh because each is elementwise in
+    the coordinates, and is dropped on return, so it is not held while the
+    operator residual allocates its own arrays."""
+    jet = w.jet(np.ix_(*grid.axes()), t)
     psi = assemble_leading_term(jet, grid, t, params)
     return psi, leading_term_time_derivative(jet, psi, params)
 

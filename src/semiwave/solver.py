@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
+import scipy  # submodules load on first attribute access (tests/test_cold_start.py)
 
 from .core import (
     ComplexField,

@@ -1,0 +1,66 @@
+"""Cold start: SciPy submodules load on first use, not at import.
+
+`scipy.integrate` alone pulls in special, optimize, sparse.linalg and linalg
+(about 0.8 s under -X importtime), so a module-level `from scipy.x import y`
+anywhere in the package would put that cost on every `semiwave` command,
+including config validation and `--help`.  The check runs in a fresh
+interpreter, because the test session has already loaded them.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+import sys
+
+import semiwave
+import semiwave.harness
+from semiwave import Class1Params, SolverConfig, evolve, one_soliton, separated_class1
+from semiwave.classical import PhasePoint, integrate_bicharacteristic
+from semiwave.harness import (SCENARIO_NAMES, ExperimentConfig, default_config_path,
+                              parse_config, validate_config)
+
+LAZY = ("scipy.fft", "scipy.integrate", "scipy.interpolate")
+
+
+def loaded():
+    return [name for name in LAZY if name in sys.modules]
+
+
+for name in SCENARIO_NAMES:
+    validate_config(ExperimentConfig.from_file(default_config_path(name)))
+assert len(SCENARIO_NAMES) == 6, SCENARIO_NAMES
+
+spec = parse_config(ExperimentConfig.from_file(default_config_path("ehrenfest")))
+params = spec.params.phys()
+pot = spec.potential.build(params.mass)
+sp = spec.family.soliton
+dt, t_end = spec.solver.dt, spec.solver.t_end
+z0 = PhasePoint(x=(sp.x0,), p=(2.0 * sp.xi,), t=0.0)
+traj = integrate_bicharacteristic(z0, t_end + dt, dt, pot, params.mass)
+assert len(traj.times()) > 1000
+assert loaded() == [], loaded()
+
+psi0 = one_soliton(sp, spec.grid.build(), 0.0, params)
+evolve(psi0, SolverConfig(dt=dt, t_end=dt, params=params, pot=pot))
+assert loaded() == ["scipy.fft"], loaded()
+
+separated_class1(Class1Params(c1=1.0), (-1.0, 1.0), params)
+assert loaded() == ["scipy.fft", "scipy.interpolate"], loaded()
+print("ok")
+"""
+
+
+def test_scipy_submodules_load_on_first_use():
+    """Importing the package and harness, validating all six shipped
+    configs and integrating the ehrenfest orbit load none of scipy.fft,
+    scipy.integrate and scipy.interpolate; one evolve step loads scipy.fft
+    and one class-1 family scipy.interpolate, so the lazy path resolves."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", SCRIPT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -482,10 +482,11 @@ def test_snapshot_emission_memory(tmp_path):
 def test_cylindrical_residual_memory():
     """One hbar of cylindrical-check at 512^2 (leading state, its time
     derivative, the operator residual and its norm) builds the state in
-    the array of its phase factor and sums the residual into the kinetic
-    term's array: tracemalloc peak measured 22.5 MiB against a 26 MiB
-    bound, a margin of 15% (building every term as its own temporary
-    peaked at 32.5 MiB)."""
+    the array of its phase factor, samples the jet on the open mesh and sums
+    the residual into the kinetic term's array: tracemalloc peak measured
+    18.5 MiB against a 21 MiB bound, a margin of 13% (sampling the jet on
+    the full coordinate mesh peaked at 22.5 MiB, and building every term as
+    its own temporary at 32.5 MiB)."""
     grid = make_axis_offset_grid(2, 8.0, 512)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
@@ -502,7 +503,7 @@ def test_cylindrical_residual_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 26 * 2 ** 20
+    assert peak < 21 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
