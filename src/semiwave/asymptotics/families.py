@@ -345,6 +345,14 @@ class CylindricalParams:
     c1 is the radial envelope slope (nonzero), b1 tilts the envelope in
     time and adds a radial carrier component, a2 shifts the ring, and the
     remaining constants are additive offsets of phase and envelope.
+
+    The envelope peak sits where sigma = c1 r + a1 vanishes, at r = -a1/c1.
+    With a1 = 0 that is the axis: near it the half-log term of sigma1
+    makes psi grow like sqrt(r), whose Laplacian is not square-integrable
+    in 2D, so the operator residual of such a ring measures the axis
+    singularity, not the ring's asymptotic order.  The shipped
+    cylindrical-check configuration uses a1 = 0, so such a ring is
+    accepted and documented here rather than refused.
     """
 
     c1: float
@@ -365,6 +373,7 @@ class CylindricalFields(WkbFields):
     cylindrical spreading of the envelope slope in the transport equation."""
 
     dim = 2
+    radial = True
 
     def __init__(self, cp: CylindricalParams, mass: float):
         self.cp = cp

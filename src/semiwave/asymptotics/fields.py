@@ -24,7 +24,9 @@ phases once, and the derivative block only if a residual reads it.  The
 leading state is built in the array of its phase factor exp(i(S/hbar + S1))
 (`core._expi`) and its time derivative in that of its logarithmic
 derivative, with the operations and operand order of the plain formulas, so
-the values have the same bits.
+the values have the same bits.  Their array bodies take any sample points,
+so the public builders and a caller that samples a radial jet once per
+reflection class of the grid run the same code.
 """
 
 from __future__ import annotations
@@ -87,9 +89,15 @@ class WkbFields:
 
     Subclasses implement jet(xs, t).  Shipped families write every entry in
     closed form, and in particular never differentiate numerically in time.
+
+    `radial` is True when every value and time entry of the jet depends on
+    position only through x*x + y*y.  Such a jet may then be sampled once
+    per reflection class of a grid (`core._reflection_classes`), so a
+    subclass may set it only when that holds bit for bit.
     """
 
     dim: int = 1
+    radial: bool = False
 
     def jet(self, xs, t) -> FieldJet:
         raise NotImplementedError
@@ -154,9 +162,9 @@ def _envelope_argument(jet: FieldJet, hbar: float) -> np.ndarray:
     return theta
 
 
-def _carrier(jet: FieldJet, grid: Grid, hbar: float) -> np.ndarray:
-    """exp(i (S/hbar + S1)) over the grid, in one new complex array."""
-    return _expi(np.broadcast_to(jet.S / hbar + jet.S1, grid.shape))
+def _carrier(jet: FieldJet, shape, hbar: float) -> np.ndarray:
+    """exp(i (S/hbar + S1)) over the sample shape, in one new complex array."""
+    return _expi(np.broadcast_to(jet.S / hbar + jet.S1, shape))
 
 
 def _positive_slope(jet: FieldJet):
@@ -187,14 +195,51 @@ def envelope_rho(jet: FieldJet, params: PhysParams) -> np.ndarray:
     return np.multiply(amp, rho, out=rho)
 
 
+def _leading_values(jet: FieldJet, shape, params: PhysParams) -> np.ndarray:
+    """rho * exp(i (S/hbar + S1)) at the jet's sample points, built in the
+    array of its phase factor."""
+    rho = envelope_rho(jet, params)
+    psi = _carrier(jet, shape, params.hbar)
+    return np.multiply(rho, psi, out=psi)
+
+
+def _representation_values(jet: FieldJet, shape, params: PhysParams) -> np.ndarray:
+    """The rational form of `psi_via_representation` at the jet's sample
+    points."""
+    amp = envelope_amplitude(jet, params)
+    theta = _envelope_argument(jet, params.hbar)
+    safe = np.abs(theta) <= _THETA_GUARD
+    th = np.where(safe, theta, 0.0)
+    e = np.exp(-th)
+    rational = 2.0 * e / (1.0 + e * e)
+    env = np.where(safe, rational, _sech(theta))
+    psi = _carrier(jet, shape, params.hbar)
+    return np.multiply(amp * env, psi, out=psi)
+
+
+def _time_derivative_values(jet: FieldJet, psi: np.ndarray,
+                            params: PhysParams) -> np.ndarray:
+    """d/dt of the leading state, given its values psi at the jet's sample
+    points, built in the array of its logarithmic derivative."""
+    g = np.asarray(jet.g, dtype=float)
+    adot_over_a = np.asarray(jet.g_t, dtype=float) / (2.0 * g)
+    theta_t = jet.sigma_t / params.hbar + jet.sigma1_t
+    phase_t = jet.S_t / params.hbar + jet.S1_t
+    real = _envelope_argument(jet, params.hbar)
+    np.tanh(real, out=real)
+    np.multiply(real, theta_t, out=real)
+    np.subtract(adot_over_a, real, out=real)
+    logderiv = np.add(real, 1j * phase_t)
+    return np.multiply(logderiv, psi, out=logderiv)
+
+
 def assemble_leading_term(
     jet: FieldJet, grid: Grid, t: float, params: PhysParams
 ) -> ComplexField:
     """Leading-order state rho * exp(i (S/hbar + S1)) on the grid the jet
     was sampled on, built in the array of its phase factor."""
-    rho = envelope_rho(jet, params)
-    psi = _carrier(jet, grid, params.hbar)
-    return ComplexField(grid, np.multiply(rho, psi, out=psi), time=t, hbar=params.hbar)
+    return ComplexField(grid, _leading_values(jet, grid.shape, params), time=t,
+                        hbar=params.hbar)
 
 
 def psi_via_representation(
@@ -206,15 +251,7 @@ def psi_via_representation(
     Where the envelope argument exceeds the exp range the equivalent sech
     form is substituted, so deep tails stay finite.
     """
-    amp = envelope_amplitude(jet, params)
-    theta = _envelope_argument(jet, params.hbar)
-    safe = np.abs(theta) <= _THETA_GUARD
-    th = np.where(safe, theta, 0.0)
-    e = np.exp(-th)
-    rational = 2.0 * e / (1.0 + e * e)
-    env = np.where(safe, rational, _sech(theta))
-    psi = _carrier(jet, grid, params.hbar)
-    return ComplexField(grid, np.multiply(amp * env, psi, out=psi), time=t,
+    return ComplexField(grid, _representation_values(jet, grid.shape, params), time=t,
                         hbar=params.hbar)
 
 
@@ -228,16 +265,7 @@ def leading_term_time_derivative(
     a_t/a = (d/dt (grad sigma)^2) / (2 (grad sigma)^2).  The result is
     built in the array of the logarithmic derivative.
     """
-    g = np.asarray(jet.g, dtype=float)
-    adot_over_a = np.asarray(jet.g_t, dtype=float) / (2.0 * g)
-    theta_t = jet.sigma_t / params.hbar + jet.sigma1_t
-    phase_t = jet.S_t / params.hbar + jet.S1_t
-    real = _envelope_argument(jet, params.hbar)
-    np.tanh(real, out=real)
-    np.multiply(real, theta_t, out=real)
-    np.subtract(adot_over_a, real, out=real)
-    logderiv = np.add(real, 1j * phase_t)
-    return psi.with_values(np.multiply(logderiv, psi.values, out=logderiv))
+    return psi.with_values(_time_derivative_values(jet, psi.values, params))
 
 
 def exponential_inner_field(

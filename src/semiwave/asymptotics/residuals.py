@@ -35,8 +35,14 @@ def hj_residual(jet: FieldJet, grid: Grid, t: float, pot: PotentialSpec,
     not a squared modulus; its imaginary part couples the two real phases.
     """
     V, A = eval_potential(pot, grid, t)
+    return _eikonal(jet, V, A, params)
+
+
+def _eikonal(jet: FieldJet, V, A, params: PhysParams) -> np.ndarray:
+    """The eikonal residual of `hj_residual` from V and A sampled at the
+    jet's points."""
     dS, dsig = jet.dS, jet.dsigma
-    kin = sum((dS[j] + 1j * dsig[j] - A[j]) ** 2 for j in range(grid.dim))
+    kin = sum((dS[j] + 1j * dsig[j] - A[j]) ** 2 for j in range(len(A)))
     return (jet.S_t + 1j * jet.sigma_t) + V + kin / (2.0 * params.mass)
 
 
