@@ -19,7 +19,6 @@ from semiwave.asymptotics import (
     SolitonParams,
     WkbFields,
     assemble_leading_term,
-    corrected_leading_term,
     corrected_term_with_dt,
     cylindrical_fields,
     cylindrical_special,
@@ -90,7 +89,6 @@ __all__ = [
     "centered_moment",
     "compute_moment_record",
     "concentration_scaling",
-    "corrected_leading_term",
     "corrected_term_with_dt",
     "cylindrical_fields",
     "cylindrical_special",

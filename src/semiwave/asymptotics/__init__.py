@@ -32,7 +32,6 @@ from semiwave.asymptotics.residuals import (
 )
 from semiwave.asymptotics.corrections import (
     CorrectionParams,
-    corrected_leading_term,
     corrected_term_with_dt,
     first_correction_uv,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "SolitonParams",
     "WkbFields",
     "assemble_leading_term",
-    "corrected_leading_term",
     "corrected_term_with_dt",
     "cylindrical_fields",
     "cylindrical_special",

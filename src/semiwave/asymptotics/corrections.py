@@ -13,6 +13,11 @@ analytically leaves bounded hyperbolic shape factors
 with eps the sign of sigma, so the tails cause no overflow where the sign
 of theta agrees with eps (everywhere outside an O(hbar) neighbourhood of
 the sigma = 0 surface).
+
+The corrected pair is built on the caller's jet and the leading pair the
+caller assembled from it, so a sweep over hbar at one (family, grid, t)
+samples the phases there once; the corrected builder itself samples them
+only at t +- h, for the explicit time dependence of the coefficients.
 """
 
 from __future__ import annotations
@@ -27,9 +32,7 @@ from semiwave.asymptotics.fields import (
     FieldJet,
     WkbFields,
     _positive_slope,
-    assemble_leading_term,
     envelope_rho,
-    leading_term_time_derivative,
 )
 
 _RHO_FLOOR = 1e-300
@@ -127,31 +130,23 @@ def first_correction_uv(jet: FieldJet, cp: CorrectionParams, grid: Grid,
     return _zero_where(tiny, u, v)
 
 
-def corrected_leading_term(jet: FieldJet, cp: CorrectionParams, grid: Grid,
-                           t: float, pot: PotentialSpec,
-                           params: PhysParams) -> ComplexField:
-    """Psi = Psi0 (1 + hbar (u + i v))."""
-    base = assemble_leading_term(jet, grid, t, params)
-    u, v = first_correction_uv(jet, cp, grid, t, pot, params)
-    return base.with_values(base.values * (1.0 + params.hbar * (u + 1j * v)))
-
-
-def corrected_term_with_dt(w: WkbFields, cp: CorrectionParams, grid: Grid,
-                           t: float, pot: PotentialSpec,
+def corrected_term_with_dt(w: WkbFields, jet: FieldJet, psi: ComplexField,
+                           dpsi: ComplexField, cp: CorrectionParams,
+                           pot: PotentialSpec,
                            params: PhysParams) -> tuple[ComplexField, ComplexField]:
-    """Corrected field together with its analytic-in-theta time derivative.
+    """Corrected field together with its analytic-in-theta time derivative,
+    built on the caller's jet of w and the leading pair (psi, dpsi) the
+    caller assembled from it; the grid and time are psi's.
 
     d/dt (u + i v) splits into the chain-rule part through theta, whose
     theta-derivatives are available in closed form, and the explicit time
     dependence of the coefficient fields, taken by central differences in t
-    of the coefficients of the fields' jets (exactly zero for the shipped
-    stationary families).
+    of the coefficients of w's jets at t +- h (exactly zero for the shipped
+    stationary families).  Those two jets are the only ones built here.
     """
+    grid, t = psi.grid, psi.time
     xs = grid.mesh()
     hbar = params.hbar
-    jet = w.jet(xs, t)
-    base = assemble_leading_term(jet, grid, t, params)
-    dbase = leading_term_time_derivative(jet, base, params)
     u, v, tanh, shapes, (P, Q, R, W), tiny = _correction(jet, cp, xs, t, pot, params)
     u_shape, v_shape, du_shape, dv_shape = shapes
 
@@ -167,7 +162,6 @@ def corrected_term_with_dt(w: WkbFields, cp: CorrectionParams, grid: Grid,
     u, v, du, dv = _zero_where(tiny, u, v, du, dv)
 
     corr = 1.0 + hbar * (u + 1j * v)
-    psi = base.with_values(base.values * corr)
-    dpsi = base.with_values(dbase.values * corr
-                            + base.values * hbar * (du + 1j * dv))
-    return psi, dpsi
+    return (psi.with_values(psi.values * corr),
+            psi.with_values(dpsi.values * corr
+                            + psi.values * hbar * (du + 1j * dv)))

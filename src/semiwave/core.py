@@ -423,43 +423,6 @@ class ExpressionScalar(ScalarPotential):
         return super().gradient(xs, t)
 
 
-@dataclass
-class TabulatedScalar(ScalarPotential):
-    """V sampled on the run grid at a list of times; linear interpolation
-    in t, errors outside the tabulated range.  No gradients: use one of
-    the closed-form specs when derivatives are required."""
-
-    times: np.ndarray
-    samples: np.ndarray  # shape (nt, *grid.shape)
-    grid: Grid | None = None
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.times.ndim != 1 or len(self.times) != self.samples.shape[0]:
-            raise ValueError("tabulated potential needs one sample block per time")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("tabulated times must be strictly increasing")
-
-    def value(self, xs, t):
-        ts = self.times
-        if t < ts[0] - TIME_ATOL or t > ts[-1] + TIME_ATOL:
-            raise ValueError(
-                f"time {t} outside tabulated range [{ts[0]}, {ts[-1]}]"
-            )
-        t = min(max(t, ts[0]), ts[-1])
-        j = int(np.searchsorted(ts, t, side="right") - 1)
-        j = min(j, len(ts) - 2)
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1.0 - w) * self.samples[j] + w * self.samples[j + 1]
-
-    def gradient(self, xs, t):
-        raise ValueError(
-            "tabulated potentials carry no gradient; use a closed-form spec "
-            "for trajectory work"
-        )
-
-
 class VectorPotential:
     """Base vector potential A(x, t)."""
 

@@ -75,7 +75,10 @@ class ExperimentConfig:
         return cls.from_dict(yaml.safe_load(text))
 
     def apply_override(self, dotted: str) -> None:
-        """Apply one 'a.b.c=value' override; the value is parsed as YAML."""
+        """Apply one 'a.b.c=value' override; the value is parsed as YAML.
+
+        A one-key path replaces that whole block: the value must be a
+        mapping, and None stands for an empty block, as in from_dict."""
         if "=" not in dotted:
             raise ConfigError([f"{dotted}: override must look like path=value"])
         path, _, raw_val = dotted.partition("=")
@@ -88,6 +91,13 @@ class ExperimentConfig:
             return
         if keys[0] not in self.__dataclass_fields__ or keys[0] == "scenario":
             raise ConfigError([f"{keys[0]}: unknown top-level block"])
+        if len(keys) == 1:
+            if value is None:
+                value = {}
+            if not isinstance(value, dict):
+                raise ConfigError([f"{keys[0]}: must be a mapping"])
+            setattr(self, keys[0], value)
+            return
         node = getattr(self, keys[0])
         for k in keys[1:-1]:
             node = node.setdefault(k, {})

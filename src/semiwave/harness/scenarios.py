@@ -258,13 +258,17 @@ def run_residual_scaling(spec: ResidualScaling) -> ScenarioResult:
     t_eval = spec.family.eval_time
     cp = CorrectionParams(C1=spec.family.correction_c1)
 
+    # no jet entry depends on hbar: one jet serves the whole sweep, and its
+    # derivative block is evaluated once, on the first corrected pair
+    jet = w.jet(grid.mesh(), t_eval)
     lead, corr = [], []
     for hb in hbars:
         pp = base.with_hbar(hb)
-        psi, dpsi = _leading_pair(w, grid, t_eval, pp)
+        psi = assemble_leading_term(jet, grid, t_eval, pp)
+        dpsi = leading_term_time_derivative(jet, psi, pp)
         lead.append(relative_residual(
             apply_nlse_operator((psi, dpsi), pot, pp), psi))
-        cpsi, cdpsi = corrected_term_with_dt(w, cp, grid, t_eval, pot, pp)
+        cpsi, cdpsi = corrected_term_with_dt(w, jet, psi, dpsi, cp, pot, pp)
         corr.append(relative_residual(
             apply_nlse_operator((cpsi, cdpsi), pot, pp), cpsi))
 

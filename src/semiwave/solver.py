@@ -33,9 +33,8 @@ every pair split.  The norm sum(|psi|^2) dV is taken from the same
 it is not finite, the pending closing half step is checked again, so the
 abort names the step whose factor produced the fault.
 
-The residual evaluator applies the full operator to a sampled field with
-the time derivative supplied either analytically or as a three-snapshot
-central difference.  It serves as the independent check that asymptotic
+The residual evaluator applies the full operator to a sampled field and
+its time derivative.  It serves as the independent check that asymptotic
 constructions satisfy the equation to the advertised order.  For a
 spatially constant A (ZeroVector, UniformVector) the kinetic operator is
 diagonal in Fourier space, with symbol sum_j (hbar k_j - a_j)^2, and is
@@ -351,44 +350,13 @@ def _kinetic_apply(values: np.ndarray, grid: Grid, pot: PotentialSpec,
     return out
 
 
-def _resolve_series(psi_series) -> tuple[ComplexField, np.ndarray]:
-    """Accept (psi, dpsi_dt) or (previous, current, next) and return the
-    current field with its time-derivative samples."""
-    fields = tuple(psi_series)
-    if len(fields) == 2:
-        psi, dpsi = fields
-        if psi.grid != dpsi.grid:
-            raise ValueError("field and its time derivative live on different grids")
-        if abs(psi.time - dpsi.time) > TIME_ATOL * (1.0 + abs(psi.time)):
-            raise ValueError("field and its time derivative are taken at different times")
-        return psi, np.asarray(dpsi.values, dtype=np.complex128)
-    if len(fields) == 3:
-        prev, mid, nxt = fields
-        if not (prev.grid == mid.grid == nxt.grid):
-            raise ValueError("stencil fields live on different grids")
-        dt_lo = mid.time - prev.time
-        dt_hi = nxt.time - mid.time
-        if dt_lo <= 0 or dt_hi <= 0:
-            raise ValueError("stencil times must be strictly increasing")
-        if abs(dt_hi - dt_lo) > TIME_ATOL * (1.0 + abs(dt_lo)):
-            raise ValueError(
-                f"stencil times are not equally spaced: {dt_lo} vs {dt_hi}"
-            )
-        deriv = (nxt.values - prev.values) / (dt_lo + dt_hi)
-        return mid, deriv
-    raise ValueError(
-        "psi_series must be (field, time derivative) or three consecutive fields"
-    )
-
-
-def apply_nlse_operator(psi_series, pot: PotentialSpec, params: PhysParams) -> ComplexField:
+def apply_nlse_operator(pair, pot: PotentialSpec, params: PhysParams) -> ComplexField:
     """Residual of the full equation,
 
         -i hbar psi_t + (1/2m)(-i hbar grad - A)^2 psi + V psi - 2r|psi|^2 psi,
 
-    at the time of the supplied field.  psi_series is either the pair
-    (field, analytic time derivative) or three equally spaced snapshots
-    for a central difference.
+    at the time of the supplied field.  pair is (psi, dpsi): the field and
+    its time derivative, on the same grid at the same time.
 
     The terms are summed left to right into the kinetic term's array, with
     one complex and one real scratch array for the others, so the result
@@ -396,12 +364,16 @@ def apply_nlse_operator(psi_series, pot: PotentialSpec, params: PhysParams) -> C
     sampled and its term not added, which can only leave a -0.0 where the
     full sum has +0.0.
     """
-    psi, dpsi = _resolve_series(psi_series)
+    psi, dpsi = pair
+    if psi.grid != dpsi.grid:
+        raise ValueError("field and its time derivative live on different grids")
+    if abs(psi.time - dpsi.time) > TIME_ATOL * (1.0 + abs(psi.time)):
+        raise ValueError("field and its time derivative are taken at different times")
     grid, t = psi.grid, psi.time
     vals = psi.values
     res = _kinetic_apply(vals, grid, pot, t, params)
     res /= 2.0 * params.mass
-    term = np.multiply(-1j * params.hbar, dpsi)
+    term = np.multiply(-1j * params.hbar, dpsi.values)
     np.add(term, res, out=res)
     if not isinstance(pot.scalar, ZeroScalar):
         v = np.asarray(pot.scalar.value(grid.mesh(), t), dtype=float)

@@ -38,7 +38,6 @@ from semiwave.asymptotics import (
     SolitonParams,
     WkbFields,
     assemble_leading_term,
-    corrected_leading_term,
     corrected_term_with_dt,
     cylindrical_fields,
     envelope_rho,
@@ -128,8 +127,8 @@ def test_envelope_degenerate_and_defocusing_errors():
                              sigma=lambda xs, t: xs[0])
     defocusing = PhysParams(hbar=1.0, mass=1.0)
     for w, params, entry_points in (
-        (flat, HALF_FOCUSING, ("rho", "transport", "integral", "uv", "corrected")),
-        (good, defocusing, ("rho", "integral", "uv", "corrected")),
+        (flat, HALF_FOCUSING, ("rho", "transport", "integral", "uv")),
+        (good, defocusing, ("rho", "integral", "uv")),
     ):
         jet = w.jet(grid.mesh(), 0.0)
         calls = {
@@ -137,7 +136,6 @@ def test_envelope_degenerate_and_defocusing_errors():
             "transport": lambda: transport_residuals(jet, grid, 0.0, pot, params),
             "integral": lambda: first_integral_residual(jet, params),
             "uv": lambda: first_correction_uv(jet, cp, grid, 0.0, pot, params),
-            "corrected": lambda: corrected_term_with_dt(w, cp, grid, 0.0, pot, params),
         }
         for name in entry_points:
             with pytest.raises(ValueError):
@@ -392,8 +390,9 @@ def test_corrected_field_cancels_first_order_residual():
         pp = PhysParams(hbar=float(hb), mass=1.0, r=0.5)
         jet = w.jet(grid.mesh(), t)
         psi = assemble_leading_term(jet, grid, t, pp)
-        lead.append(rel_residual(psi, leading_term_time_derivative(jet, psi, pp), pp))
-        fld, dfld = corrected_term_with_dt(w, CorrectionParams(), grid, t, pot, pp)
+        dpsi = leading_term_time_derivative(jet, psi, pp)
+        lead.append(rel_residual(psi, dpsi, pp))
+        fld, dfld = corrected_term_with_dt(w, jet, psi, dpsi, CorrectionParams(), pot, pp)
         corr.append(rel_residual(fld, dfld, pp))
     slope_lead = np.polyfit(np.log(hbars), np.log(lead), 1)[0]
     slope_corr = np.polyfit(np.log(hbars), np.log(corr), 1)[0]
@@ -421,9 +420,15 @@ def test_corrected_time_derivative_consistency(family):
         pot = free_potential()
     cp = CorrectionParams(C1=0.3)
     t, step = 0.5, 1e-5
-    _, dfld = corrected_term_with_dt(w, cp, grid, t, pot, params)
-    plus, minus = (corrected_leading_term(w.jet(grid.mesh(), s), cp, grid, s, pot, params)
-                   for s in (t + step, t - step))
+
+    def corrected(s):
+        jet = w.jet(grid.mesh(), s)
+        psi = assemble_leading_term(jet, grid, s, params)
+        dpsi = leading_term_time_derivative(jet, psi, params)
+        return corrected_term_with_dt(w, jet, psi, dpsi, cp, pot, params)
+
+    _, dfld = corrected(t)
+    plus, minus = (corrected(s)[0] for s in (t + step, t - step))
     fd = (plus.values - minus.values) / (2.0 * step)
     scale = max_abs(fd)
     assert max_abs(dfld.values - fd) < 1e-5 * scale

@@ -26,7 +26,6 @@ from semiwave.core import (
     PhysParams,
     PotentialSpec,
     SeparatedScalar,
-    TabulatedScalar,
     UniformVector,
     ZeroScalar,
     ZeroVector,
@@ -323,19 +322,6 @@ def test_eval_potential_shapes_and_uniform_vector():
     assert np.allclose(V, 0.5 * 4.0 * (x - 1.0) ** 2)
 
 
-def test_tabulated_potential_interpolation_and_range():
-    g = make_uniform_grid(1, -1.0, 1.0, 16)
-    times = np.array([0.0, 1.0])
-    samples = np.stack([np.zeros(16), np.ones(16)])
-    pot = TabulatedScalar(times=times, samples=samples)
-    mid = pot.value(g.mesh(), 0.25)
-    assert np.allclose(mid, 0.25)
-    with pytest.raises(ValueError, match="range"):
-        pot.value(g.mesh(), 2.0)
-    with pytest.raises(ValueError, match="gradient"):
-        pot.gradient(g.mesh(), 0.5)
-
-
 def test_zero_specs():
     g = make_uniform_grid(1, -1.0, 1.0, 16)
     V, A = eval_potential(PotentialSpec(ZeroScalar(), ZeroVector()), g, 0.0)
@@ -346,10 +332,8 @@ def test_zero_specs():
 def test_static_flag_of_scalar_potentials():
     """Only forms whose value cannot depend on t report static; the
     propagator samples those once per run."""
-    g = make_uniform_grid(1, -1.0, 1.0, 16)
     assert ZeroScalar().static
     assert HarmonicScalar(omega=(1.0,), center=(0.0,)).static
     assert SeparatedScalar(v1=lambda x: x ** 2).static
     assert not SeparatedScalar(v0=lambda t: t, v1=lambda x: x ** 2).static
     assert not ExpressionScalar(fn=lambda xs, t: xs[0] ** 2).static
-    assert not TabulatedScalar(times=[0.0, 1.0], samples=np.zeros((2, 16)), grid=g).static

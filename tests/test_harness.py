@@ -162,6 +162,21 @@ def test_override_values_are_yaml_parsed():
         cfg.apply_override("solver.dt")
 
 
+def test_override_replaces_a_whole_block():
+    """A one-key path replaces that block: a mapping replaces it, an empty
+    value (None) leaves an empty block as from_dict does, and anything else
+    is refused by the block's name."""
+    cfg = ExperimentConfig.from_file(default_config_path("cylindrical-check"))
+    cfg.apply_override("grid={half_width: 2.0, n: 64}")
+    assert cfg.grid == {"half_width": 2.0, "n": 64}
+    cfg.apply_override("output=")
+    assert cfg.output == {}
+    validate_config(cfg)
+    with pytest.raises(ConfigError, match=r"^output: must be a mapping$"):
+        cfg.apply_override("output=3")
+    assert cfg.output == {}
+
+
 # Each row is a key the scenario cannot use: missing, mistyped, misspelled,
 # outside the range the scenario needs, or in a block it does not read.
 # Parsing refuses it by dotted path before any work starts.
@@ -294,11 +309,15 @@ def test_registry_matches_scenario_names():
     ("cylindrical-check", ["CylindricalFields"] * 3),
     ("identity-suite", ["SolitonFields", "Class1Fields", "Class2Fields",
                         "CylindricalFields"]),
+    ("residual-scaling", ["Class1Fields"] * 9),
 ])
 def test_one_jet_per_family_grid_and_time(scenario, jets, monkeypatch):
     """The state, its time derivative and every residual at one (family,
     grid, t) are read off one jet: cylindrical-check evaluates one per
-    hbar of its sweep, identity-suite one per family."""
+    hbar of its sweep, identity-suite one per family.  residual-scaling
+    evaluates 9 for its 4 hbar values: one at t_eval, shared by every
+    hbar since no jet entry depends on it, plus two per hbar at t_eval +- h
+    for the t-difference of the correction's coefficients."""
     built = []
 
     def counting(jet):

@@ -13,6 +13,8 @@ Oracle values used here:
     and for a uniform A
   * exact symmetries of a run with V = 0 and a uniform A(t): translation
     by whole cells and a global phase factor commute with it
+  * time reversal of a run with a static V and A = 0: conjugating, running
+    again for the same time and conjugating back returns psi0
 """
 
 import numpy as np
@@ -388,16 +390,6 @@ def test_exact_soliton_residual_analytic_dt():
     assert relative_residual(res, psi) < 1e-8
 
 
-def test_exact_soliton_residual_stencil():
-    grid = make_uniform_grid(1, -24.0, 24.0, 1024)
-    params = PhysParams(hbar=1.0, mass=1.0, r=0.5)
-    sp = SolitonParams(xi=0.25, eta=0.5)
-    dt = 1e-4
-    fields = tuple(one_soliton(sp, grid, 0.3 + s * dt, params) for s in (-1, 0, 1))
-    res = apply_nlse_operator(fields, free_potential(), params)
-    assert relative_residual(res, fields[1]) < 1e-8
-
-
 @pytest.mark.parametrize("dim, a", [(1, None), (2, (0.3, -0.7))],
                          ids=["1d-free", "2d-uniform-A"])
 def test_plane_wave_wrong_dispersion_residual(dim, a):
@@ -477,21 +469,19 @@ def test_uniform_a_paths_agree():
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-13
 
 
-def test_stencil_validation_errors():
+def test_residual_pair_validation_errors():
+    """The field and its time derivative must sit on one grid at one time."""
     grid = make_uniform_grid(1, -10.0, 10.0, 64)
     other = make_uniform_grid(1, -10.0, 10.0, 128)
     params = PhysParams(hbar=1.0, mass=1.0, r=0.5)
-    sp = SolitonParams(xi=0.0, eta=0.5)
-    f0 = one_soliton(sp, grid, 0.0, params)
-    f1 = one_soliton(sp, grid, 1e-3, params)
-    f2 = one_soliton(sp, grid, 3e-3, params)
-    g1 = one_soliton(sp, other, 1e-3, params)
-    with pytest.raises(ValueError, match="equally spaced"):
-        apply_nlse_operator((f0, f1, f2), free_potential(), params)
+    psi, dpsi = soliton_pair(grid, 0.0, params)
+    _, elsewhere = soliton_pair(other, 0.0, params)
+    _, later = soliton_pair(grid, 1e-3, params)
+    apply_nlse_operator((psi, dpsi), free_potential(), params)
     with pytest.raises(ValueError, match="different grids"):
-        apply_nlse_operator((f0, g1, f2), free_potential(), params)
-    with pytest.raises(ValueError, match="psi_series"):
-        apply_nlse_operator((f0,), free_potential(), params)
+        apply_nlse_operator((psi, elsewhere), free_potential(), params)
+    with pytest.raises(ValueError, match="different times"):
+        apply_nlse_operator((psi, later), free_potential(), params)
 
 
 def test_residual_with_spatially_varying_vector_potential():
@@ -614,3 +604,27 @@ def test_global_phase_passes_through_a_run(dim, packet, phase, r, a0, a1):
     # measured at most 1.4e-15 relative to max |psi| over 120 random draws
     # per dimension; the bound is 14x that
     assert np.max(np.abs(rotated - ref)) < 2e-14 * np.max(np.abs(ref))
+
+
+@_RUNS
+@given(packet=_PACKET, r=st.floats(0.0, 1.0), n=st.sampled_from([128, 256, 512]),
+       steps=st.integers(50, 500))
+def test_conjugated_run_returns_to_the_initial_state(packet, r, n, steps):
+    """With a static V and A = 0 the run is reversible: the conjugate of
+    the final state, run again for the same time and conjugated, is psi0
+    up to rounding, because the conjugation turns each symmetric Strang
+    step into its inverse."""
+    grid = make_uniform_grid(1, -10.0, 10.0, n)
+    params = PhysParams(hbar=0.5, mass=1.0, r=r)
+    pot = PotentialSpec(scalar=HarmonicScalar(omega=(1.0,), center=(0.0,)))
+    config = SolverConfig(dt=1e-3, t_end=steps * 1e-3, snapshot_every=steps,
+                          params=params, pot=pot)
+    (c, p), x = packet, grid.axes()[0]
+    vals = np.exp(-(x - c) ** 2 + 1j * p * x / params.hbar)
+    final = evolve(ComplexField(grid, vals, hbar=params.hbar), config).final
+    back = evolve(ComplexField(grid, np.conj(final.values), hbar=params.hbar),
+                  config).final
+    err = np.max(np.abs(np.conj(back.values) - vals)) / np.max(np.abs(vals))
+    # measured at most 2.0e-13 over 450 random draws of these ranges and 24
+    # runs at the extremes of n, r and steps; the bound is 10x that
+    assert err < 2e-12
