@@ -121,16 +121,20 @@ def make_axis_offset_grid(dim: int, half_width: float, n) -> Grid:
 
 
 def _reflection_classes(grid: Grid):
-    """Representatives of the grid's reflection classes and the expansion
-    back to the grid, or None where the symmetry is not exact.
+    """Representatives of the grid's reflection classes, the gather onto
+    the positive quadrant and the expansion back to the grid, or None where
+    the symmetry is not exact.
 
     On a 2D grid whose two axes are identical and exact mirror images
     (x[n-1-i] == -x[i]), the reflections x -> -x, y -> -y and the swap
     x <-> y map the sample set onto itself, and x*x + y*y is bit-identical
-    on the up to eight points of one class.  Returns ((x, y), expand): the
-    coordinates of one point per class, (n/2)(n/2+1)/2 of them, all in the
-    positive quadrant with x <= y, and `expand(table, out)`, which lays
-    values given per representative out on the grid, in `out`."""
+    on the up to eight points of one class.  Returns ((x, y), gather,
+    expand): the coordinates of one point per class, (n/2)(n/2+1)/2 of
+    them, all in the positive quadrant with x <= y; `gather(table, out=None)`,
+    which lays values given per representative out on the positive
+    quadrant alone, an (n/2, n/2) array whose entry [i, j] belongs to grid
+    point (n/2 + i, n/2 + j); and `expand(table, out)`, which lays them out
+    on the whole grid, in `out`."""
     if grid.dim != 2:
         return None
     x, y = grid.axes()
@@ -142,15 +146,17 @@ def _reflection_classes(grid: Grid):
     quadrant = np.empty((h, h), dtype=np.int32)
     quadrant[rows, cols] = quadrant[cols, rows] = np.arange(len(rows))
 
+    def gather(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.take(table, quadrant, out=out, mode="clip")
+
     def expand(table: np.ndarray, out: np.ndarray) -> np.ndarray:
-        q = out[h:, h:]
-        np.take(table, quadrant, out=q, mode="clip")
+        q = gather(table, out[h:, h:])
         out[:h, h:] = q[::-1]
         out[h:, :h] = q[:, ::-1]
         out[:h, :h] = q[::-1, ::-1]
         return out
 
-    return (x[h + rows], x[h + cols]), expand
+    return (x[h + rows], x[h + cols]), gather, expand
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from semiwave.harness import (
     validate_config,
 )
 from semiwave.core import _reflection_classes
-from semiwave.harness.scenarios import _leading_pair
+from semiwave.harness.scenarios import _leading_pair, _quadrant_residual
 
 def small_propagation_dict():
     return {
@@ -524,6 +524,26 @@ def test_cylindrical_residual_memory():
     finally:
         tracemalloc.stop()
     assert peak < 21 * 2 ** 20
+
+
+def test_quadrant_residual_memory():
+    """One hbar of cylindrical-check at 512^2 on the positive quadrant:
+    class tables, their gather onto the 256^2 quadrant, the cosine-pair
+    residual, its norms and the x <-> y asymmetry.  tracemalloc peak
+    measured 5.6 MiB against a 6.5 MiB bound, a margin of 15% (the
+    full-mesh path of test_cylindrical_residual_memory peaks at 18.5)."""
+    grid = make_axis_offset_grid(2, 8.0, 512)
+    params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
+    w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
+    classes = _reflection_classes(grid)
+    _quadrant_residual(w, grid, 0.3, params, classes)
+    tracemalloc.start()
+    try:
+        _quadrant_residual(w, grid, 0.3, params, classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * 2 ** 20
 
 
 def test_leading_pair_memory():

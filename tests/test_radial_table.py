@@ -6,6 +6,12 @@ onto each other, so a jet that depends on position through the radius
 alone may be sampled once per class and expanded.  These tests hold the
 table path to the full-mesh path bit for bit, and check that every other
 grid keeps the full-mesh path.
+
+Such a state is even in x and in y, so cylindrical-check evaluates its
+residual on the positive quadrant alone, with a cosine-transform pair for
+the kinetic term.  That residual is held to the full-mesh one within a
+bound set from measured values, and a uniform A or an inexact grid is
+checked to keep the full-mesh path bit for bit.
 """
 
 import random
@@ -13,11 +19,13 @@ import random
 import numpy as np
 import pytest
 
-from semiwave import PhysParams, free_potential, make_axis_offset_grid, make_uniform_grid
+from semiwave import PhysParams, apply_nlse_operator, fit_scaling, free_potential, \
+    make_axis_offset_grid, make_uniform_grid, relative_residual
 from semiwave.asymptotics import CylindricalParams, cylindrical_fields
 from semiwave.core import _reflection_classes
-from semiwave.harness import scenarios
-from semiwave.harness.scenarios import _leading_pair, _pointwise_maxima
+from semiwave.harness import ExperimentConfig, default_config_path, parse_config, \
+    run_scenario, scenarios
+from semiwave.harness.scenarios import _leading_pair, _pointwise_maxima, _quadrant_residual
 
 SHIPPED_RING = CylindricalParams(c1=1.0, b1=0.1, a2=0.2)
 
@@ -43,7 +51,7 @@ def test_expansion_matches_the_mesh():
     """The expansion of x*x + y*y sampled on the representatives is the
     squared radius of the full mesh, bit for bit."""
     grid = make_axis_offset_grid(2, 1.5, 64)
-    (x, y), expand = _reflection_classes(grid)
+    (x, y), _, expand = _reflection_classes(grid)
     X, Y = grid.mesh()
     out = np.empty(grid.shape)
     assert expand(x * x + y * y, out) is out
@@ -88,3 +96,97 @@ def test_axis_sample_still_raises():
     w = cylindrical_fields(SHIPPED_RING, params)
     with pytest.raises(ValueError, match="symmetry axis"):
         _leading_pair(w, grid, 0.0, params, _reflection_classes(grid))
+
+
+# The quadrant residual agreed with the full-mesh one to at most 1.7e-15
+# relative over the shipped ring and 40 seeded rings, at 256^2 and 512^2,
+# t = 0 and 0.3 and the three shipped hbar; the bound leaves a margin of 5x
+QUADRANT_RTOL = 1e-14
+SHIPPED_HBARS = (0.2, 0.1, 0.05)
+
+
+def _seeded_ring(seed):
+    rng = random.Random(seed)
+    return CylindricalParams(c1=rng.uniform(0.9, 1.1), b1=rng.uniform(0.05, 0.15),
+                             a2=rng.uniform(0.1, 0.3))
+
+
+@pytest.mark.parametrize("ring", [SHIPPED_RING] + [_seeded_ring(s) for s in (1, 5, 28)])
+@pytest.mark.parametrize("n", [256, 512])
+def test_quadrant_residual_matches_full_mesh(ring, n):
+    """The residual from the positive quadrant against apply_nlse_operator
+    on the whole grid, at t = 0 and 0.3 and the three shipped hbar."""
+    grid = make_axis_offset_grid(2, 2.0, n)
+    classes = _reflection_classes(grid)
+    for t in (0.0, 0.3):
+        for hbar in SHIPPED_HBARS:
+            params = PhysParams(hbar=hbar, mass=1.0, r=0.5)
+            w = cylindrical_fields(ring, params)
+            psi, dpsi = _leading_pair(w, grid, t, params)
+            full = relative_residual(
+                apply_nlse_operator((psi, dpsi), free_potential(), params), psi)
+            quadrant, asymmetry = _quadrant_residual(w, grid, t, params, classes)
+            assert quadrant == pytest.approx(full, rel=QUADRANT_RTOL, abs=0.0)
+            assert asymmetry == 0.0
+
+
+def _cylindrical_config(*overrides):
+    cfg = ExperimentConfig.from_file(default_config_path("cylindrical-check"))
+    for override in overrides:
+        cfg.apply_override(override)
+    return cfg
+
+
+@pytest.mark.parametrize("overrides", [
+    [],
+    ["grid.n=512", "family.eval_time=0.3"],
+    ["grid.n=512", "family.cylindrical.c1=1.05", "family.cylindrical.b1=0.12"],
+])
+def test_cylindrical_rows_match_full_mesh(overrides, monkeypatch):
+    """Whole cylindrical-check rows on the quadrant path against the same
+    scenario with the reflection classes patched away, which evaluates
+    every hbar on the full mesh."""
+    quadrant = run_scenario(_cylindrical_config(*overrides))
+    monkeypatch.setattr(scenarios, "_reflection_classes", lambda grid: None)
+    full = run_scenario(_cylindrical_config(*overrides))
+    assert [(r.metric, r.passed) for r in quadrant.rows] == \
+        [(r.metric, r.passed) for r in full.rows]
+    assert all(r.passed for r in quadrant.rows)
+    for metric in ("residual_monotone", "radial_symmetry_max"):
+        assert quadrant.row(metric).value == full.row(metric).value
+    assert quadrant.row("residual_slope").value == pytest.approx(
+        full.row("residual_slope").value, rel=QUADRANT_RTOL, abs=0.0)
+    for q, f in zip(quadrant.plotdata["scaling"][1], full.plotdata["scaling"][1]):
+        assert q == pytest.approx(f, rel=QUADRANT_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("override", [
+    # (hbar k - a)^2 is not even in k, so the state's residual is not
+    "potential.vector={form: uniform, components: [0.3, -0.2]}",
+    # mirror axes only to rounding: no reflection classes
+    "grid.half_width=0.3",
+])
+def test_uneven_cases_keep_the_full_mesh(override, monkeypatch):
+    """A uniform A and an inexact grid take the full-mesh path: the rows
+    are bit for bit those of apply_nlse_operator on the whole grid."""
+    cfg = _cylindrical_config(override)
+    spec = parse_config(cfg)
+    grid, base = spec.grid.build(), spec.params.phys()
+    pot = spec.potential.build(base.mass)
+    hbars = spec.params.hbars
+    w = cylindrical_fields(spec.family.cylindrical, base)
+    residuals = []
+    for hbar in hbars:
+        params = base.with_hbar(hbar)
+        psi, dpsi = _leading_pair(w, grid, spec.family.eval_time, params)
+        residuals.append(relative_residual(apply_nlse_operator((psi, dpsi), pot, params),
+                                           psi))
+
+    def refuse(*args):
+        raise AssertionError("took the quadrant path")
+
+    monkeypatch.setattr(scenarios, "_quadrant_residual", refuse)
+    result = run_scenario(cfg)
+    assert [row[1] for row in result.plotdata["scaling"][1]] == residuals
+    assert result.row("residual_slope").value == fit_scaling(hbars, residuals).slope
+    assert all(r.passed for r in result.rows)
