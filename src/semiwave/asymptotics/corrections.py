@@ -1,8 +1,8 @@
 """First-order correction of the sech-envelope approximation.
 
 The corrected field is Psi = Psi0 (1 + hbar (u + i v)), where the real
-pair (u, v) is fixed by the phase fields up to one free scalar function C1
-(left as an input; the next order of the hierarchy would determine it).
+pair (u, v) is fixed by the phase fields up to one free scalar C1 (left as
+an input; the next order of the hierarchy would determine it).
 
 The published expressions carry a factor 1/rho.  Dividing it out
 analytically leaves bounded hyperbolic shape factors
@@ -23,7 +23,6 @@ only at t +- h, for the explicit time dependence of the coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,16 +40,11 @@ _EXP_CLIP = 700.0
 
 @dataclass
 class CorrectionParams:
-    """Free data of the first correction: the scalar C1, either a constant
-    or a field C1(xs, t).  The sign convention eps = sign(sigma) is fixed,
-    with eps = +1 on the measure-zero set sigma = 0."""
+    """Free data of the first correction: the constant C1.  The sign
+    convention eps = sign(sigma) is fixed, with eps = +1 on the measure-zero
+    set sigma = 0."""
 
-    C1: float | Callable = 0.0
-
-    def c1_values(self, xs, t):
-        if callable(self.C1):
-            return np.asarray(self.C1(xs, t), dtype=float)
-        return float(self.C1)
+    C1: float = 0.0
 
 
 def _epsilon(sigma: np.ndarray) -> np.ndarray:
@@ -87,7 +81,7 @@ def _coefficients(jet: FieldJet, cp: CorrectionParams, xs, t: float,
     dsig, dg = jet.dsigma, jet.dg
     flow = tuple(jet.dS[j] - A[j] for j in range(dim))
 
-    P = (2.0 * m / g) * cp.c1_values(xs, t)
+    P = (2.0 * m / g) * cp.C1
     Q = sum(dsig[j] * jet.dsigma1[j] for j in range(dim)) / g
     R = (jet.lap_sigma + sum(dsig[j] * dg[j] for j in range(dim)) / g) / (6.0 * g)
     dt_log_g = (jet.g_t + sum(flow[j] * dg[j] for j in range(dim)) / m) / g

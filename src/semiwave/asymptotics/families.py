@@ -3,11 +3,11 @@
 Four families ship with the package:
 
 * plane-phase soliton on the line (free motion, linear phases);
-* separated class 1, for potentials v0(t) + v1(x), with a time-independent
+* separated class 1, for potentials v1(x), with a time-independent
   envelope profile fixed by quadrature of the envelope slope;
-* separated class 2, same potential split, with a travelling envelope whose
-  slope solves an algebraic radical relation and whose corrections are
-  fixed by two linear quadratures;
+* separated class 2, for the same potentials, with a travelling envelope
+  whose slope solves an algebraic radical relation and whose corrections
+  are fixed by two linear quadratures;
 * a radially symmetric two-dimensional ring state.
 
 Each family is a WkbFields whose jet(xs, t) writes every entry in closed
@@ -17,6 +17,10 @@ in the jet's derivative block, a closure over those intermediates that runs
 only when a derivative is read: the ring state's block (unit radial vector,
 1/radius) is never evaluated when only the leading state and its time
 derivative are built.
+
+The paper's separated potentials add a term u(t) of time alone to v1(x).
+Such a term only multiplies psi by the global phase
+exp(-(i/hbar) int u dt), so the separated families take v1(x) alone.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy  # submodules load on first attribute access (tests/test_cold_start.py)
 
 from semiwave.core import (ComplexField, Grid, PhysParams, SeparatedScalar, _constant, _diff,
                            _expi)
@@ -159,26 +162,8 @@ class Class1Params:
     c2: float = 0.0
     c3: float = 0.0
     c4: float = 0.0
-    v0: Callable | None = None
     v1: Callable | None = None
     v1_prime: Callable | None = None
-
-
-class _TimeQuadrature:
-    """Antiderivative of a scalar function of time, from t = 0."""
-
-    def __init__(self, fn: Callable | None):
-        self.fn = fn
-        self._cache: dict[float, float] = {}
-
-    def __call__(self, t: float) -> float:
-        if self.fn is None:
-            return 0.0
-        key = float(t)
-        if key not in self._cache:
-            val, _ = scipy.integrate.quad(self.fn, 0.0, key, epsabs=1e-12, limit=200)
-            self._cache[key] = val
-        return self._cache[key]
 
 
 class Class1Fields(WkbFields):
@@ -192,7 +177,7 @@ class Class1Fields(WkbFields):
                  mass: float, sigma_zero: float | None = None):
         lo, hi = float(domain[0]), float(domain[1])
         self.p1 = p1
-        self._pot = SeparatedScalar(p1.v0, p1.v1, p1.v1_prime)
+        self._pot = SeparatedScalar(p1.v1, p1.v1_prime)
         self.mass = mass
         self.domain = (lo, hi)
         probe = np.linspace(lo, hi, 4097)
@@ -202,7 +187,6 @@ class Class1Fields(WkbFields):
         self._sigma = Antiderivative(self._sigma_x, lo, hi, base_point=sigma_zero)
         self._inv_int = Antiderivative(lambda x: 1.0 / self._sigma_x(x), lo, hi,
                                        base_point=sigma_zero)
-        self._v0int = _TimeQuadrature(p1.v0)
 
     # the envelope slope; its derivative in the jet is closed-form when
     # v1_prime is given
@@ -216,7 +200,6 @@ class Class1Fields(WkbFields):
         sigma1 = 1.5 * np.log(sx) + p1.c4
         if p1.c2 != 0.0:
             sigma1 = sigma1 + m * p1.c2 * self._inv_int(x)
-        v0 = p1.v0(t) if p1.v0 is not None else 0.0
 
         def derivatives():
             sxx = m * self._pot.gradient((x,), 0.0)[0] / sx
@@ -225,9 +208,9 @@ class Class1Fields(WkbFields):
                         lap_S=0.0, lap_sigma=sxx, dg=(2.0 * sx * sxx,))
 
         return FieldJet(
-            S=p1.c1 * t - self._v0int(t), sigma=self._sigma(x),
+            S=p1.c1 * t, sigma=self._sigma(x),
             S1=p1.c2 * t + p1.c3, sigma1=sigma1,
-            S_t=p1.c1 - v0, sigma_t=0.0, S1_t=p1.c2, sigma1_t=0.0,
+            S_t=p1.c1, sigma_t=0.0, S1_t=p1.c2, sigma1_t=0.0,
             g=sx**2, g_t=0.0, derivatives=derivatives)
 
 
@@ -264,7 +247,6 @@ class Class2Params:
     a2: float = 0.0
     a3: float = 0.0
     a4: float = 0.0
-    v0: Callable | None = None
     v1: Callable | None = None
     v1_prime: Callable | None = None
 
@@ -283,14 +265,13 @@ class Class2Fields(WkbFields):
     def __init__(self, p2: Class2Params, domain: tuple[float, float], mass: float):
         lo, hi = float(domain[0]), float(domain[1])
         self.p2 = p2
-        self._pot = SeparatedScalar(p2.v0, p2.v1, p2.v1_prime)
+        self._pot = SeparatedScalar(p2.v1, p2.v1_prime)
         self.mass = mass
         self.domain = (lo, hi)
         self._p = Antiderivative(self._p_x, lo, hi)
         self._inv_int = Antiderivative(lambda x: 1.0 / self._p_x(x), lo, hi)
         self._f = Antiderivative(lambda x: self._slopes(x)[2], lo, hi)
         self._g = Antiderivative(lambda x: self._slopes(x)[3], lo, hi)
-        self._v0int = _TimeQuadrature(p2.v0)
 
     def _p_x(self, x):
         w = _sample_v1(self.p2.v1, x) + self.p2.c3
@@ -312,7 +293,6 @@ class Class2Fields(WkbFields):
     def jet(self, xs, t) -> FieldJet:
         p2, m = self.p2, self.mass
         x = np.asarray(xs[0], dtype=float)
-        v0 = p2.v0(t) if p2.v0 is not None else 0.0
 
         def derivatives():
             px, pxx, fx, gx = self._slopes(x)
@@ -321,10 +301,10 @@ class Class2Fields(WkbFields):
                         dg=(-2.0 * (p2.c1 * m) ** 2 * pxx / px**3,))
 
         return FieldJet(
-            S=p2.c3 * t - self._v0int(t) + p2.c4 + self._p(x),
+            S=p2.c3 * t + p2.c4 + self._p(x),
             sigma=p2.c1 * (t - m * self._inv_int(x)) + p2.c2,
             S1=p2.a1 * t + p2.a3 + self._f(x), sigma1=p2.a2 * t + p2.a4 + self._g(x),
-            S_t=p2.c3 - v0, sigma_t=p2.c1, S1_t=p2.a1, sigma1_t=p2.a2,
+            S_t=p2.c3, sigma_t=p2.c1, S1_t=p2.a1, sigma1_t=p2.a2,
             g=(p2.c1 * m / self._p_x(x)) ** 2, g_t=0.0, derivatives=derivatives)
 
 

@@ -121,20 +121,17 @@ def make_axis_offset_grid(dim: int, half_width: float, n) -> Grid:
 
 
 def _reflection_classes(grid: Grid):
-    """Representatives of the grid's reflection classes, the gather onto
-    the positive quadrant and the expansion back to the grid, or None where
-    the symmetry is not exact.
+    """Representatives of the grid's reflection classes and the gather onto
+    the positive quadrant, or None where the symmetry is not exact.
 
     On a 2D grid whose two axes are identical and exact mirror images
     (x[n-1-i] == -x[i]), the reflections x -> -x, y -> -y and the swap
     x <-> y map the sample set onto itself, and x*x + y*y is bit-identical
-    on the up to eight points of one class.  Returns ((x, y), gather,
-    expand): the coordinates of one point per class, (n/2)(n/2+1)/2 of
-    them, all in the positive quadrant with x <= y; `gather(table, out=None)`,
-    which lays values given per representative out on the positive
-    quadrant alone, an (n/2, n/2) array whose entry [i, j] belongs to grid
-    point (n/2 + i, n/2 + j); and `expand(table, out)`, which lays them out
-    on the whole grid, in `out`."""
+    on the up to eight points of one class.  Returns ((x, y), gather): the
+    coordinates of one point per class, (n/2)(n/2+1)/2 of them, all in the
+    positive quadrant with x <= y; and `gather(table)`, which lays values
+    given per representative out on the positive quadrant, an (n/2, n/2)
+    array whose entry [i, j] belongs to grid point (n/2 + i, n/2 + j)."""
     if grid.dim != 2:
         return None
     x, y = grid.axes()
@@ -146,17 +143,10 @@ def _reflection_classes(grid: Grid):
     quadrant = np.empty((h, h), dtype=np.int32)
     quadrant[rows, cols] = quadrant[cols, rows] = np.arange(len(rows))
 
-    def gather(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.take(table, quadrant, out=out, mode="clip")
+    def gather(table: np.ndarray) -> np.ndarray:
+        return np.take(table, quadrant)
 
-    def expand(table: np.ndarray, out: np.ndarray) -> np.ndarray:
-        q = gather(table, out[h:, h:])
-        out[:h, h:] = q[::-1]
-        out[h:, :h] = q[:, ::-1]
-        out[:h, :h] = q[::-1, ::-1]
-        return out
-
-    return (x[h + rows], x[h + cols]), gather, expand
+    return (x[h + rows], x[h + cols]), gather
 
 
 @dataclass(frozen=True)
@@ -380,25 +370,20 @@ class HarmonicScalar(ScalarPotential):
 
 @dataclass
 class SeparatedScalar(ScalarPotential):
-    """V = v0(t) + v1(x) for one-dimensional separated families.
+    """V = v1(x) for one-dimensional separated families.
 
     v1_prime is optional; when absent the gradient falls back on central
     differences of v1.
     """
 
-    v0: Callable[[float], float] | None = None
+    static = True
+
     v1: Callable[[np.ndarray], np.ndarray] | None = None
     v1_prime: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def static(self) -> bool:
-        return self.v0 is None
 
     def value(self, xs, t):
         x = np.asarray(xs[0], dtype=float)
         out = _constant(x)
-        if self.v0 is not None:
-            out = out + float(self.v0(t))
         if self.v1 is not None:
             out = out + self.v1(x)
         return out

@@ -12,8 +12,8 @@ a pure phase, so each step preserves the norm to rounding.
 A run builds one propagator plan (_StrangPlan) per (grid, params, pot).
 It holds the mesh and a single cached kinetic factor, rebuilt only when
 the uniform A or the step length changes.  A scalar potential whose
-`static` property is true (ZeroScalar, HarmonicScalar, SeparatedScalar
-without v0) is sampled once per plan, and its term of the local phase
+`static` property is true (ZeroScalar, HarmonicScalar, SeparatedScalar)
+is sampled once per plan, and its term of the local phase
 is kept per total half-step length; when r is 0 as well the local factor
 itself is the same every step and is kept instead.  Any other V is
 sampled at the midpoint of each half step, twice per step.

@@ -146,7 +146,7 @@ def test_a6_pointwise_identity_suite():
         "A6", ok,
         f"assembly {rep.value:.2e} < 1e-12, reduction {red.value:.2e} < 1e-10, "
         f"first integral {fi.value:.2e} < 1e-10, eikonal {hj_s.value:.2e} < 1e-12 "
-        f"(closed form) and {hj_c.value:.2e} < 1e-8 (quadrature)",
+        f"(soliton) and {hj_c.value:.2e} < 1e-12 (class 1)",
     )
 
 

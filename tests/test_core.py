@@ -335,5 +335,4 @@ def test_static_flag_of_scalar_potentials():
     assert ZeroScalar().static
     assert HarmonicScalar(omega=(1.0,), center=(0.0,)).static
     assert SeparatedScalar(v1=lambda x: x ** 2).static
-    assert not SeparatedScalar(v0=lambda t: t, v1=lambda x: x ** 2).static
     assert not ExpressionScalar(fn=lambda xs, t: xs[0] ** 2).static

@@ -173,7 +173,7 @@ def test_class1_transport_with_linear_time_correction():
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = separated_class1(p1, (-4.0, 4.0), params)
     grid = make_uniform_grid(1, -4.0, 4.0, 1024)
-    pot = PotentialSpec(scalar=SeparatedScalar(v0=None, v1=lambda x: 0.1 * x * x))
+    pot = PotentialSpec(scalar=SeparatedScalar(v1=lambda x: 0.1 * x * x))
     eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.6), grid, 0.6, pot, params)
     assert np.max(np.abs(eq_a)) < 1e-10
     assert np.max(np.abs(eq_b)) < 1e-10
@@ -197,7 +197,7 @@ def test_class2_defining_radical_identity():
     """After construction, p'(x)^2 / m must reproduce the radical
     -(v1 + c3) + sqrt((v1 + c3)^2 + c1^2) pointwise."""
     v1 = lambda x: 0.1 * x * x
-    p2 = Class2Params(c1=0.8, c3=0.2, v0=None, v1=v1,
+    p2 = Class2Params(c1=0.8, c3=0.2, v1=v1,
                       v1_prime=lambda x: 0.2 * x)
     w = separated_class2(p2, (-4.0, 4.0), PhysParams(hbar=1.0, mass=1.0))
     x = np.linspace(-3.9, 3.9, 301)
@@ -232,11 +232,11 @@ def test_class2_transport_generic_potential():
 
     v1 = lambda x: 0.1 * x * x
     p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05, a4=0.3,
-                      v0=None, v1=v1, v1_prime=lambda x: 0.2 * x)
+                      v1=v1, v1_prime=lambda x: 0.2 * x)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = separated_class2(p2, (-4.0, 4.0), params)
     grid = make_uniform_grid(1, -4.0, 4.0, 2048)
-    pot = PotentialSpec(scalar=SeparatedScalar(v0=None, v1=v1))
+    pot = PotentialSpec(scalar=SeparatedScalar(v1=v1))
     eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.3), grid, 0.3, pot, params)
     assert np.max(np.abs(eq_a)) < 1e-8
     assert np.max(np.abs(eq_b)) < 1e-8

@@ -546,25 +546,6 @@ def test_quadrant_residual_memory():
     assert peak < 6.5 * 2 ** 20
 
 
-def test_leading_pair_memory():
-    """The ring's leading pair at 512^2 alone, with the jet sampled once per
-    reflection class and expanded into the two grid arrays: tracemalloc peak
-    measured 11.5 MiB against a 13 MiB bound, a margin of 13% (on the open
-    mesh, which every grid took before, it peaked at 18.1 MiB)."""
-    grid = make_axis_offset_grid(2, 8.0, 512)
-    params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
-    classes = _reflection_classes(grid)
-    _leading_pair(w, grid, 0.3, params, classes)
-    tracemalloc.start()
-    try:
-        _leading_pair(w, grid, 0.3, params, classes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 13 * 2 ** 20
-
-
 # ---------------------------------------------------------------------------
 # CLI
 

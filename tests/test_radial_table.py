@@ -3,9 +3,9 @@
 On an axis-offset grid whose axes are exact mirror images, x*x + y*y is
 bit-identical on the points that the reflections and the x <-> y swap map
 onto each other, so a jet that depends on position through the radius
-alone may be sampled once per class and expanded.  These tests hold the
-table path to the full-mesh path bit for bit, and check that every other
-grid keeps the full-mesh path.
+alone may be sampled once per class and gathered onto the positive
+quadrant.  These tests hold the class tables to the full-mesh path bit for
+bit, and check that every other grid keeps the full-mesh path.
 
 Such a state is even in x and in y, so cylindrical-check evaluates its
 residual on the positive quadrant alone, with a cosine-transform pair for
@@ -25,7 +25,8 @@ from semiwave.asymptotics import CylindricalParams, cylindrical_fields
 from semiwave.core import _reflection_classes
 from semiwave.harness import ExperimentConfig, default_config_path, parse_config, \
     run_scenario, scenarios
-from semiwave.harness.scenarios import _leading_pair, _pointwise_maxima, _quadrant_residual
+from semiwave.harness.scenarios import _class_tables, _leading_pair, _pointwise_maxima, \
+    _quadrant_residual
 
 SHIPPED_RING = CylindricalParams(c1=1.0, b1=0.1, a2=0.2)
 
@@ -33,29 +34,20 @@ SHIPPED_RING = CylindricalParams(c1=1.0, b1=0.1, a2=0.2)
 @pytest.mark.parametrize("n", [256, 512])
 @pytest.mark.parametrize("t", [0.0, 0.3])
 def test_leading_pair_table_is_bit_identical(n, t):
-    """cylindrical-check's grid and ring at two sizes and two times."""
+    """cylindrical-check's grid and ring at two sizes and two times: the
+    class tables gathered onto the positive quadrant are that quadrant of
+    the full-mesh leading pair."""
     grid = make_axis_offset_grid(2, 2.0, n)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = cylindrical_fields(SHIPPED_RING, params)
     classes = _reflection_classes(grid)
     assert classes is not None
-    assert len(classes[0][0]) == (n // 2) * (n // 2 + 1) // 2
+    xs, gather = classes
+    h = n // 2
+    assert len(xs[0]) == h * (h + 1) // 2
     full = _leading_pair(w, grid, t, params)
-    table = _leading_pair(w, grid, t, params, classes)
-    for a, b in zip(full, table):
-        assert a.values.tobytes() == b.values.tobytes()
-        assert (a.time, a.hbar, a.grid) == (b.time, b.hbar, b.grid)
-
-
-def test_expansion_matches_the_mesh():
-    """The expansion of x*x + y*y sampled on the representatives is the
-    squared radius of the full mesh, bit for bit."""
-    grid = make_axis_offset_grid(2, 1.5, 64)
-    (x, y), _, expand = _reflection_classes(grid)
-    X, Y = grid.mesh()
-    out = np.empty(grid.shape)
-    assert expand(x * x + y * y, out) is out
-    assert out.tobytes() == (X * X + Y * Y).tobytes()
+    for a, table in zip(full, _class_tables(w, t, params, xs)):
+        assert a.values[h:, h:].tobytes() == gather(table).tobytes()
 
 
 @pytest.mark.parametrize("seed", [3, 9, 17])
@@ -95,7 +87,7 @@ def test_axis_sample_still_raises():
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = cylindrical_fields(SHIPPED_RING, params)
     with pytest.raises(ValueError, match="symmetry axis"):
-        _leading_pair(w, grid, 0.0, params, _reflection_classes(grid))
+        _leading_pair(w, grid, 0.0, params)
 
 
 # The quadrant residual agreed with the full-mesh one to at most 1.7e-15
