@@ -62,7 +62,6 @@ from semiwave.solver import (
     apply_nlse_operator,
     evolve,
     relative_residual,
-    split_step,
 )
 
 __all__ = [
@@ -112,7 +111,6 @@ __all__ = [
     "separated_class1",
     "separated_class2",
     "soliton_correction_fields",
-    "split_step",
 ]
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ from semiwave.asymptotics.fields import (
     assemble_leading_term,
     envelope_amplitude,
     envelope_rho,
-    exponential_inner_field,
     leading_term_time_derivative,
     psi_via_representation,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "cylindrical_special",
     "envelope_amplitude",
     "envelope_rho",
-    "exponential_inner_field",
     "first_correction_uv",
     "first_integral_residual",
     "hj_residual",

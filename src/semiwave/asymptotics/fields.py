@@ -267,24 +267,3 @@ def leading_term_time_derivative(
     """
     return psi.with_values(_time_derivative_values(jet, psi.values, params))
 
-
-def exponential_inner_field(
-    jet: FieldJet, grid: Grid, t: float, params: PhysParams, with_dt: bool = False
-):
-    """The pure exponential Psi0 = exp{(i/hbar)[S + i sigma] + i(S1 + i sigma1)}
-    that generates the rational representation; optionally with its analytic
-    time derivative.  Used to probe the linear-equation property of the
-    construction."""
-    theta = _envelope_argument(jet, params.hbar)
-    ph = jet.S / params.hbar + jet.S1
-    if np.any(np.abs(theta) > 700.0):
-        raise ValueError("exponential representation overflows; evaluate on a "
-                         "smaller window or use the assembled state")
-    vals = np.exp(-theta + 1j * ph)
-    psi0 = ComplexField(grid, vals, time=t, hbar=params.hbar)
-    if not with_dt:
-        return psi0
-    theta_t = jet.sigma_t / params.hbar + jet.sigma1_t
-    phase_t = jet.S_t / params.hbar + jet.S1_t
-    dpsi = psi0.with_values((-theta_t + 1j * phase_t) * vals)
-    return psi0, dpsi

@@ -104,12 +104,6 @@ def _rhs(x: tuple[float, ...], p: tuple[float, ...], t: float, pot: PotentialSpe
     return tuple(uj / mass for uj in u), tuple(dp)
 
 
-def hamilton_rhs(point: PhasePoint, pot: PotentialSpec, mass: float):
-    """Right-hand side (dx/dt, dp/dt) of the characteristic system at a
-    phase point, as tuples; see `_rhs`."""
-    return _rhs(point.x, point.p, point.t, pot, mass)
-
-
 def _shift(x: tuple[float, ...], h: float, k: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(xi + h * ki for xi, ki in zip(x, k))
 

@@ -276,40 +276,21 @@ class Uniform:
 
 @_block
 class Potential:
-    """The scalar V and vector A of a scenario on a dim-dimensional grid."""
+    """The confining V and the vector A of ehrenfest's one-dimensional run."""
 
-    scalar: Zero | Harmonic | Quadratic = Zero()
+    scalar: Zero | Harmonic | Quadratic
     vector: Zero | Uniform = Zero()
-    dim: ClassVar[int] = 1
 
     def __post_init__(self):
-        _require(not isinstance(self.vector, Uniform)
-                 or len(self.vector.components) == self.dim,
-                 f"vector.components: needs {self.dim} value(s), one per grid axis")
-
-    def build(self, mass: float) -> PotentialSpec:
-        return PotentialSpec(scalar=self.scalar.scalar(mass), vector=self.vector.vector())
-
-
-@_block
-class Potential2d(Potential):
-    dim = 2
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(isinstance(self.scalar, Zero),
-                 "scalar: the harmonic and quadratic forms depend on x alone; "
-                 "a 2D grid takes only the zero form")
-
-
-@_block
-class Confining(Potential):
-    def __post_init__(self):
-        super().__post_init__()
         v = self.scalar
         _require(isinstance(v, Harmonic) or isinstance(v, Quadratic) and v.coefficient > 0,
                  "scalar: ehrenfest needs a confining potential (harmonic, or "
                  "quadratic with coefficient > 0)")
+        _require(not isinstance(self.vector, Uniform) or len(self.vector.components) == 1,
+                 "vector.components: needs 1 value, one per grid axis")
+
+    def build(self, mass: float) -> PotentialSpec:
+        return PotentialSpec(scalar=self.scalar.scalar(mass), vector=self.vector.vector())
 
 
 @_block
@@ -480,7 +461,6 @@ class SolitonPropagation(_Scenario):
     params: Params
     family: SolitonFamily
     solver: Solver
-    potential: Potential = Potential()
     convergence: Convergence = Convergence()
 
 
@@ -493,7 +473,7 @@ class Ehrenfest(_Scenario):
     params: EhrenfestParams
     family: SolitonFamily
     solver: Solver
-    potential: Confining
+    potential: Potential
 
 
 @_block
@@ -533,7 +513,6 @@ class CylindricalCheck(_Scenario):
     grid: Grid2d
     params: SweepParams
     family: CylindricalFamily
-    potential: Potential2d = Potential2d()
 
 
 # the one list of scenarios: name -> schema of its configuration

@@ -9,7 +9,7 @@ through emit, identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..core import ComplexField, ZeroScalar, ZeroVector, _reflection_classes, \
 from ..moments import concentration_scaling, fit_scaling, mass_within_radius, \
     mean_momentum, mean_position, centered_moment
 from ..solver import SolverConfig, _quadrant_relative_residual, apply_nlse_operator, \
-    evolve, relative_residual, split_step
+    evolve, relative_residual
 from .config import (
     SCHEMAS,
     Concentration,
@@ -141,7 +141,7 @@ def run_soliton_propagation(spec: SolitonPropagation) -> ScenarioResult:
     scen = spec.scenario
     params = spec.params.phys()
     grid = spec.grid.build()
-    pot = spec.potential.build(params.mass)
+    pot = free_potential()
     sp = spec.family.soliton
     config = spec.solver.config(params, pot)
 
@@ -164,7 +164,7 @@ def run_soliton_propagation(spec: SolitonPropagation) -> ScenarioResult:
     result.rows.append(_below(scen, "propagation", "peak_velocity_error",
                               abs(velocity - target), 1e-3))
 
-    stepped = split_step(psi0, config.dt, config)
+    stepped = evolve(psi0, replace(config, t_end=psi0.time + config.dt)).final
     drift = abs(norm_squared(stepped) - norm_squared(psi0)) / norm_squared(psi0)
     result.rows.append(_below(scen, "propagation", "step_norm_drift", drift, 1e-12))
 
@@ -446,7 +446,7 @@ def run_identity_suite(spec: IdentitySuite) -> ScenarioResult:
 
 
 def _quadrant_residual(w, grid, t, params, classes) -> tuple[float, float]:
-    """The relative residual of a radial family's leading pair under a
+    """The relative residual of a radial family's leading pair under the
     free potential, and the largest |psi| asymmetry under x <-> y, from the
     positive quadrant alone: the class tables are gathered there and not
     mirrored to the grid."""
@@ -459,22 +459,22 @@ def _quadrant_residual(w, grid, t, params, classes) -> tuple[float, float]:
 
 def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     """Residual decay of the radial special solution across the sweep and
-    exact reflection symmetry of its modulus on the offset grid.
+    exact reflection symmetry of its modulus on the offset grid.  The ring
+    solves the free equation.
 
-    On a grid with exact mirror axes under a free potential the state is
-    even in x and in y, so the residual is evaluated on the positive
-    quadrant alone, its kinetic term through a cosine-transform pair.  A
-    uniform A makes (hbar k - a)^2 uneven, and an inexact or rectangular
-    grid has no classes; both keep the full mesh."""
+    On a grid with exact mirror axes the state is even in x and in y, so
+    the residual is evaluated on the positive quadrant alone, its kinetic
+    term through a cosine-transform pair.  A grid whose axes are mirror
+    images only to rounding has no classes and keeps the full mesh."""
     scen = spec.scenario
     grid = spec.grid.build()
     hbars = spec.params.hbars
     base = spec.params.phys()
     cpar = spec.family.cylindrical
     t_eval = spec.family.eval_time
-    pot = spec.potential.build(base.mass)
+    pot = free_potential()
     w = cylindrical_fields(cpar, base)
-    classes = _reflection_classes(grid) if w.radial and _is_free(pot) else None
+    classes = _reflection_classes(grid)
 
     def residual_and_asymmetry(hb):
         # the fields of one hbar are dropped on return, before the next

@@ -27,11 +27,10 @@ of step n+1 are applied as one multiply with phase
 
 where t_n is the start and h_n the length of step n.  The pair is split
 again after every snapshot step and on the last step, so every recorded
-state is an exact Strang state; split_step is the same plan run with
-every pair split.  The norm sum(|psi|^2) dV is taken from the same
-|psi|^2 after each kinetic step and doubles as the finiteness probe: when
-it is not finite, the pending closing half step is checked again, so the
-abort names the step whose factor produced the fault.
+state is an exact Strang state.  The norm sum(|psi|^2) dV is taken from
+the same |psi|^2 after each kinetic step and doubles as the finiteness
+probe: when it is not finite, the pending closing half step is checked
+again, so the abort names the step whose factor produced the fault.
 
 The residual evaluator applies the full operator to a sampled field and
 its time derivative.  It serves as the independent check that asymptotic
@@ -45,13 +44,16 @@ _spectral_multiply.  The other three terms are summed into the kinetic
 term's array in the order of the written equation, so the residual holds
 no full-size temporary per term; a ZeroScalar V is not sampled.
 
-When A and V are zero and the field is even in x and in y on a square
-mirror grid (a radial state on `core._reflection_classes`' grids, as in
-cylindrical-check), the residual is evaluated on the (n/2)^2 positive
-quadrant alone: _spectral_multiply's cosine pair, a type-II DCT pair of
-size n/2 per axis, applies the kinetic operator there, the other terms are
-summed as above, and the relative residual is the ratio of the quadrant's
-sums.  Any other A or V, or any other grid, keeps the full mesh.
+For a field even in x and in y on a square mirror grid under the free
+equation (cylindrical-check's ring on `core._reflection_classes`' grids),
+the residual is evaluated on the (n/2)^2 positive quadrant alone:
+_spectral_multiply's cosine pair, a type-II DCT pair of size n/2 per axis,
+applies the kinetic operator there, the other terms are summed as above,
+and the relative residual is the ratio of the quadrant's sums.  Any other
+grid keeps the full mesh.
+
+Propagation accepts only a spatially constant A (ZeroVector,
+UniformVector); the plan refuses any other when it is built.
 """
 
 from __future__ import annotations
@@ -124,33 +126,15 @@ class EvolutionRecord:
         return self.snapshots[-1]
 
 
-def _uniform_components(pot: PotentialSpec, xs: tuple[np.ndarray, ...],
+def _uniform_components(vec: ZeroVector | UniformVector, dim: int,
                         t: float) -> tuple[float, ...]:
-    """Spatially constant vector-potential components at time t.
-
-    Anything that varies across the mesh xs is rejected: the kinetic factor
-    diagonalises in Fourier space only for uniform A.
-    """
-    vec = pot.vector
+    """Components at time t of a spatially constant A on a dim-axis grid."""
     if isinstance(vec, ZeroVector):
-        return (0.0,) * len(xs)
-    if isinstance(vec, UniformVector):
-        comps = vec.components(t)
-        if len(comps) != len(xs):
-            raise ValueError("vector potential dimension mismatch")
-        return comps
-    sampled = vec.value(xs, t)
-    out = []
-    for comp in sampled:
-        arr = np.asarray(comp, dtype=float)
-        lo, hi = float(np.min(arr)), float(np.max(arr))
-        if hi - lo > 1e-12 * (1.0 + max(abs(lo), abs(hi))):
-            raise ValueError(
-                "propagation supports only spatially uniform vector "
-                "potentials; supply A as a function of time alone"
-            )
-        out.append(0.5 * (lo + hi))
-    return tuple(out)
+        return (0.0,) * dim
+    comps = vec.components(t)
+    if len(comps) != dim:
+        raise ValueError("vector potential dimension mismatch")
+    return comps
 
 
 def _density(vals: np.ndarray) -> np.ndarray:
@@ -192,6 +176,12 @@ class _StrangPlan:
     """
 
     def __init__(self, grid: Grid, params: PhysParams, pot: PotentialSpec, t0: float):
+        # the kinetic factor diagonalises in Fourier space only for uniform A
+        if not isinstance(pot.vector, _SpatiallyConstant):
+            raise ValueError(
+                "propagation supports only spatially uniform vector "
+                "potentials; supply A as a function of time alone"
+            )
         self.params = params
         self.pot = pot
         self.xs = grid.mesh()
@@ -232,7 +222,7 @@ class _StrangPlan:
 
     def kinetic(self, vals: np.ndarray, t: float, h: float) -> np.ndarray:
         """Full kinetic step of length h, A sampled at t."""
-        a = _uniform_components(self.pot, self.xs, t)
+        a = _uniform_components(self.pot.vector, len(self.hk), t)
         if (a, h) != self._kin_key:
             scale = h / (2.0 * self.params.mass * self.params.hbar)
             factor = 1.0
@@ -293,22 +283,6 @@ def _schedule(t0: float, t_end: float, dt: float) -> list[tuple[float, float]]:
     return steps
 
 
-def split_step(psi: ComplexField, dt: float, config: SolverConfig,
-               t: float | None = None) -> ComplexField:
-    """One Strang step from t to t + dt: the propagator plan run for a
-    single step, so both half steps are applied separately.
-
-    The local factor is applied for dt/2 with V sampled at the midpoint of
-    each half interval; the kinetic factor acts for the full dt with A
-    sampled at t + dt/2.
-    """
-    if t is None:
-        t = psi.time
-    plan = _StrangPlan(psi.grid, config.params, config.pot, t)
-    ((t_end, _, vals),) = plan.run(psi.values, t, [(dt, t + dt)], every=1)
-    return ComplexField(psi.grid, vals, time=t_end, hbar=config.params.hbar)
-
-
 def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
     """Propagate psi0 to t_end, recording snapshots and norms.
 
@@ -355,8 +329,7 @@ def _kinetic_apply(values: np.ndarray, grid: Grid, pot: PotentialSpec,
     """
     hbar = params.hbar
     if isinstance(pot.vector, _SpatiallyConstant):
-        # only the number of axes is read for a spatially constant A
-        a = _uniform_components(pot, grid.axes(), t)
+        a = _uniform_components(pot.vector, grid.dim, t)
         symbol = 0.0
         for ax, a_ax in enumerate(a):
             symbol = symbol + (hbar * grid.axis_wavenumber(ax) - a_ax) ** 2

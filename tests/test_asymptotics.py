@@ -42,7 +42,6 @@ from semiwave.asymptotics import (
     corrected_term_with_dt,
     cylindrical_fields,
     envelope_rho,
-    exponential_inner_field,
     first_correction_uv,
     first_integral_residual,
     hj_residual,
@@ -209,17 +208,6 @@ def test_leading_term_norm_oracle():
     grid = make_uniform_grid(1, -20.0, 20.0, 1024)
     fld = assemble_leading_term(w.jet(grid.mesh(), 0.0), grid, 0.0, params)
     assert abs(norm_squared(fld) - 1.0) < 1e-10
-
-
-def test_exponential_inner_field_guard():
-    """The un-normalized inner exponential grows where sigma < 0 and must
-    refuse once the exponent would overflow."""
-    params = PhysParams(hbar=0.05, mass=1.0, r=0.5)
-    sp = SolitonParams(xi=0.0, eta=0.5, x0=0.0)
-    w = soliton_correction_fields(sp, params)
-    grid = make_uniform_grid(1, -40.0, 40.0, 1024)
-    with pytest.raises(ValueError):
-        exponential_inner_field(w.jet(grid.mesh(), 0.0), grid, 0.0, params)
 
 
 # ---------------------------------------------------------------------------
@@ -492,25 +480,6 @@ def test_inner_exponential_solves_linear_equation_to_second_order():
         vals.append(max_abs(_linear_symbol(w, xs, 0.3, free_potential(), pp)))
     slope = np.polyfit(np.log(hbars), np.log(vals), 1)[0]
     assert slope > 1.9
-
-
-def test_inner_exponential_derivative_consistency():
-    """The analytic log-derivative returned with the inner exponential
-    matches a central difference in time."""
-    params = PhysParams(hbar=0.2, mass=1.0, r=0.5)
-    sp = SolitonParams(xi=0.25, eta=0.5, x0=-20.0, f=lambda z: 0.1 * np.sin(z))
-    w = soliton_correction_fields(sp, params)
-    grid = make_uniform_grid(1, -20.0, 20.0, 256)
-    step = 1e-6
-    def inner(t):
-        return exponential_inner_field(w.jet(grid.mesh(), t), grid, t, params, with_dt=True)
-
-    _, dfld = inner(0.5)
-    plus, _ = inner(0.5 + step)
-    minus, _ = inner(0.5 - step)
-    fd = (plus.values - minus.values) / (2.0 * step)
-    scale = max_abs(fd)
-    assert max_abs(dfld.values - fd) < 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -186,14 +186,20 @@ REJECTED = [
     ("concentration", "family.eval_time=abc", "family.eval_time"),
     ("residual-scaling", "family.correction_c1=[1]", "family.correction_c1"),
     ("residual-scaling", "family.class1.sigma_zero=abc", "family.class1.sigma_zero"),
-    ("soliton-propagation", "potential.scalar={form: harmonic}", "potential.scalar.omega"),
-    ("soliton-propagation", "potential.scalar=[1]", "potential.scalar"),
+    # free-space scenarios: their oracles judge no V or A, so they read no
+    # potential block
+    ("soliton-propagation", "potential.scalar={form: harmonic}", "potential"),
+    ("soliton-propagation", "potential.scalar=[1]", "potential"),
     ("cylindrical-check", "potential.vector={form: uniform, components: [1.0]}",
-     "potential.vector.components"),
-    ("cylindrical-check", "potential.scalar={form: harmonic, omega: 1.0}", "potential.scalar"),
+     "potential"),
+    ("cylindrical-check", "potential.scalar={form: harmonic, omega: 1.0}", "potential"),
     ("ehrenfest", "params.r_values=[]", "params.r_values"),
     ("ehrenfest", "potential.scalar={form: quadratic, coefficient: -1}",
      "potential.scalar"),
+    ("ehrenfest", "potential.scalar={form: harmonic}", "potential.scalar.omega"),
+    ("ehrenfest", "potential.scalar=[1]", "potential.scalar"),
+    ("ehrenfest", "potential.vector={form: uniform, components: [1.0, 2.0]}",
+     "potential.vector.components"),
     ("soliton-propagation", "solver.snapshot_evry=5", "solver.snapshot_evry"),
     ("identity-suite", "solver.dt=0.1", "solver"),
 ]

@@ -153,18 +153,16 @@ def test_cylindrical_rows_match_full_mesh(overrides, monkeypatch):
 
 
 @pytest.mark.parametrize("override", [
-    # (hbar k - a)^2 is not even in k, so the state's residual is not
-    "potential.vector={form: uniform, components: [0.3, -0.2]}",
     # mirror axes only to rounding: no reflection classes
     "grid.half_width=0.3",
 ])
 def test_uneven_cases_keep_the_full_mesh(override, monkeypatch):
-    """A uniform A and an inexact grid take the full-mesh path: the rows
-    are bit for bit those of apply_nlse_operator on the whole grid."""
+    """An inexact grid takes the full-mesh path: the rows are bit for bit
+    those of apply_nlse_operator on the whole grid."""
     cfg = _cylindrical_config(override)
     spec = parse_config(cfg)
     grid, base = spec.grid.build(), spec.params.phys()
-    pot = spec.potential.build(base.mass)
+    pot = free_potential()
     hbars = spec.params.hbars
     w = cylindrical_fields(spec.family.cylindrical, base)
     residuals = []

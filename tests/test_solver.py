@@ -17,6 +17,8 @@ Oracle values used here:
     again for the same time and conjugating back returns psi0
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -49,7 +51,6 @@ from semiwave.solver import (
     apply_nlse_operator,
     evolve,
     relative_residual,
-    split_step,
 )
 
 def gaussian_state(grid, center=0.0, width=1.0, momentum=0.0, hbar=1.0):
@@ -103,7 +104,7 @@ def test_norm_preserved_per_step_and_over_run():
     config = SolverConfig(dt=1e-3, t_end=1.0, snapshot_every=1000,
                           params=params, pot=pot)
     n0 = norm_squared(psi0)
-    one = split_step(psi0, 1e-3, config)
+    one = evolve(psi0, replace(config, t_end=psi0.time + config.dt)).final
     assert abs(norm_squared(one) - n0) / n0 < 1e-12
     rec = evolve(psi0, config)
     assert rec.mass_drift < 1e-10
@@ -188,6 +189,24 @@ def test_nonuniform_vector_potential_rejected():
                           params=params, pot=pot)
     with pytest.raises(ValueError, match="uniform"):
         evolve(psi0, config)
+
+
+def test_constant_expression_vector_refused_before_any_step():
+    """An ExpressionVector is refused when the plan is built, even where its
+    components are constant in space: it is never sampled."""
+    grid = make_uniform_grid(1, -10.0, 10.0, 64)
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
+    calls = []
+
+    def constant(xs, t):
+        calls.append(t)
+        return (0.3 + 0.0 * xs[0],)
+
+    config = SolverConfig(dt=1e-4, t_end=1e-3, snapshot_every=1, params=params,
+                          pot=PotentialSpec(vector=ExpressionVector(constant)))
+    with pytest.raises(ValueError, match="uniform"):
+        evolve(gaussian_state(grid), config)
+    assert calls == []
 
 
 def test_nan_aborts_with_step_index():
