@@ -32,8 +32,8 @@ from ..asymptotics.residuals import _eikonal
 from ..classical import PhasePoint, integrate_bicharacteristic
 from ..core import ComplexField, ZeroScalar, ZeroVector, _reflection_classes, \
     _sample_potential, free_potential, norm_squared
-from ..moments import concentration_scaling, fit_scaling, mass_within_radius, \
-    mean_momentum, mean_position, centered_moment
+from ..moments import ScalingReport, concentration_scaling, fit_scaling, \
+    mass_within_radius, mean_momentum, mean_position, centered_moment
 from ..solver import SolverConfig, _quadrant_relative_residual, apply_nlse_operator, \
     evolve, relative_residual
 from .config import (
@@ -108,6 +108,13 @@ def _peak_position(fld: ComplexField) -> float:
 def _l2_relative(a: ComplexField, b: ComplexField) -> float:
     diff = a.with_values(a.values - b.values)
     return float(np.sqrt(norm_squared(diff) / norm_squared(b)))
+
+
+def _scaling_table(fit: ScalingReport, value: str) -> tuple[list[str], list[tuple]]:
+    """Plot table of a fitted sweep: hbar, the measured value, and the fit."""
+    return ["hbar", value, "fitted"], [
+        (h, v, float(np.exp(fit.intercept + fit.slope * np.log(h))))
+        for h, v in zip(fit.hbars, fit.values)]
 
 
 def _leading_pair(w, grid, t, params) -> tuple[ComplexField, ComplexField]:
@@ -272,13 +279,8 @@ def run_residual_scaling(spec: ResidualScaling) -> ScenarioResult:
                                  fit_lead.slope, 0.9))
     result.rows.append(_at_least(scen, "corrected", "corrected_slope",
                                  fit_corr.slope, 1.8))
-    for name, fit, vals in (("scaling", fit_lead, lead),
-                            ("scaling_corrected", fit_corr, corr)):
-        fitted = [float(np.exp(fit.intercept + fit.slope * np.log(h))) for h in hbars]
-        result.plotdata[name] = (
-            ["hbar", "residual", "fitted"],
-            list(zip(map(float, hbars), map(float, vals), fitted)),
-        )
+    result.plotdata["scaling"] = _scaling_table(fit_lead, "residual")
+    result.plotdata["scaling_corrected"] = _scaling_table(fit_corr, "residual")
     return result
 
 
@@ -321,12 +323,7 @@ def run_concentration(spec: Concentration) -> ScenarioResult:
     result.rows.append(_at_least(scen, "mass", "mass_within_sqrt_hbar",
                                  frac, 0.99))
 
-    widths = [float(v) for v in pos.values]
-    fitted = [float(np.exp(pos.intercept + pos.slope * np.log(h))) for h in hbars]
-    result.plotdata["scaling"] = (
-        ["hbar", "width", "fitted"],
-        list(zip(map(float, hbars), widths, fitted)),
-    )
+    result.plotdata["scaling"] = _scaling_table(pos, "width")
     return result
 
 
@@ -511,11 +508,7 @@ def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     # value per class also makes exact
     result.rows.append(_below(scen, "symmetry", "radial_symmetry_max",
                               sym_max, 1e-14))
-    fitted = [float(np.exp(fit.intercept + fit.slope * np.log(h))) for h in hbars]
-    result.plotdata["scaling"] = (
-        ["hbar", "residual", "fitted"],
-        list(zip(map(float, hbars), map(float, residuals), fitted)),
-    )
+    result.plotdata["scaling"] = _scaling_table(fit, "residual")
     return result
 
 

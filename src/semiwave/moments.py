@@ -84,28 +84,21 @@ class MomentRecord:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Least-squares power-law fit value = C * hbar^slope in log-log form."""
+    """Least-squares power-law fit value = C * hbar^slope in log-log form,
+    as fit_scaling builds and checks it."""
 
     hbars: tuple[float, ...]
     values: tuple[float, ...]
     slope: float
     intercept: float
 
-    def __post_init__(self):
-        hb = np.asarray(self.hbars, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if len(hb) != len(vals):
-            raise ValueError("hbars and values must have equal length")
-        if np.any(hb <= 0) or np.any(vals <= 0):
-            raise ValueError("slope fitting needs positive hbars and values")
-        if np.any(np.diff(hb) >= 0):
-            raise ValueError("hbars must be strictly decreasing")
-
 
 def fit_scaling(hbars, values) -> ScalingReport:
     """Fit log(value) against log(hbar); at least two distinct points."""
     hb = tuple(float(h) for h in hbars)
     vals = tuple(float(v) for v in values)
+    if len(hb) != len(vals):
+        raise ValueError("hbars and values must have equal length")
     if len(hb) < 2:
         raise ValueError("slope fitting needs at least two points")
     if any(h <= 0 for h in hb) or any(v <= 0 for v in vals):

@@ -292,6 +292,18 @@ def test_fit_scaling_recovers_power_law():
     assert abs(np.exp(rep.intercept) - 3.0) < 1e-12
 
 
+@pytest.mark.parametrize("hb, vals, match", [
+    ((0.4, 0.2), (1.0,), "equal length"),
+    ((0.4,), (1.0,), "two points"),
+    ((0.4, 0.0), (1.0, 0.5), "positive"),
+    ((0.4, 0.2), (1.0, -0.5), "positive"),
+    ((0.2, 0.4), (1.0, 0.5), "decreasing"),
+])
+def test_fit_scaling_refuses_unusable_points(hb, vals, match):
+    with pytest.raises(ValueError, match=match):
+        fit_scaling(hb, vals)
+
+
 def test_mass_within_radius_oracle():
     """tanh(R / w) of the sech^2 mass law, pinned at the 0.99 quantile."""
     hbar, eta = 0.05, 0.5
