@@ -233,14 +233,21 @@ def _check_compatible(a: ComplexField, b: ComplexField) -> None:
 
 def inner_product(a: ComplexField, b: ComplexField) -> complex:
     """L2 inner product <a|b> = sum conj(a)*b * cell_volume (conjugate-linear
-    in the first argument)."""
+    in the first argument), through one np.vdot, so no conjugated copy or
+    product array is built."""
     _check_compatible(a, b)
-    return complex(np.sum(np.conj(a.values) * b.values) * a.grid.cell_volume)
+    return complex(np.vdot(a.values, b.values) * a.grid.cell_volume)
 
 
 def norm_squared(psi: ComplexField) -> float:
-    """Squared L2 norm; refuses an identically zero field."""
-    val = float(np.real(inner_product(psi, psi)))
+    """Squared L2 norm; refuses an identically zero field.
+
+    The sum of re^2 + im^2 is one einsum over the interleaved float view of
+    the samples, so no temporary is built.  einsum runs numpy's own loop,
+    not BLAS: a BLAS dot such as np.vdot splits sums above about 10^4
+    entries across threads, so its last bits depend on the thread count."""
+    flat = np.ravel(psi.values).view(np.float64)
+    val = float(np.einsum("i,i->", flat, flat)) * psi.grid.cell_volume
     if val == 0.0:
         raise ValueError("field is identically zero; not a usable state")
     return val

@@ -306,8 +306,8 @@ def run_concentration(spec: Concentration) -> ScenarioResult:
     result.rows.append(ReportRow(scen, "position", "position_width_slope",
                                  float(pos.slope), 0.02,
                                  bool(abs(pos.slope - 1.0) <= 0.02)))
-    # exactly 0 in theory; measured at most 2.9e-16 over construct-sweep
-    # seeds 1-20 at the shipped and refined grids, gated 34x above that
+    # exactly 0 in theory; measured at most 1.1e-15 over construct-sweep
+    # seeds 1-20 at the shipped and refined grids, gated 9x above that
     result.rows.append(ReportRow(scen, "momentum", "momentum_width_slope",
                                  float(mom.slope), 1e-14,
                                  bool(abs(mom.slope) < 1e-14)))
