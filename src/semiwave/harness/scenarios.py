@@ -469,7 +469,6 @@ def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     base = spec.params.phys()
     cpar = spec.family.cylindrical
     t_eval = spec.family.eval_time
-    pot = free_potential()
     w = cylindrical_fields(cpar, base)
     classes = _reflection_classes(grid)
 
@@ -480,7 +479,8 @@ def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
         if classes is not None:
             return _quadrant_residual(w, grid, t_eval, pp, classes)
         psi, dpsi = _leading_pair(w, grid, t_eval, pp)
-        residual = relative_residual(apply_nlse_operator((psi, dpsi), pot, pp), psi)
+        residual = relative_residual(
+            apply_nlse_operator((psi, dpsi), free_potential(), pp), psi)
         mod = np.abs(psi.values)
         return residual, max(
             float(np.max(np.abs(mod - mod[::-1, :]))),
