@@ -5,7 +5,7 @@ the rapid action S and its envelope partner sigma (entering at order 1/hbar)
 together with their first corrections S1 and sigma1 (entering at order one).
 The envelope is
 
-    rho = sqrt((grad sigma)^2 / (2 m kappa^2)) / cosh(sigma/hbar + sigma1)
+    rho = sqrt((grad sigma)^2 / (2 m r)) / cosh(sigma/hbar + sigma1)
 
 and the assembled state is rho * exp(i S/hbar + i S1).  A WkbFields object
 evaluates one FieldJet at a time: the four phases and every derivative the

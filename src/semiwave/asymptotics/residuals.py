@@ -84,7 +84,7 @@ def first_integral_residual(jet: FieldJet, params: PhysParams,
 
         |d rho / d theta| - sqrt(2 m r / g) * sqrt(b^2 - rho^2) * rho
 
-    with b^2 = g/(2 m kappa^2).  The derivative is taken analytically from
+    with b^2 = g/(2 m r).  The derivative is taken analytically from
     the sech profile; the absolute value selects the branch valid on both
     flanks of the peak.  rho_factor scales the profile to exercise the
     corruption detector: factors below one give a nonzero residual, factors

@@ -171,16 +171,13 @@ class Grid2d:
 
 @_block
 class Params:
-    """r may be left out when kappa is given (r = kappa**2); PhysParams
-    checks the values."""
+    """PhysParams checks the values."""
 
     hbar: float
     mass: float
-    r: float | None = None
-    kappa: float | None = None
+    r: float
 
     def __post_init__(self):
-        _require(self.r is not None or self.kappa is not None, "r: required (or kappa)")
         for hbar in self.hbars:
             self.phys(hbar)
 
@@ -191,9 +188,7 @@ class Params:
     def phys(self, hbar: float | None = None) -> PhysParams:
         """PhysParams at hbar, by default the first or only value."""
         hbar = self.hbars[0] if hbar is None else hbar
-        if self.r is None:
-            return PhysParams.from_kappa(hbar=hbar, mass=self.mass, kappa=self.kappa)
-        return PhysParams(hbar=hbar, mass=self.mass, r=self.r, kappa=self.kappa)
+        return PhysParams(hbar=hbar, mass=self.mass, r=self.r)
 
 
 @_block

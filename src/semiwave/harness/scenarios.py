@@ -117,18 +117,6 @@ def _scaling_table(fit: ScalingReport, value: str) -> tuple[list[str], list[tupl
         for h, v in zip(fit.hbars, fit.values)]
 
 
-def _leading_pair(w, grid, t, params) -> tuple[ComplexField, ComplexField]:
-    """The leading-order state and its time derivative from one jet.
-
-    The jet is sampled on the open mesh (one broadcast axis per dimension),
-    which gives the same entries as the full mesh because each is
-    elementwise in the coordinates.  It is dropped on return, so it is not
-    held while the operator residual allocates its own arrays."""
-    jet = w.jet(np.ix_(*grid.axes()), t)
-    psi = assemble_leading_term(jet, grid, t, params)
-    return psi, leading_term_time_derivative(jet, psi, params)
-
-
 def _class_tables(w, t, params, xs) -> tuple[np.ndarray, np.ndarray]:
     """The leading-order state and its time derivative at the reflection
     class representatives xs, one value per class."""
@@ -370,22 +358,22 @@ def _pointwise_maxima(w, grid, t, pot, params):
     the two assembly routes, |first integral residual| and |eikonal
     residual| over the grid.
 
-    A maximum over the reflection classes is the maximum over the grid.
-    For the eikonal residual, whose terms read the direction x/r, that
-    holds only under a reflection-invariant potential, so a radial family
-    is sampled once per class only under the free potential."""
-    classes = _reflection_classes(grid) if w.radial and _is_free(pot) else None
-    if classes is None:
-        jet = w.jet(grid.mesh(), t)
-        a = assemble_leading_term(jet, grid, t, params).values
-        b = psi_via_representation(jet, grid, t, params).values
-        hj = hj_residual(jet, grid, t, pot, params)
-    else:
-        xs = classes[0]
+    A radial family is sampled once per reflection class, whose maximum is
+    the maximum over the even extension of the positive quadrant.  For the
+    eikonal residual, whose terms read the direction x/r, that holds only
+    under a reflection-invariant potential, so this is done only under the
+    free potential; any other family or potential takes the full mesh."""
+    if w.radial and _is_free(pot):
+        xs = _reflection_classes(grid)[0]
         jet = w.jet(xs, t)
         a = _leading_values(jet, xs[0].shape, params)
         b = _representation_values(jet, xs[0].shape, params)
         hj = _eikonal(jet, *_sample_potential(pot, xs, t), params)
+    else:
+        jet = w.jet(grid.mesh(), t)
+        a = assemble_leading_term(jet, grid, t, params).values
+        b = psi_via_representation(jet, grid, t, params).values
+        hj = hj_residual(jet, grid, t, pot, params)
     return (jet, float(np.max(np.abs(a - b))),
             float(np.max(np.abs(first_integral_residual(jet, params)))),
             float(np.max(np.abs(hj))))
@@ -459,36 +447,20 @@ def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     exact reflection symmetry of its modulus on the offset grid.  The ring
     solves the free equation.
 
-    On a grid with exact mirror axes the state is even in x and in y, so
-    the residual is evaluated on the positive quadrant alone, its kinetic
-    term through a cosine-transform pair.  A grid whose axes are mirror
-    images only to rounding has no classes and keeps the full mesh."""
+    The state is sampled once per reflection class of the grid, so it is
+    even in x and in y, and the residual is evaluated on the positive
+    quadrant alone, its kinetic term through a cosine-transform pair."""
     scen = spec.scenario
     grid = spec.grid.build()
     hbars = spec.params.hbars
     base = spec.params.phys()
-    cpar = spec.family.cylindrical
-    t_eval = spec.family.eval_time
-    w = cylindrical_fields(cpar, base)
+    w = cylindrical_fields(spec.family.cylindrical, base)
     classes = _reflection_classes(grid)
-
-    def residual_and_asymmetry(hb):
-        # the fields of one hbar are dropped on return, before the next
-        # hbar's jet is built
-        pp = base.with_hbar(hb)
-        if classes is not None:
-            return _quadrant_residual(w, grid, t_eval, pp, classes)
-        psi, dpsi = _leading_pair(w, grid, t_eval, pp)
-        residual = relative_residual(
-            apply_nlse_operator((psi, dpsi), free_potential(), pp), psi)
-        mod = np.abs(psi.values)
-        return residual, max(
-            float(np.max(np.abs(mod - mod[::-1, :]))),
-            float(np.max(np.abs(mod - mod[:, ::-1]))),
-            float(np.max(np.abs(mod - mod.T))),
-        )
-
-    residuals, asymmetries = zip(*map(residual_and_asymmetry, hbars))
+    # the fields of one hbar are dropped on return, before the next hbar's
+    # tables are built
+    residuals, asymmetries = zip(*(
+        _quadrant_residual(w, grid, spec.family.eval_time, base.with_hbar(hb), classes)
+        for hb in hbars))
     sym_max = max(0.0, *asymmetries)
     monotone = all(a > b for a, b in zip(residuals, residuals[1:]))
     fit = fit_scaling(hbars, residuals)
@@ -499,13 +471,10 @@ def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     result.rows.append(ReportRow(scen, "residual", "residual_monotone",
                                  1.0 if monotone else 0.0, None, monotone))
     result.rows.append(_report(scen, "residual", "residual_slope", fit.slope))
-    # exactly 0 by construction, not an independent check: |psi| is a
-    # function of x*x + y*y, which is bit-symmetric on the mirror grid.  On
-    # the full mesh the row compares |psi| with its two reflections and its
-    # transpose.  On the quadrant path the reflections are the
-    # representation itself, so the row compares what remains: |psi| on
-    # the quadrant with its transpose (the x <-> y swap), which the one
-    # value per class also makes exact
+    # exactly 0 by construction, not an independent check: the reflections
+    # are the quadrant representation itself, so the row compares what
+    # remains, |psi| on the quadrant with its transpose (the x <-> y swap),
+    # which the one value per class also makes exact
     result.rows.append(_below(scen, "symmetry", "radial_symmetry_max",
                               sym_max, 1e-14))
     result.plotdata["scaling"] = _scaling_table(fit, "residual")

@@ -66,22 +66,6 @@ class MomentRecord:
         dim = len(self.mean_x)
         return float(self.delta2[axis, dim + axis])
 
-    def flat(self) -> dict[str, float]:
-        """Row form for CSV emission."""
-        dim = len(self.mean_x)
-        row: dict[str, float] = {"t": self.t, "hbar": self.hbar}
-        for j in range(dim):
-            row[f"x{j}"] = self.mean_x[j]
-        for j in range(dim):
-            row[f"p{j}"] = self.mean_p[j]
-        for j in range(dim):
-            row[f"var_x{j}"] = self.var_x(j)
-        for j in range(dim):
-            row[f"var_p{j}"] = self.var_p(j)
-        for j in range(dim):
-            row[f"cov_xp{j}"] = self.cov_xp(j)
-        return row
-
 
 @dataclass(frozen=True)
 class ScalingReport:

@@ -39,18 +39,19 @@ spatially constant A (ZeroVector, UniformVector) the kinetic operator is
 diagonal in Fourier space, with symbol sum_j (hbar k_j - a_j)^2, and is
 applied as one n-D FFT pair; any other A takes two momentum passes per
 axis, which keep it exact for x-dependent A as well.  The Strang kinetic
-step and this diagonal operator go through one spectral-multiplier helper,
-_spectral_multiply.  The other three terms are summed into the kinetic
-term's array in the order of the written equation, so the residual holds
-no full-size temporary per term; a ZeroScalar V is not sampled.
+step, this diagonal operator and the momentum passes all go through
+core._spectral_multiply.  The other three terms are summed into the
+kinetic term's array in the order of the written equation, so the
+residual holds no full-size temporary per term; a ZeroScalar V is not
+sampled.
 
-For a field even in x and in y on a square mirror grid under the free
-equation (cylindrical-check's ring on `core._reflection_classes`' grids),
-the residual is evaluated on the (n/2)^2 positive quadrant alone:
-_spectral_multiply's cosine pair, a type-II DCT pair of size n/2 per axis,
-applies the kinetic operator there, the other terms are summed as above,
-and the relative residual is the ratio of the quadrant's sums.  Any other
-grid keeps the full mesh.
+For a field even in x and in y on a square axis-offset grid under the
+free equation (cylindrical-check's ring, sampled per class of
+`core._reflection_classes`), the residual is evaluated on the (n/2)^2
+positive quadrant alone: _spectral_multiply's cosine pair, a type-II DCT
+pair of size n/2 per axis, applies the kinetic operator there, the other
+terms are summed as above, and the relative residual is the ratio of the
+quadrant's sums.
 
 Propagation accepts only a spatially constant A (ZeroVector,
 UniformVector); the plan refuses any other when it is built.
@@ -62,7 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # submodules load on first attribute access (tests/test_cold_start.py)
 
 from .core import (
     ComplexField,
@@ -76,6 +76,7 @@ from .core import (
     _SpatiallyConstant,
     _expi,
     _momentum,
+    _spectral_multiply,
     norm_squared,
 )
 
@@ -111,10 +112,9 @@ class SolverConfig:
 
 @dataclass
 class EvolutionRecord:
-    """Snapshots plus norm bookkeeping from one run."""
+    """Snapshots and the largest relative norm drift of one run."""
 
     snapshots: list[ComplexField]
-    norms: list[float]
     mass_drift: float
 
     @property
@@ -139,27 +139,6 @@ def _uniform_components(vec: ZeroVector | UniformVector, dim: int,
 
 def _density(vals: np.ndarray) -> np.ndarray:
     return vals.real ** 2 + vals.imag ** 2
-
-
-def _spectral_multiply(values: np.ndarray, multiplier, even: bool = False) -> np.ndarray:
-    """Apply the operator that is diagonal in Fourier space with symbol
-    `multiplier` (broadcast against values) through one transform pair.
-
-    values are a whole periodic grid and multiplier is in fft ordering,
-    and the pair is one n-D FFT pair.  With even=True, values are instead
-    the positive half along every axis of a field that is even about the
-    centre of a cell-centred mirror grid (x[n-1-i] == -x[i]); its Fourier
-    series holds cosines alone, so multiplier spans the first n/2
-    wavenumbers of each axis and the pair is one type-II DCT pair of size
-    n/2 per axis (Martucci, IEEE Trans. Signal Process. 42, 1994)."""
-    if even:
-        spec = scipy.fft.dctn(values, type=2)
-        spec *= multiplier
-        # in place: same bits, and 33 -> 19 ms per pair at 512^2 (2-core host)
-        return scipy.fft.idctn(spec, type=2, overwrite_x=True)
-    spec = scipy.fft.fftn(values)
-    spec *= multiplier
-    return scipy.fft.ifftn(spec)
 
 
 class _StrangPlan:
@@ -284,7 +263,7 @@ def _schedule(t0: float, t_end: float, dt: float) -> list[tuple[float, float]]:
 
 
 def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
-    """Propagate psi0 to t_end, recording snapshots and norms.
+    """Propagate psi0 to t_end, recording snapshots and the norm drift.
 
     Snapshots are taken at the start, every snapshot_every steps, and at
     the final time.  A non-finite amplitude aborts with the step index;
@@ -301,7 +280,6 @@ def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
     hbar = config.params.hbar
     snapshots = [ComplexField(grid, psi0.values, time=t0, hbar=hbar)]
     n0 = norm_squared(snapshots[0])
-    norms = [n0]
     drift = 0.0
     plan = _StrangPlan(grid, config.params, config.pot, t0)
     steps = _schedule(t0, config.t_end, config.dt)
@@ -309,8 +287,7 @@ def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
         drift = max(drift, abs(nrm - n0) / n0)
         if state is not None:
             snapshots.append(ComplexField(grid, state, time=t, hbar=hbar))
-            norms.append(nrm)
-    return EvolutionRecord(snapshots=snapshots, norms=norms, mass_drift=drift)
+    return EvolutionRecord(snapshots=snapshots, mass_drift=drift)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +374,7 @@ def relative_residual(residual: ComplexField, psi: ComplexField) -> float:
 def _quadrant_relative_residual(psi: np.ndarray, dpsi: np.ndarray, grid: Grid,
                                 params: PhysParams) -> float:
     """relative_residual of apply_nlse_operator for A = 0 and V = 0 and a
-    field even in every axis on a square mirror grid (see
+    field even in every axis on a square axis-offset grid (see
     `core._reflection_classes`), from its positive quadrant alone: psi and
     dpsi are the field and its time derivative at grid points
     (n/2 + i, n/2 + j).

@@ -125,7 +125,7 @@ def test_envelope_degenerate_and_defocusing_errors():
                              sigma=lambda xs, t: np.ones_like(xs[0]))
     good = CallableWkbFields(S=lambda xs, t: np.zeros_like(xs[0]),
                              sigma=lambda xs, t: xs[0])
-    defocusing = PhysParams(hbar=1.0, mass=1.0)
+    defocusing = PhysParams(hbar=1.0, mass=1.0, r=0.0)
     for w, params, entry_points in (
         (flat, HALF_FOCUSING, ("rho", "transport", "integral", "uv")),
         (good, defocusing, ("rho", "integral", "uv")),

@@ -208,13 +208,11 @@ def test_apply_momentum_2d_axis():
     assert np.max(np.abs(out - want)) < 1e-10
 
 
-def test_phys_params_kappa_tie():
-    p = PhysParams.from_kappa(hbar=1.0, mass=1.0, kappa=np.sqrt(0.5))
-    assert p.r == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="kappa"):
-        PhysParams(hbar=1.0, mass=1.0, r=0.3, kappa=1.0)
-    with pytest.raises(ValueError):
-        PhysParams(hbar=-1.0, mass=1.0)
+def test_phys_params_need_positive_hbar_and_mass():
+    with pytest.raises(ValueError, match="hbar"):
+        PhysParams(hbar=-1.0, mass=1.0, r=0.5)
+    with pytest.raises(ValueError, match="mass"):
+        PhysParams(hbar=1.0, mass=0.0, r=0.5)
 
 
 def test_harmonic_potential_value():

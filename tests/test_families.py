@@ -7,7 +7,7 @@ Oracle values used here:
     (x sqrt(1 - x^2) + arcsin x) / 2
   * constant-coefficient travelling family: v1 = 0, c3 = 0 gives
     p'(x) = sqrt(m c1) so sigma = c1 (t - x sqrt(m / c1)) + c2
-  * one-soliton amplitude with hbar = m = 1, kappa^2 = 1/2 and eta = 0.5
+  * one-soliton amplitude with hbar = m = 1, r = 1/2 and eta = 0.5
     is sech(x) with unit peak
 """
 
@@ -36,6 +36,7 @@ from semiwave.asymptotics import (
     cylindrical_special,
     envelope_rho,
     hj_residual,
+    leading_term_time_derivative,
     one_soliton,
     separated_class1,
     separated_class2,
@@ -43,7 +44,6 @@ from semiwave.asymptotics import (
     transport_residuals,
 )
 from semiwave.asymptotics.families import CylindricalFields
-from semiwave.harness.scenarios import _leading_pair
 
 HALF_FOCUSING = PhysParams(hbar=1.0, mass=1.0, r=0.5)
 
@@ -89,7 +89,7 @@ def test_soliton_derived_constants():
     """Carrier frequency and envelope drift follow from the slopes alone:
     alpha1 = (beta2^2 - alpha2^2)/(2m) and beta1 = -alpha2 beta2 / m."""
     w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5),
-                                  PhysParams(hbar=1.0, mass=1.0))
+                                  PhysParams(hbar=1.0, mass=1.0, r=0.0))
     assert w.alpha2 == 0.0
     assert w.beta2 == 1.0
     assert w.alpha1 == 0.5
@@ -137,7 +137,7 @@ def test_class1_constant_potential_profile():
     """v1 = 0 makes the envelope slope constant sqrt(2 m c1) = 1, so sigma
     is x itself (zeroed at the interval midpoint) and S = c1 t."""
     w = separated_class1(Class1Params(c1=0.5), (-4.0, 4.0),
-                         PhysParams(hbar=1.0, mass=1.0))
+                         PhysParams(hbar=1.0, mass=1.0, r=0.0))
     x = np.linspace(-3.5, 3.5, 101)
     jet = w.jet((x,), 0.0)
     assert np.max(np.abs(jet.sigma - x)) < 1e-10
@@ -150,7 +150,7 @@ def test_class1_arcsine_envelope_oracle():
     quadrature has the closed form (x sqrt(1-x^2) + arcsin x)/2."""
     p1 = Class1Params(c1=0.5, v1=lambda x: -0.5 * x * x,
                       v1_prime=lambda x: -x)
-    w = separated_class1(p1, (-0.95, 0.95), PhysParams(hbar=1.0, mass=1.0))
+    w = separated_class1(p1, (-0.95, 0.95), PhysParams(hbar=1.0, mass=1.0, r=0.0))
     x = np.linspace(-0.9, 0.9, 181)
     exact = 0.5 * (x * np.sqrt(1.0 - x * x) + np.arcsin(x))
     assert np.max(np.abs(w.jet((x,), 0.0).sigma - exact)) < 1e-9
@@ -160,7 +160,7 @@ def test_class1_rejects_nonpositive_depth():
     """c1 + v1 dips below zero on a wide interval, leaving no real slope."""
     p1 = Class1Params(c1=0.5, v1=lambda x: -0.5 * x * x)
     with pytest.raises(ValueError):
-        separated_class1(p1, (-4.0, 4.0), PhysParams(hbar=1.0, mass=1.0))
+        separated_class1(p1, (-4.0, 4.0), PhysParams(hbar=1.0, mass=1.0, r=0.0))
 
 
 def test_class1_transport_with_linear_time_correction():
@@ -187,7 +187,7 @@ def test_class2_constant_coefficient_reduction():
     """v1 = 0 and c3 = 0 collapse the radical to p' = sqrt(m c1); with
     m = c1 = 1 the envelope phase is the travelling wave t - x."""
     p2 = Class2Params(c1=1.0)
-    w = separated_class2(p2, (-4.0, 4.0), PhysParams(hbar=1.0, mass=1.0))
+    w = separated_class2(p2, (-4.0, 4.0), PhysParams(hbar=1.0, mass=1.0, r=0.0))
     x = np.linspace(-3.5, 3.5, 101)
     assert np.max(np.abs(w.jet((x,), 0.0).dS[0] - 1.0)) < 1e-12
     assert np.max(np.abs(w.jet((x,), 2.0).sigma - (2.0 - x))) < 1e-10
@@ -199,7 +199,7 @@ def test_class2_defining_radical_identity():
     v1 = lambda x: 0.1 * x * x
     p2 = Class2Params(c1=0.8, c3=0.2, v1=v1,
                       v1_prime=lambda x: 0.2 * x)
-    w = separated_class2(p2, (-4.0, 4.0), PhysParams(hbar=1.0, mass=1.0))
+    w = separated_class2(p2, (-4.0, 4.0), PhysParams(hbar=1.0, mass=1.0, r=0.0))
     x = np.linspace(-3.9, 3.9, 301)
     p_x = w.jet((x,), 0.0).dS[0]
     lhs = p_x ** 2 / 1.0
@@ -215,7 +215,7 @@ def test_class2_constant_correction_slopes():
     relations."""
     m, c1, a1, a2 = 1.0, 0.9, 0.07, -0.04
     p2 = Class2Params(c1=c1, a1=a1, a2=a2)
-    w = separated_class2(p2, (-4.0, 4.0), PhysParams(hbar=1.0, mass=m))
+    w = separated_class2(p2, (-4.0, 4.0), PhysParams(hbar=1.0, mass=m, r=0.0))
     x = np.linspace(-3.0, 3.0, 61)
     px = np.sqrt(m * c1)   # radical with v1 = c3 = 0
     fprime = (c1 * m * m * a2 * px - m * a1 * px ** 3) / (px ** 4 + c1 ** 2 * m ** 2)
@@ -418,7 +418,8 @@ def test_leading_pair_never_evaluates_the_radial_derivative_block(monkeypatch):
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
     grid = make_axis_offset_grid(2, 4.0, 64)
-    _leading_pair(w, grid, 0.3, params)
+    jet = w.jet(np.ix_(*grid.axes()), 0.3)
+    leading_term_time_derivative(jet, assemble_leading_term(jet, grid, 0.3, params), params)
     assert calls == []
     hj_residual(w.jet(grid.mesh(), 0.3), grid, 0.3, free_potential(), params)
     assert calls == [1]

@@ -1,17 +1,21 @@
 """The ring state sampled once per reflection class of the grid.
 
-On an axis-offset grid whose axes are exact mirror images, x*x + y*y is
-bit-identical on the points that the reflections and the x <-> y swap map
-onto each other, so a jet that depends on position through the radius
-alone may be sampled once per class and gathered onto the positive
-quadrant.  These tests hold the class tables to the full-mesh path bit for
-bit, and check that every other grid keeps the full-mesh path.
+On a square axis-offset grid the reflections and the x <-> y swap map the
+sample set onto itself up to coordinate rounding.  The class
+representatives are taken from the positive half-axis, so x*x + y*y is
+one number per class and a jet that depends on position through the
+radius alone is sampled once per class and gathered onto the positive
+quadrant: the state is the exactly even extension of that quadrant.
+Where the axes are exact mirror images (half_width 2, as shipped) these
+tests hold the class tables to the full mesh bit for bit; on a width
+whose axes mirror only to rounding they hold them to the full mesh's
+positive quadrant bit for bit, and the grid maxima within bounds set from
+measured values.
 
-Such a state is even in x and in y, so cylindrical-check evaluates its
-residual on the positive quadrant alone, with a cosine-transform pair for
-the kinetic term.  That residual is held to the full-mesh one within a
-bound set from measured values, and a uniform A or an inexact grid is
-checked to keep the full-mesh path bit for bit.
+cylindrical-check evaluates the ring's residual on the positive quadrant
+alone, with a cosine-transform pair for the kinetic term, on every grid.
+That residual is held to apply_nlse_operator on the whole grid within a
+bound set from measured values.
 """
 
 import random
@@ -19,16 +23,31 @@ import random
 import numpy as np
 import pytest
 
-from semiwave import PhysParams, apply_nlse_operator, fit_scaling, free_potential, \
-    make_axis_offset_grid, make_uniform_grid, relative_residual
+from semiwave import PhysParams, apply_nlse_operator, assemble_leading_term, \
+    first_integral_residual, fit_scaling, free_potential, hj_residual, \
+    leading_term_time_derivative, make_axis_offset_grid, make_uniform_grid, \
+    psi_via_representation, relative_residual
 from semiwave.asymptotics import CylindricalParams, cylindrical_fields
 from semiwave.core import _reflection_classes
 from semiwave.harness import ExperimentConfig, default_config_path, parse_config, \
     run_scenario, scenarios
-from semiwave.harness.scenarios import _class_tables, _leading_pair, _pointwise_maxima, \
-    _quadrant_residual
+from semiwave.harness.scenarios import _class_tables, _pointwise_maxima, _quadrant_residual
 
 SHIPPED_RING = CylindricalParams(c1=1.0, b1=0.1, a2=0.2)
+
+
+def _seeded_ring(seed):
+    rng = random.Random(seed)
+    return CylindricalParams(c1=rng.uniform(0.9, 1.1), b1=rng.uniform(0.05, 0.15),
+                             a2=rng.uniform(0.1, 0.3))
+
+
+def _full_mesh_pair(w, grid, t, params):
+    """The leading state and its time derivative on the whole grid, from
+    one jet sampled on the open mesh."""
+    jet = w.jet(np.ix_(*grid.axes()), t)
+    psi = assemble_leading_term(jet, grid, t, params)
+    return psi, leading_term_time_derivative(jet, psi, params)
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -40,54 +59,67 @@ def test_leading_pair_table_is_bit_identical(n, t):
     grid = make_axis_offset_grid(2, 2.0, n)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = cylindrical_fields(SHIPPED_RING, params)
-    classes = _reflection_classes(grid)
-    assert classes is not None
-    xs, gather = classes
+    xs, gather = _reflection_classes(grid)
     h = n // 2
     assert len(xs[0]) == h * (h + 1) // 2
-    full = _leading_pair(w, grid, t, params)
+    full = _full_mesh_pair(w, grid, t, params)
     for a, table in zip(full, _class_tables(w, t, params, xs)):
         assert a.values[h:, h:].tobytes() == gather(table).tobytes()
 
 
+def _full_mesh_arrays(w, grid, t, pot, params):
+    """|a - b| between the two assembly routes, |first integral residual|
+    and |eikonal residual| on the whole grid."""
+    jet = w.jet(grid.mesh(), t)
+    a = assemble_leading_term(jet, grid, t, params).values
+    b = psi_via_representation(jet, grid, t, params).values
+    return (np.abs(a - b), np.abs(first_integral_residual(jet, params)),
+            np.abs(hj_residual(jet, grid, t, pot, params)))
+
+
+# Over seeds 1-20 at half_width 0.3, 0.7, 1.1 and 1.3 on 256^2, the
+# full-mesh maxima exceeded the class ones by at most 2.2e-14 (the first
+# integral, at 1.1), 2.2e-16 (the assembly routes) and 1.1e-16 (the
+# eikonal residual); the bound leaves a margin of 4.5x.  The rows gate
+# these maxima at 1e-10 and 1e-12
+RING_MAXIMA_ATOL = 1e-13
+
+
 @pytest.mark.parametrize("seed", [3, 9, 17])
-def test_identity_ring_maxima_match_full_mesh(seed, monkeypatch):
-    """identity-suite's ring maxima over the reflection classes equal those
-    over the full mesh, the eikonal one included under its free potential,
-    for seeded rings on a 256^2 grid."""
-    rng = random.Random(seed)
-    ring = CylindricalParams(c1=rng.uniform(0.9, 1.1), b1=rng.uniform(0.05, 0.15),
-                             a2=rng.uniform(0.1, 0.3))
+def test_identity_ring_maxima_match_full_mesh(seed):
+    """identity-suite's ring maxima over the reflection classes, the
+    eikonal one included under its free potential, for seeded rings on
+    256^2 grids.  With exact mirror axes they equal the maxima over the
+    full mesh.  With axes that mirror only to rounding they equal the
+    full mesh's maxima over the positive quadrant, whose points are the
+    class representatives, and lie within RING_MAXIMA_ATOL below the
+    maxima over the whole grid."""
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = cylindrical_fields(ring, params)
-    grid = make_axis_offset_grid(2, 2.0, 256)
-    assert _reflection_classes(grid) is not None
-    table = _pointwise_maxima(w, grid, 0.25, free_potential(), params)[1:]
-    monkeypatch.setattr(scenarios, "_reflection_classes", lambda grid: None)
-    full = _pointwise_maxima(w, grid, 0.25, free_potential(), params)[1:]
+    w = cylindrical_fields(_seeded_ring(seed), params)
+    pot = free_potential()
+    exact = make_axis_offset_grid(2, 2.0, 256)
+    table = _pointwise_maxima(w, exact, 0.25, pot, params)[1:]
+    full = tuple(float(np.max(v)) for v in _full_mesh_arrays(w, exact, 0.25, pot, params))
     assert table == full
     assert min(table) > 0.0
 
-
-@pytest.mark.parametrize("grid", [
-    make_axis_offset_grid(2, 0.3, 64),       # mirror axes only to rounding
-    make_axis_offset_grid(2, 2.0, (64, 128)),  # rectangular
-    make_uniform_grid(2, -2.0, 2.0, 64),     # not offset
-    make_axis_offset_grid(1, 2.0, 64),       # one dimension
-])
-def test_inexact_grids_take_the_full_mesh_path(grid):
-    assert _reflection_classes(grid) is None
+    inexact = make_axis_offset_grid(2, 1.1, 256)
+    assert not np.array_equal(inexact.axes()[0][::-1], -inexact.axes()[0])
+    table = _pointwise_maxima(w, inexact, 0.25, pot, params)[1:]
+    arrays = _full_mesh_arrays(w, inexact, 0.25, pot, params)
+    assert table == tuple(float(np.max(v[128:, 128:])) for v in arrays)
+    for q, v in zip(table, arrays):
+        assert 0.0 < q <= np.max(v) < q + RING_MAXIMA_ATOL
 
 
 def test_axis_sample_still_raises():
-    """A grid through the origin keeps the full-mesh path, where the ring
-    refuses r = 0."""
+    """On a grid through the origin the ring refuses r = 0."""
     grid = make_uniform_grid(2, -2.0, 2.0, 64)
     assert np.any(grid.axes()[0] == 0.0)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = cylindrical_fields(SHIPPED_RING, params)
     with pytest.raises(ValueError, match="symmetry axis"):
-        _leading_pair(w, grid, 0.0, params)
+        _full_mesh_pair(w, grid, 0.0, params)
 
 
 # The quadrant residual agreed with the full-mesh one to at most 5.3e-15
@@ -98,12 +130,6 @@ def test_axis_sample_still_raises():
 # was 1.7e-15
 QUADRANT_RTOL = 1e-14
 SHIPPED_HBARS = (0.2, 0.1, 0.05)
-
-
-def _seeded_ring(seed):
-    rng = random.Random(seed)
-    return CylindricalParams(c1=rng.uniform(0.9, 1.1), b1=rng.uniform(0.05, 0.15),
-                             a2=rng.uniform(0.1, 0.3))
 
 
 @pytest.mark.parametrize("ring", [SHIPPED_RING] + [_seeded_ring(s) for s in (1, 5, 28)])
@@ -117,7 +143,7 @@ def test_quadrant_residual_matches_full_mesh(ring, n):
         for hbar in SHIPPED_HBARS:
             params = PhysParams(hbar=hbar, mass=1.0, r=0.5)
             w = cylindrical_fields(ring, params)
-            psi, dpsi = _leading_pair(w, grid, t, params)
+            psi, dpsi = _full_mesh_pair(w, grid, t, params)
             full = relative_residual(
                 apply_nlse_operator((psi, dpsi), free_potential(), params), psi)
             quadrant, asymmetry = _quadrant_residual(w, grid, t, params, classes)
@@ -132,54 +158,68 @@ def _cylindrical_config(*overrides):
     return cfg
 
 
+def _full_mesh_residuals(cfg):
+    """cylindrical-check's residual at each hbar of the sweep, from
+    apply_nlse_operator on the whole grid."""
+    spec = parse_config(cfg)
+    grid, base = spec.grid.build(), spec.params.phys()
+    w = cylindrical_fields(spec.family.cylindrical, base)
+    residuals = []
+    for hbar in spec.params.hbars:
+        params = base.with_hbar(hbar)
+        psi, dpsi = _full_mesh_pair(w, grid, spec.family.eval_time, params)
+        residuals.append(relative_residual(
+            apply_nlse_operator((psi, dpsi), free_potential(), params), psi))
+    return spec.params.hbars, residuals
+
+
+def _assert_rows_match_full_mesh(result, cfg, rtol):
+    hbars, residuals = _full_mesh_residuals(cfg)
+    assert all(r.passed for r in result.rows)
+    assert result.row("residual_monotone").value == \
+        float(all(a > b for a, b in zip(residuals, residuals[1:])))
+    assert result.row("residual_slope").value == pytest.approx(
+        fit_scaling(hbars, residuals).slope, rel=rtol, abs=0.0)
+    assert [row[1] for row in result.plotdata["scaling"][1]] == \
+        pytest.approx(residuals, rel=rtol, abs=0.0)
+
+
 @pytest.mark.parametrize("overrides", [
     [],
     ["grid.n=512", "family.eval_time=0.3"],
     ["grid.n=512", "family.cylindrical.c1=1.05", "family.cylindrical.b1=0.12"],
 ])
-def test_cylindrical_rows_match_full_mesh(overrides, monkeypatch):
-    """Whole cylindrical-check rows on the quadrant path against the same
-    scenario with the reflection classes patched away, which evaluates
-    every hbar on the full mesh."""
-    quadrant = run_scenario(_cylindrical_config(*overrides))
-    monkeypatch.setattr(scenarios, "_reflection_classes", lambda grid: None)
-    full = run_scenario(_cylindrical_config(*overrides))
-    assert [(r.metric, r.passed) for r in quadrant.rows] == \
-        [(r.metric, r.passed) for r in full.rows]
-    assert all(r.passed for r in quadrant.rows)
-    for metric in ("residual_monotone", "radial_symmetry_max"):
-        assert quadrant.row(metric).value == full.row(metric).value
-    assert quadrant.row("residual_slope").value == pytest.approx(
-        full.row("residual_slope").value, rel=QUADRANT_RTOL, abs=0.0)
-    for q, f in zip(quadrant.plotdata["scaling"][1], full.plotdata["scaling"][1]):
-        assert q == pytest.approx(f, rel=QUADRANT_RTOL, abs=0.0)
-
-
-@pytest.mark.parametrize("override", [
-    # mirror axes only to rounding: no reflection classes
-    "grid.half_width=0.3",
-])
-def test_uneven_cases_keep_the_full_mesh(override, monkeypatch):
-    """An inexact grid takes the full-mesh path: the rows are bit for bit
-    those of apply_nlse_operator on the whole grid."""
-    cfg = _cylindrical_config(override)
-    spec = parse_config(cfg)
-    grid, base = spec.grid.build(), spec.params.phys()
-    pot = free_potential()
-    hbars = spec.params.hbars
-    w = cylindrical_fields(spec.family.cylindrical, base)
-    residuals = []
-    for hbar in hbars:
-        params = base.with_hbar(hbar)
-        psi, dpsi = _leading_pair(w, grid, spec.family.eval_time, params)
-        residuals.append(relative_residual(apply_nlse_operator((psi, dpsi), pot, params),
-                                           psi))
-
-    def refuse(*args):
-        raise AssertionError("took the quadrant path")
-
-    monkeypatch.setattr(scenarios, "_quadrant_residual", refuse)
+def test_cylindrical_rows_match_full_mesh(overrides):
+    """Whole cylindrical-check rows against the residuals of every hbar
+    evaluated on the full mesh."""
+    cfg = _cylindrical_config(*overrides)
     result = run_scenario(cfg)
-    assert [row[1] for row in result.plotdata["scaling"][1]] == residuals
-    assert result.row("residual_slope").value == fit_scaling(hbars, residuals).slope
-    assert all(r.passed for r in result.rows)
+    _assert_rows_match_full_mesh(result, cfg, QUADRANT_RTOL)
+    assert result.row("radial_symmetry_max").value == 0.0
+
+
+# On widths whose axes mirror only to rounding the quadrant residual agreed
+# with the full-mesh one to at most 4.8e-14 relative over half_width 0.3,
+# 0.7, 1.1 and 1.3, the shipped ring and three seeded rings, 256^2 and
+# 512^2, t = 0 and 0.3 and the three shipped hbar; the bound leaves a
+# margin of 2x.  The full mesh samples three quadrants at coordinates up
+# to an ulp off the mirror images of the positive one
+INEXACT_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("half_width", [0.3, 1.1])
+def test_inexact_widths_take_the_quadrant_path(half_width, monkeypatch):
+    """A width whose axes mirror only to rounding takes the quadrant path
+    at every hbar, its symmetry row is exactly 0, and its residual rows
+    match the full mesh within INEXACT_RTOL."""
+    cfg = _cylindrical_config(f"grid.half_width={half_width}")
+    grid = parse_config(cfg).grid.build()
+    assert not np.array_equal(grid.axes()[0][::-1], -grid.axes()[0])
+    calls = []
+    quadrant = scenarios._quadrant_residual
+    monkeypatch.setattr(scenarios, "_quadrant_residual",
+                        lambda *args: calls.append(1) or quadrant(*args))
+    result = run_scenario(cfg)
+    assert len(calls) == len(parse_config(cfg).params.hbars)
+    assert result.row("radial_symmetry_max").value == 0.0
+    _assert_rows_match_full_mesh(result, cfg, INEXACT_RTOL)
