@@ -38,12 +38,12 @@ from semiwave.core import (
     PhysParams,
     PotentialSpec,
     apply_momentum,
-    eval_potential,
     free_potential,
     inner_product,
     make_axis_offset_grid,
     make_uniform_grid,
     norm_squared,
+    sample_potential,
 )
 from semiwave.moments import (
     MomentRecord,
@@ -91,7 +91,6 @@ __all__ = [
     "corrected_term_with_dt",
     "cylindrical_fields",
     "cylindrical_special",
-    "eval_potential",
     "evolve",
     "first_integral_residual",
     "fit_scaling",
@@ -108,6 +107,7 @@ __all__ = [
     "one_soliton",
     "psi_via_representation",
     "relative_residual",
+    "sample_potential",
     "separated_class1",
     "separated_class2",
     "soliton_correction_fields",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from semiwave.core import ComplexField, Grid, PhysParams, PotentialSpec, _diff
+from semiwave.core import ComplexField, PhysParams, PotentialSpec, _diff
 from semiwave.asymptotics.fields import (
     FieldJet,
     WkbFields,
@@ -63,8 +63,8 @@ def _shapes(theta: np.ndarray, eps: np.ndarray):
     return u_shape, v_shape, du_shape, dv_shape
 
 
-def _coefficients(jet: FieldJet, cp: CorrectionParams, xs, t: float,
-                  pot: PotentialSpec, params: PhysParams):
+def _coefficients(jet: FieldJet, cp: CorrectionParams, pot: PotentialSpec,
+                  params: PhysParams):
     """Spatial coefficient fields multiplying the shape factors:
 
         u = P tanh(theta) + Q + R u_shape,      v = P + W v_shape,
@@ -74,10 +74,10 @@ def _coefficients(jet: FieldJet, cp: CorrectionParams, xs, t: float,
     W = (m/2g) [(lap S - div A)/m + D_t log g]."""
     m = params.mass
     g = _positive_slope(jet)
-    dim = len(xs)
+    dim = len(jet.xs)
     A = tuple(np.asarray(a, dtype=float)
-              for a in pot.vector.value(xs, t))
-    divA = pot.vector.divergence(xs, t)
+              for a in pot.vector.value(jet.xs, jet.t))
+    divA = pot.vector.divergence(jet.xs, jet.t)
     dsig, dg = jet.dsigma, jet.dg
     flow = tuple(jet.dS[j] - A[j] for j in range(dim))
 
@@ -89,14 +89,14 @@ def _coefficients(jet: FieldJet, cp: CorrectionParams, xs, t: float,
     return P, Q, R, W
 
 
-def _correction(jet: FieldJet, cp: CorrectionParams, xs, t: float,
-                pot: PotentialSpec, params: PhysParams):
+def _correction(jet: FieldJet, cp: CorrectionParams, pot: PotentialSpec,
+                params: PhysParams):
     """u and v with the pieces of their time derivative: tanh(theta), the
     four shape factors, the coefficients (P, Q, R, W), and the mask of
     samples where the envelope has underflowed (rho below 1e-300)."""
     theta = jet.sigma / params.hbar + jet.sigma1
     shapes = _shapes(theta, _epsilon(jet.sigma))
-    coeffs = P, Q, R, W = _coefficients(jet, cp, xs, t, pot, params)
+    coeffs = P, Q, R, W = _coefficients(jet, cp, pot, params)
     tanh = np.tanh(theta)
     u = P * tanh + Q + R * shapes[0]
     v = P + W * shapes[1]
@@ -111,16 +111,15 @@ def _zero_where(tiny, *arrays):
     return arrays
 
 
-def first_correction_uv(jet: FieldJet, cp: CorrectionParams, grid: Grid,
-                        t: float, pot: PotentialSpec,
+def first_correction_uv(jet: FieldJet, cp: CorrectionParams, pot: PotentialSpec,
                         params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the first correction on the grid the jet
-    was sampled on.
+    """Real and imaginary parts of the first correction at the jet's sample
+    points and time.
 
     Where the envelope has underflowed (rho below 1e-300) the correction is
     set to zero; the field carries no weight there.
     """
-    u, v, _, _, _, tiny = _correction(jet, cp, grid.mesh(), t, pot, params)
+    u, v, _, _, _, tiny = _correction(jet, cp, pot, params)
     return _zero_where(tiny, u, v)
 
 
@@ -130,7 +129,7 @@ def corrected_term_with_dt(w: WkbFields, jet: FieldJet, psi: ComplexField,
                            params: PhysParams) -> tuple[ComplexField, ComplexField]:
     """Corrected field together with its analytic-in-theta time derivative,
     built on the caller's jet of w and the leading pair (psi, dpsi) the
-    caller assembled from it; the grid and time are psi's.
+    caller assembled from it.
 
     d/dt (u + i v) splits into the chain-rule part through theta, whose
     theta-derivatives are available in closed form, and the explicit time
@@ -138,10 +137,8 @@ def corrected_term_with_dt(w: WkbFields, jet: FieldJet, psi: ComplexField,
     of the coefficients of w's jets at t +- h (exactly zero for the shipped
     stationary families).  Those two jets are the only ones built here.
     """
-    grid, t = psi.grid, psi.time
-    xs = grid.mesh()
     hbar = params.hbar
-    u, v, tanh, shapes, (P, Q, R, W), tiny = _correction(jet, cp, xs, t, pot, params)
+    u, v, tanh, shapes, (P, Q, R, W), tiny = _correction(jet, cp, pot, params)
     u_shape, v_shape, du_shape, dv_shape = shapes
 
     theta_t = jet.sigma_t / hbar + jet.sigma1_t
@@ -150,7 +147,7 @@ def corrected_term_with_dt(w: WkbFields, jet: FieldJet, psi: ComplexField,
     dv_chain = W * dv_shape * theta_t
 
     dP, dQ, dR, dW = _diff(lambda s: np.stack(np.broadcast_arrays(
-        *_coefficients(w.jet(xs, s), cp, xs, s, pot, params))), t)
+        *_coefficients(w.jet(jet.xs, s), cp, pot, params))), jet.t)
     du = du_chain + dP * tanh + dQ + dR * u_shape
     dv = dv_chain + dP + dW * v_shape
     u, v, du, dv = _zero_where(tiny, u, v, du, dv)

@@ -101,7 +101,7 @@ class SolitonFields(WkbFields):
         wp = self._wprime(xs, t)
         w_t = -self.a * wp
         return FieldJet(
-            S=self.alpha1 * t + self.alpha2 * x + self.sp.phi0,
+            xs=xs, t=t, S=self.alpha1 * t + self.alpha2 * x + self.sp.phi0,
             sigma=self.beta1 * t + self.beta2 * (x - self.sp.x0),
             S1=w.real, sigma1=w.imag,
             S_t=self.alpha1, sigma_t=self.beta1, S1_t=w_t.real, sigma1_t=w_t.imag,
@@ -166,6 +166,18 @@ class Class1Params:
     v1_prime: Callable | None = None
 
 
+def _check_class1(p1: Class1Params, domain: tuple[float, float],
+                  sigma_zero: float | None = None) -> None:
+    """Refuse c1 + v1 <= 0 on the domain, or a peak sigma_zero outside it;
+    cheap enough for the configuration schema to run at parse time."""
+    lo, hi = domain
+    if not np.all(p1.c1 + _sample_v1(p1.v1, np.linspace(lo, hi, 4097)) > 0):
+        raise ValueError("separated family needs c1 + v1 > 0 on the domain")
+    if sigma_zero is not None and not lo <= sigma_zero <= hi:
+        raise ValueError(f"sigma_zero = {sigma_zero:g} lies outside the domain "
+                         f"[{lo:g}, {hi:g}]")
+
+
 class Class1Fields(WkbFields):
     """sigma is the antiderivative of sqrt(2 m (c1 + v1)); the correction
     sigma1 = (3/2) log sigma_x + m c2 * int dx/sigma_x + c4 makes both
@@ -176,14 +188,11 @@ class Class1Fields(WkbFields):
     def __init__(self, p1: Class1Params, domain: tuple[float, float],
                  mass: float, sigma_zero: float | None = None):
         lo, hi = float(domain[0]), float(domain[1])
+        _check_class1(p1, (lo, hi), sigma_zero)
         self.p1 = p1
         self._pot = SeparatedScalar(p1.v1, p1.v1_prime)
         self.mass = mass
         self.domain = (lo, hi)
-        probe = np.linspace(lo, hi, 4097)
-        depth = p1.c1 + (p1.v1(probe) if p1.v1 is not None else 0.0)
-        if np.any(np.asarray(depth) <= 0):
-            raise ValueError("separated family needs c1 + v1 > 0 on the domain")
         self._sigma = Antiderivative(self._sigma_x, lo, hi, base_point=sigma_zero)
         self._inv_int = Antiderivative(lambda x: 1.0 / self._sigma_x(x), lo, hi,
                                        base_point=sigma_zero)
@@ -208,7 +217,7 @@ class Class1Fields(WkbFields):
                         lap_S=0.0, lap_sigma=sxx, dg=(2.0 * sx * sxx,))
 
         return FieldJet(
-            S=p1.c1 * t, sigma=self._sigma(x),
+            xs=xs, t=t, S=p1.c1 * t, sigma=self._sigma(x),
             S1=p1.c2 * t + p1.c3, sigma1=sigma1,
             S_t=p1.c1, sigma_t=0.0, S1_t=p1.c2, sigma1_t=0.0,
             g=sx**2, g_t=0.0, derivatives=derivatives)
@@ -301,7 +310,7 @@ class Class2Fields(WkbFields):
                         dg=(-2.0 * (p2.c1 * m) ** 2 * pxx / px**3,))
 
         return FieldJet(
-            S=p2.c3 * t + p2.c4 + self._p(x),
+            xs=xs, t=t, S=p2.c3 * t + p2.c4 + self._p(x),
             sigma=p2.c1 * (t - m * self._inv_int(x)) + p2.c2,
             S1=p2.a1 * t + p2.a3 + self._f(x), sigma1=p2.a2 * t + p2.a4 + self._g(x),
             S_t=p2.c3, sigma_t=p2.c1, S1_t=p2.a1, sigma1_t=p2.a2,
@@ -370,7 +379,7 @@ class CylindricalFields(WkbFields):
                 "axis-offset grid"
             )
         return FieldJet(
-            S=cp.c1**2 / (2.0 * m) * t + cp.c2, sigma=cp.c1 * r + cp.a1,
+            xs=xs, t=t, S=cp.c1**2 / (2.0 * m) * t + cp.c2, sigma=cp.c1 * r + cp.a1,
             S1=(cp.a2 * cp.c1 / m) * t - m * cp.b1 * r + cp.c3,
             sigma1=cp.a2 * r + cp.c1 * cp.b1 * t + 0.5 * np.log(r) + cp.a3,
             S_t=cp.c1**2 / (2.0 * m), sigma_t=0.0, S1_t=cp.a2 * cp.c1 / m,

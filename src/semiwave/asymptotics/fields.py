@@ -18,15 +18,15 @@ intermediates; CallableWkbFields takes the derivatives by central
 differences through the package's one difference pair, `core._diff` (first
 derivatives in x and t) and `core._diff2` (second derivatives in x).
 
-The consumers below read a jet, not the fields, so a caller that needs the
-state, its time derivative and the residuals at one (grid, t) evaluates the
-phases once, and the derivative block only if a residual reads it.  The
-leading state is built in the array of its phase factor exp(i(S/hbar + S1))
-(`core._expi`) and its time derivative in that of its logarithmic
-derivative, with the operations and operand order of the plain formulas, so
-the values have the same bits.  Their array bodies take any sample points,
-so the public builders and a caller that samples a radial jet once per
-reflection class of the grid run the same code.
+A jet holds its (xs, t), and the consumers below read a jet, not the
+fields, so a caller that needs the state, its time derivative and the
+residuals at one (xs, t) names it once and evaluates the phases once, and
+the derivative block only if a residual reads it.  The leading state is built
+in the array of its phase factor exp(i(S/hbar + S1)) (`core._expi`) and its
+time derivative in that of its logarithmic derivative, with the operations
+and operand order of the plain formulas, so the values have the same bits.
+Their array bodies take any sample points, so the public builders and a
+caller that samples a radial jet once per reflection class run the same code.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ _THETA_GUARD = 300.0
 class FieldJet:
     """The phases and their derivatives at one set of sample points and time.
 
-    Every entry is an array of the sample shape, or a plain float where it
-    does not vary in space (sigma, whose slope builds the envelope, always
-    varies); the gradients hold one such entry per axis.  g = (grad sigma)^2
-    is the square of the envelope slope.
+    xs (one coordinate array per axis, kept out of repr) and t are where
+    and when the jet was built.  Every other entry is an array of the sample
+    shape, or a plain float where it does not vary in space (sigma, whose
+    slope builds the envelope, always varies); the gradients hold one such
+    entry per axis.  g = (grad sigma)^2 is the square of the envelope slope.
 
     The ten value and time entries are computed when the jet is built.  The
     seven spatial-derivative entries (dS, dsigma, dS1, dsigma1, lap_S,
@@ -59,6 +60,8 @@ class FieldJet:
     none of them, so building those never pays for the block.
     """
 
+    xs: tuple = field(repr=False)
+    t: float
     S: np.ndarray | float
     sigma: np.ndarray | float
     S1: np.ndarray | float
@@ -133,7 +136,7 @@ class CallableWkbFields(WkbFields):
 
         dsigma = _grad(sigma, xs, t, dim)
         return FieldJet(
-            S=S(xs, t), sigma=sigma(xs, t), S1=S1(xs, t), sigma1=sigma1(xs, t),
+            xs=xs, t=t, S=S(xs, t), sigma=sigma(xs, t), S1=S1(xs, t), sigma1=sigma1(xs, t),
             S_t=dt(S), sigma_t=dt(sigma), S1_t=dt(S1), sigma1_t=dt(sigma1),
             g=sum(c * c for c in dsigma), g_t=dt(g),
             derivatives=lambda: dict(
@@ -162,9 +165,9 @@ def _envelope_argument(jet: FieldJet, hbar: float) -> np.ndarray:
     return theta
 
 
-def _carrier(jet: FieldJet, shape, hbar: float) -> np.ndarray:
-    """exp(i (S/hbar + S1)) over the sample shape, in one new complex array."""
-    return _expi(np.broadcast_to(jet.S / hbar + jet.S1, shape))
+def _carrier(jet: FieldJet, hbar: float) -> np.ndarray:
+    """exp(i (S/hbar + S1)) over the jet's samples, in one new complex array."""
+    return _expi(np.broadcast_to(jet.S / hbar + jet.S1, np.broadcast(*jet.xs).shape))
 
 
 def _positive_slope(jet: FieldJet):
@@ -195,15 +198,15 @@ def envelope_rho(jet: FieldJet, params: PhysParams) -> np.ndarray:
     return np.multiply(amp, rho, out=rho)
 
 
-def _leading_values(jet: FieldJet, shape, params: PhysParams) -> np.ndarray:
+def _leading_values(jet: FieldJet, params: PhysParams) -> np.ndarray:
     """rho * exp(i (S/hbar + S1)) at the jet's sample points, built in the
     array of its phase factor."""
     rho = envelope_rho(jet, params)
-    psi = _carrier(jet, shape, params.hbar)
+    psi = _carrier(jet, params.hbar)
     return np.multiply(rho, psi, out=psi)
 
 
-def _representation_values(jet: FieldJet, shape, params: PhysParams) -> np.ndarray:
+def _representation_values(jet: FieldJet, params: PhysParams) -> np.ndarray:
     """The rational form of `psi_via_representation` at the jet's sample
     points."""
     amp = envelope_amplitude(jet, params)
@@ -213,7 +216,7 @@ def _representation_values(jet: FieldJet, shape, params: PhysParams) -> np.ndarr
     e = np.exp(-th)
     rational = 2.0 * e / (1.0 + e * e)
     env = np.where(safe, rational, _sech(theta))
-    psi = _carrier(jet, shape, params.hbar)
+    psi = _carrier(jet, params.hbar)
     return np.multiply(amp * env, psi, out=psi)
 
 
@@ -233,25 +236,21 @@ def _time_derivative_values(jet: FieldJet, psi: np.ndarray,
     return np.multiply(logderiv, psi, out=logderiv)
 
 
-def assemble_leading_term(
-    jet: FieldJet, grid: Grid, t: float, params: PhysParams
-) -> ComplexField:
-    """Leading-order state rho * exp(i (S/hbar + S1)) on the grid the jet
-    was sampled on, built in the array of its phase factor."""
-    return ComplexField(grid, _leading_values(jet, grid.shape, params), time=t,
-                        hbar=params.hbar)
+def assemble_leading_term(jet: FieldJet, grid: Grid, params: PhysParams) -> ComplexField:
+    """Leading-order state rho * exp(i (S/hbar + S1)) at the jet's time on
+    the grid the jet was sampled on, built in the array of its phase factor.
+    A grid of another shape is refused."""
+    return ComplexField(grid, _leading_values(jet, params), time=jet.t, hbar=params.hbar)
 
 
-def psi_via_representation(
-    jet: FieldJet, grid: Grid, t: float, params: PhysParams
-) -> ComplexField:
+def psi_via_representation(jet: FieldJet, grid: Grid, params: PhysParams) -> ComplexField:
     """Same state through the rational form 2 a Psi0 / (1 + |Psi0|^2) with
     Psi0 = exp{(i/hbar)[S + i sigma + hbar (S1 + i sigma1)]}.
 
     Where the envelope argument exceeds the exp range the equivalent sech
     form is substituted, so deep tails stay finite.
     """
-    return ComplexField(grid, _representation_values(jet, grid.shape, params), time=t,
+    return ComplexField(grid, _representation_values(jet, params), time=jet.t,
                         hbar=params.hbar)
 
 

@@ -26,6 +26,11 @@ _TOL = 1e-10
 _MAX_DEGREE = 1024
 
 
+def _within(x, lo: float, hi: float) -> bool:
+    """True when every x lies in [lo, hi] up to 1e-12."""
+    return not (np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12))
+
+
 class Antiderivative:
     """F(x) = integral of f from base_point to x, by Chebyshev interpolation."""
 
@@ -62,7 +67,7 @@ class Antiderivative:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.lo - 1e-12) or np.any(x > self.hi + 1e-12):
+        if not _within(x, self.lo, self.hi):
             raise ValueError("evaluation outside the tabulated interval")
         u = self._unit(np.clip(x, self.lo, self.hi))
         return chebyshev.chebval(u, self._coef) - self._offset

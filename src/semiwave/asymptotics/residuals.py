@@ -9,7 +9,8 @@ off one FieldJet of the fields:
 * the pair of transport residuals fixing the corrections S1 and sigma1;
 * the envelope first integral, which the sech profile solves identically.
 
-All three are evaluated pointwise on a grid so tests can assert decay or
+All three are evaluated pointwise at the jet's own sample points and time,
+which also fix where V and A are sampled, so tests can assert decay or
 detect corrupted field data.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from semiwave.core import Grid, PhysParams, PotentialSpec, eval_potential
+from semiwave.core import PhysParams, PotentialSpec, sample_potential
 from semiwave.asymptotics.fields import FieldJet, _positive_slope, _sech, envelope_amplitude
 
 
@@ -25,30 +26,24 @@ def _dot(a, b):
     return sum(ai * bi for ai, bi in zip(a, b))
 
 
-def hj_residual(jet: FieldJet, grid: Grid, t: float, pot: PotentialSpec,
-                params: PhysParams) -> np.ndarray:
+def hj_residual(jet: FieldJet, pot: PotentialSpec, params: PhysParams) -> np.ndarray:
     """Complex eikonal residual
 
         (S + i sigma)_t + V + (1/2m) sum_j (d_j S + i d_j sigma - A_j)^2
 
-    on the grid the jet was sampled on.  The square is the complex square,
+    at the jet's sample points and time.  The square is the complex square,
     not a squared modulus; its imaginary part couples the two real phases.
     """
-    V, A = eval_potential(pot, grid, t)
-    return _eikonal(jet, V, A, params)
-
-
-def _eikonal(jet: FieldJet, V, A, params: PhysParams) -> np.ndarray:
-    """The eikonal residual of `hj_residual` from V and A sampled at the
-    jet's points."""
+    V, A = sample_potential(pot, jet.xs, jet.t)
     dS, dsig = jet.dS, jet.dsigma
     kin = sum((dS[j] + 1j * dsig[j] - A[j]) ** 2 for j in range(len(A)))
     return (jet.S_t + 1j * jet.sigma_t) + V + kin / (2.0 * params.mass)
 
 
-def transport_residuals(jet: FieldJet, grid: Grid, t: float, pot: PotentialSpec,
+def transport_residuals(jet: FieldJet, pot: PotentialSpec,
                         params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
-    """Left-hand sides of the two real transport equations for S1, sigma1.
+    """Left-hand sides of the two real transport equations for S1, sigma1,
+    at the jet's sample points and time.
 
     The first reads
 
@@ -63,11 +58,11 @@ def transport_residuals(jet: FieldJet, grid: Grid, t: float, pot: PotentialSpec,
     with g = (dsigma)^2.  Both vanish identically on the shipped families.
     """
     m = params.mass
-    _, A = eval_potential(pot, grid, t)
-    divA = pot.vector.divergence(grid.mesh(), t)
+    _, A = sample_potential(pot, jet.xs, jet.t)
+    divA = pot.vector.divergence(jet.xs, jet.t)
     g = _positive_slope(jet)
     dsig, dS1, dsig1, dg = jet.dsigma, jet.dS1, jet.dsigma1, jet.dg
-    flow = tuple(jet.dS[j] - A[j] for j in range(grid.dim))
+    flow = tuple(jet.dS[j] - A[j] for j in range(len(A)))
 
     eq_a = jet.S1_t + _dot(flow, dS1) / m - _dot(dsig, dsig1) / m \
         + jet.lap_sigma / (2.0 * m) + _dot(dsig, dg) / (2.0 * m * g)

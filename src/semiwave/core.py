@@ -502,17 +502,13 @@ def free_potential() -> PotentialSpec:
     return PotentialSpec(ZeroScalar(), ZeroVector())
 
 
-def eval_potential(spec: PotentialSpec, grid: Grid, t: float):
-    """Sample V and A on the grid at time t.
+def sample_potential(spec: PotentialSpec, xs, t: float):
+    """V and A at the points xs (one coordinate array per axis, as
+    `Grid.mesh()` gives them) and time t.
 
-    Returns (V, (A_1, ..., A_dim)) as plain arrays of the grid shape.
+    Returns (V, (A_1, ..., A_dim)) as plain arrays of the points' broadcast
+    shape.
     """
-    return _sample_potential(spec, grid.mesh(), t)
-
-
-def _sample_potential(spec: PotentialSpec, xs, t: float):
-    """V and A at the points xs (one coordinate array per axis), as plain
-    arrays of their broadcast shape."""
     shape = np.broadcast(*xs).shape
     v = np.broadcast_to(np.asarray(spec.scalar.value(xs, t), dtype=float), shape).copy()
     a = tuple(

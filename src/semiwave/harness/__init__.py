@@ -11,14 +11,12 @@ from semiwave.harness.config import (
 )
 from semiwave.harness.emit import emit, format_float
 from semiwave.harness.scenarios import (
-    SCENARIOS,
     ReportRow,
     ScenarioResult,
     run_scenario,
 )
 
 __all__ = [
-    "SCENARIOS",
     "SCENARIO_NAMES",
     "ConfigError",
     "ExperimentConfig",

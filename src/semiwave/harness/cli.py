@@ -8,13 +8,14 @@ from pathlib import Path
 
 from .config import (
     SCENARIO_NAMES,
+    SCHEMAS,
     ConfigError,
     ExperimentConfig,
     default_config_path,
     parse_config,
 )
 from .emit import emit, format_float
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,9 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-scenarios":
-        for name in SCENARIO_NAMES:
-            _, desc = SCENARIOS[name]
-            print(f"{name}: {desc}")
+        for name, schema in SCHEMAS.items():
+            print(f"{name}: {' '.join(schema.__doc__.split())}")
         return 0
 
     try:

@@ -26,6 +26,8 @@ import yaml
 
 from ..asymptotics import (Class1Params, Class2Params, CylindricalParams, SolitonParams,
                           separated_class1, separated_class2, soliton_correction_fields)
+from ..asymptotics.families import _check_class1
+from ..asymptotics.quadrature import _within
 from ..core import (Grid, HarmonicScalar, PhysParams, PotentialSpec, SeparatedScalar,
                     UniformVector, ZeroScalar, ZeroVector, free_potential,
                     make_axis_offset_grid, make_uniform_grid)
@@ -324,9 +326,12 @@ class _Separated:
 
     v1: Zero | Quadratic = Zero()
     domain: tuple[float, float]
+    sigma_zero: ClassVar[float | None] = None  # a key of Class1 alone
 
     def __post_init__(self):
         _require(self.domain[0] < self.domain[1], "domain: must be [lo, hi] with hi > lo")
+        if isinstance(self.constants, Class1Params):
+            _check_class1(self.profiled(), self.domain, self.sigma_zero)
 
     def profiled(self):
         """The constants with the v1 profile filled in."""
@@ -335,6 +340,13 @@ class _Separated:
 
     def potential(self) -> PotentialSpec:
         return PotentialSpec(scalar=self.v1.scalar())
+
+    def check_grid(self, grid: Grid, path: str) -> None:
+        """Refuse a grid with samples outside the domain, where the family's
+        antiderivatives are not tabulated."""
+        x, (lo, hi) = grid.axes()[0], self.domain
+        _require(_within(x, lo, hi), f"{path}: samples [{x[0]:g}, {x[-1]:g}] leave "
+                                     f"the family's domain [{lo:g}, {hi:g}]")
 
 
 @_block
@@ -422,7 +434,9 @@ class IdentityFamily:
     eval_time: float = 0.25
 
     def __post_init__(self):
-        self.grids()
+        _, grid1, grid2, _ = self.grids()
+        self.class1.check_grid(grid1, "class1.grid")
+        self.class2.check_grid(grid2, "class2.grid")
 
     def grids(self) -> tuple[Grid, ...]:
         return (self.soliton.grid.build(-20.0, 20.0),
@@ -479,6 +493,10 @@ class ResidualScaling(_Scenario):
     grid: Grid1d
     params: SweepParams
     family: ScalingFamily
+
+    def __post_init__(self):
+        if self.family.type == "class1":
+            self.family.class1.check_grid(self.grid.build(), "grid")
 
 
 @_block

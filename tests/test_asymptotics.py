@@ -22,7 +22,7 @@ from semiwave.core import (
     PotentialSpec,
     ExpressionScalar,
     SeparatedScalar,
-    eval_potential,
+    UniformVector,
     free_potential,
     make_axis_offset_grid,
     make_uniform_grid,
@@ -133,9 +133,9 @@ def test_envelope_degenerate_and_defocusing_errors():
         jet = w.jet(grid.mesh(), 0.0)
         calls = {
             "rho": lambda: envelope_rho(jet, params),
-            "transport": lambda: transport_residuals(jet, grid, 0.0, pot, params),
+            "transport": lambda: transport_residuals(jet, pot, params),
             "integral": lambda: first_integral_residual(jet, params),
-            "uv": lambda: first_correction_uv(jet, cp, grid, 0.0, pot, params),
+            "uv": lambda: first_correction_uv(jet, cp, pot, params),
         }
         for name in entry_points:
             with pytest.raises(ValueError):
@@ -171,8 +171,8 @@ def test_representation_identity(family):
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w, grid, _ = make_family(family, params)
     jet = w.jet(grid.mesh(), 0.25)
-    a = assemble_leading_term(jet, grid, 0.25, params)
-    b = psi_via_representation(jet, grid, 0.25, params)
+    a = assemble_leading_term(jet, grid, params)
+    b = psi_via_representation(jet, grid, params)
     assert max_abs(a.values - b.values) < 1e-12
 
 
@@ -186,8 +186,8 @@ def test_representation_deep_tail_guard():
     jet = w.jet(grid.mesh(), 0.0)
     theta = jet.sigma / params.hbar + jet.sigma1
     assert np.max(theta) > 390.0
-    a = assemble_leading_term(jet, grid, 0.0, params)
-    b = psi_via_representation(jet, grid, 0.0, params)
+    a = assemble_leading_term(jet, grid, params)
+    b = psi_via_representation(jet, grid, params)
     assert np.all(np.isfinite(b.values))
     assert max_abs(a.values - b.values) < 1e-12
 
@@ -196,7 +196,7 @@ def test_leading_term_modulus_is_envelope():
     params = PhysParams(hbar=0.2, mass=1.0, r=0.5)
     w, grid, _ = make_family("class1", params)
     jet = w.jet(grid.mesh(), 0.0)
-    fld = assemble_leading_term(jet, grid, 0.0, params)
+    fld = assemble_leading_term(jet, grid, params)
     rho = envelope_rho(jet, params)
     assert max_abs(np.abs(fld.values) - rho) < 1e-13
 
@@ -206,7 +206,7 @@ def test_leading_term_norm_oracle():
     params = PhysParams(hbar=0.5, mass=1.0, r=0.5)
     w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5), params)
     grid = make_uniform_grid(1, -20.0, 20.0, 1024)
-    fld = assemble_leading_term(w.jet(grid.mesh(), 0.0), grid, 0.0, params)
+    fld = assemble_leading_term(w.jet(grid.mesh(), 0.0), grid, params)
     assert abs(norm_squared(fld) - 1.0) < 1e-10
 
 
@@ -222,7 +222,7 @@ def test_hj_uniform_potential_oracle():
     grid = make_uniform_grid(1, -4.0, 4.0, 64)
     pot = PotentialSpec(scalar=ExpressionScalar(fn=v))
     for t in (0.0, 1.7):
-        r = hj_residual(w.jet(grid.mesh(), t), grid, t, pot, HALF_FOCUSING)
+        r = hj_residual(w.jet(grid.mesh(), t), pot, HALF_FOCUSING)
         assert np.shape(r) == grid.shape
         assert max_abs(r - v(None, t)) < 1e-10
 
@@ -234,14 +234,14 @@ def test_hj_uniform_potential_oracle():
 def test_hj_residual_families(family, tol):
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w, grid, pot = make_family(family, params)
-    assert max_abs(hj_residual(w.jet(grid.mesh(), 0.25), grid, 0.25, pot, params)) < tol
+    assert max_abs(hj_residual(w.jet(grid.mesh(), 0.25), pot, params)) < tol
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_transport_residual_families(family):
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w, grid, pot = make_family(family, params)
-    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.25), grid, 0.25, pot, params)
+    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.25), pot, params)
     assert max_abs(eq_a) < 1e-10
     assert max_abs(eq_b) < 1e-10
 
@@ -256,7 +256,7 @@ class _Analytic1D(WkbFields):
         sigma_x = 1.0 + (0.2 + 0.02 * t) * np.cos(x)
         sigma_xx = -(0.2 + 0.02 * t) * np.sin(x)
         return FieldJet(
-            S=0.3 * x * x + 0.1 * t + 0.05 * x * t,
+            xs=xs, t=t, S=0.3 * x * x + 0.1 * t + 0.05 * x * t,
             sigma=x + (0.2 + 0.02 * t) * np.sin(x),
             S1=0.04 * x * x - 0.1 * x * t,
             sigma1=0.1 * np.cos(2.0 * x) + 0.05 * t,
@@ -278,8 +278,7 @@ def test_transport_one_dimensional_reduction():
     m = 1.3
     params = PhysParams(hbar=0.1, mass=m, r=0.5)
     t = 0.6
-    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), t), grid, t, free_potential(),
-                                     params)
+    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), t), free_potential(), params)
 
     x = grid.axes()[0]
     S_x = 0.6 * x + 0.05 * t
@@ -300,6 +299,52 @@ def test_transport_one_dimensional_reduction():
 
     assert max_abs(eq_a - red_a) < 1e-10
     assert max_abs(eq_b - red_b) < 1e-10
+
+
+def test_residuals_sample_the_potential_at_the_jet_time():
+    """A jet built at t = 0.3 under V(x, t) = 0.2 x^2 + 1.5 t and a uniform
+    A(t) = 0.4 + 2 t: both residuals match the hand-differentiated fields
+    with V and A sampled by hand at 0.3, the time the jet alone carries
+    (at t = 0 V and A differ by 0.45 and 0.6)."""
+    w = _Analytic1D()
+    grid = make_uniform_grid(1, -3.0, 3.0, 256)
+    m = 1.3
+    params = PhysParams(hbar=0.1, mass=m, r=0.5)
+    pot = PotentialSpec(scalar=ExpressionScalar(fn=lambda xs, t: 0.2 * xs[0] ** 2 + 1.5 * t),
+                        vector=UniformVector(a_of_t=lambda t: (0.4 + 2.0 * t,)))
+    t = 0.3
+    jet = w.jet(grid.mesh(), t)
+
+    x = grid.axes()[0]
+    V, A = 0.2 * x ** 2 + 1.5 * 0.3, 0.4 + 2.0 * 0.3
+    flow = 0.6 * x + 0.05 * t - A
+    S_t, sigma_t = 0.1 + 0.05 * x, 0.02 * np.sin(x)
+    sigma_x = 1.0 + (0.2 + 0.02 * t) * np.cos(x)
+    sigma_xx = -(0.2 + 0.02 * t) * np.sin(x)
+    sigma_xt = 0.02 * np.cos(x)
+    S1_x, sigma1_x = 0.08 * x - 0.1 * t, -0.2 * np.sin(2.0 * x)
+
+    hj = S_t + 1j * sigma_t + V + (flow + 1j * sigma_x) ** 2 / (2.0 * m)
+    assert max_abs(hj_residual(jet, pot, params) - hj) < 1e-12
+    # the one-dimensional reduction with the flow dS - A; div A = 0
+    red_a = -0.1 * x + flow * S1_x / m - sigma_x * sigma1_x / m + 1.5 * sigma_xx / m
+    red_b = 0.05 + flow * sigma1_x / m + sigma_x * S1_x / m \
+        - 0.5 * (0.6 / m + 2.0 * sigma_xt / sigma_x + 2.0 * flow * sigma_xx / (m * sigma_x))
+    eq_a, eq_b = transport_residuals(jet, pot, params)
+    assert max_abs(eq_a - red_a) < 1e-10
+    assert max_abs(eq_b - red_b) < 1e-10
+
+
+def test_assembly_refuses_a_grid_of_another_shape():
+    """The state is built on the jet's points; a grid of another shape is
+    refused, not filled by broadcasting."""
+    params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
+    w, grid, _ = make_family("class1", params)
+    jet = w.jet(grid.mesh(), 0.25)
+    other = make_uniform_grid(1, -4.0, 4.0, 512)
+    for build in (assemble_leading_term, psi_via_representation):
+        with pytest.raises(ValueError, match="does not match grid shape"):
+            build(jet, other, params)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +381,7 @@ def test_correction_vanishes_for_plain_soliton():
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = soliton_correction_fields(SolitonParams(xi=0.25, eta=0.5), params)
     grid = make_uniform_grid(1, -20.0, 20.0, 512)
-    u, v = first_correction_uv(w.jet(grid.mesh(), 0.3), CorrectionParams(), grid, 0.3,
+    u, v = first_correction_uv(w.jet(grid.mesh(), 0.3), CorrectionParams(),
                                free_potential(), params)
     assert max_abs(u) == 0.0
     assert max_abs(v) == 0.0
@@ -348,8 +393,8 @@ def test_correction_parity_with_constant_c1():
     params = PhysParams(hbar=0.2, mass=1.0, r=0.5)
     w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5), params)
     grid = make_uniform_grid(1, -16.0, 16.0, 512)
-    u, v = first_correction_uv(w.jet(grid.mesh(), 0.0), CorrectionParams(C1=0.7), grid,
-                               0.0, free_potential(), params)
+    u, v = first_correction_uv(w.jet(grid.mesh(), 0.0), CorrectionParams(C1=0.7),
+                               free_potential(), params)
     # index j=0 has no mirror sample on the right-open grid
     assert max_abs(u[1:] + u[:0:-1]) < 1e-12
     assert max_abs(v[1:] - v[:0:-1]) < 1e-12
@@ -381,7 +426,7 @@ def test_corrected_field_cancels_first_order_residual():
     for hb in hbars:
         pp = PhysParams(hbar=float(hb), mass=1.0, r=0.5)
         jet = w.jet(grid.mesh(), t)
-        psi = assemble_leading_term(jet, grid, t, pp)
+        psi = assemble_leading_term(jet, grid, pp)
         dpsi = leading_term_time_derivative(jet, psi, pp)
         lead.append(rel_residual(psi, dpsi, pp))
         fld, dfld = corrected_term_with_dt(w, jet, psi, dpsi, CorrectionParams(), pot, pp)
@@ -415,7 +460,7 @@ def test_corrected_time_derivative_consistency(family):
 
     def corrected(s):
         jet = w.jet(grid.mesh(), s)
-        psi = assemble_leading_term(jet, grid, s, params)
+        psi = assemble_leading_term(jet, grid, params)
         dpsi = leading_term_time_derivative(jet, psi, params)
         return corrected_term_with_dt(w, jet, psi, dpsi, cp, pot, params)
 
@@ -436,7 +481,7 @@ def test_class1_correction_is_stationary_with_zero_imaginary_part():
     grid = make_uniform_grid(1, -4.0, 4.0, 512)
     pot = PotentialSpec(scalar=SeparatedScalar(v1=lambda x: 0.1 * x * x))
     (u0, v0), (u1, v1) = (first_correction_uv(w.jet(grid.mesh(), t), CorrectionParams(),
-                                              grid, t, pot, params) for t in (0.0, 0.8))
+                                              pot, params) for t in (0.0, 0.8))
     assert max_abs(v0) == 0.0
     assert max_abs(v1) == 0.0
     assert max_abs(u0 - u1) < 1e-12

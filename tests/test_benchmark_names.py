@@ -20,14 +20,16 @@ def test_tracer_wraps_and_restores_the_library(monkeypatch):
     import spans
 
     tracer = spans.Tracer()
-    cfg = ExperimentConfig.from_file(default_config_path("identity-suite"))
+    # identity-suite calls the residuals, residual-scaling the assembly
+    cfgs = [ExperimentConfig.from_file(default_config_path(name))
+            for name in ("identity-suite", "residual-scaling")]
     with tracer.installed("probe"):
         assert hasattr(semiwave.harness.scenarios.assemble_leading_term, "__wrapped__")
         # through the module, so the traced binding is the one called
-        assert semiwave.harness.run_scenario(cfg).all_passed()
+        assert all(semiwave.harness.run_scenario(cfg).all_passed() for cfg in cfgs)
     summary = tracer.summary("probe")
     assert summary["asymptotics.assemble.calls"] > 0
     assert summary["asymptotics.residuals.calls"] > 0
-    assert summary["harness.run_scenario.calls"] == 1
+    assert summary["harness.run_scenario.calls"] == 2
     assert not hasattr(semiwave.asymptotics.assemble_leading_term, "__wrapped__")
     assert not hasattr(semiwave.harness.scenarios.assemble_leading_term, "__wrapped__")

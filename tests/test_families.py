@@ -124,7 +124,7 @@ def test_one_soliton_matches_assembled_field():
                        f=lambda z: 0.1 * z + 0.05 * np.sin(z))
     params = PhysParams(hbar=0.25, mass=1.0, r=0.5)
     w = soliton_correction_fields(sp, params)
-    a = assemble_leading_term(w.jet(grid.mesh(), 0.7), grid, 0.7, params)
+    a = assemble_leading_term(w.jet(grid.mesh(), 0.7), grid, params)
     b = one_soliton(sp, grid, 0.7, params)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
 
@@ -174,7 +174,7 @@ def test_class1_transport_with_linear_time_correction():
     w = separated_class1(p1, (-4.0, 4.0), params)
     grid = make_uniform_grid(1, -4.0, 4.0, 1024)
     pot = PotentialSpec(scalar=SeparatedScalar(v1=lambda x: 0.1 * x * x))
-    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.6), grid, 0.6, pot, params)
+    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.6), pot, params)
     assert np.max(np.abs(eq_a)) < 1e-10
     assert np.max(np.abs(eq_b)) < 1e-10
 
@@ -237,7 +237,7 @@ def test_class2_transport_generic_potential():
     w = separated_class2(p2, (-4.0, 4.0), params)
     grid = make_uniform_grid(1, -4.0, 4.0, 2048)
     pot = PotentialSpec(scalar=SeparatedScalar(v1=v1))
-    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.3), grid, 0.3, pot, params)
+    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.3), pot, params)
     assert np.max(np.abs(eq_a)) < 1e-8
     assert np.max(np.abs(eq_b)) < 1e-8
 
@@ -292,7 +292,7 @@ def test_cylindrical_matches_assembled_field():
     cp = CylindricalParams(c1=1.0, b1=0.1, a2=0.2, a3=0.05, c2=0.1, c3=-0.2)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = cylindrical_fields(cp, params)
-    a = assemble_leading_term(w.jet(grid.mesh(), 0.25), grid, 0.25, params)
+    a = assemble_leading_term(w.jet(grid.mesh(), 0.25), grid, params)
     b = cylindrical_special(cp, grid, 0.25, params)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
 
@@ -419,7 +419,7 @@ def test_leading_pair_never_evaluates_the_radial_derivative_block(monkeypatch):
     w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
     grid = make_axis_offset_grid(2, 4.0, 64)
     jet = w.jet(np.ix_(*grid.axes()), 0.3)
-    leading_term_time_derivative(jet, assemble_leading_term(jet, grid, 0.3, params), params)
+    leading_term_time_derivative(jet, assemble_leading_term(jet, grid, params), params)
     assert calls == []
-    hj_residual(w.jet(grid.mesh(), 0.3), grid, 0.3, free_potential(), params)
+    hj_residual(w.jet(grid.mesh(), 0.3), free_potential(), params)
     assert calls == [1]

@@ -33,7 +33,6 @@ from semiwave import (
 from semiwave.asymptotics import CylindricalParams, cylindrical_fields
 from semiwave.harness import (
     SCENARIO_NAMES,
-    SCENARIOS,
     ConfigError,
     ExperimentConfig,
     ReportRow,
@@ -46,7 +45,8 @@ from semiwave.harness import (
     validate_config,
 )
 from semiwave.core import _reflection_classes
-from semiwave.harness.scenarios import _quadrant_residual
+from semiwave.harness.config import SCHEMAS
+from semiwave.harness.scenarios import _RUNNERS, _quadrant_residual
 
 def small_propagation_dict():
     return {
@@ -197,6 +197,13 @@ REJECTED = [
      "potential.vector.components"),
     ("soliton-propagation", "solver.snapshot_evry=5", "solver.snapshot_evry"),
     ("identity-suite", "solver.dt=0.1", "solver"),
+    # separated families: refused at parse time, not mid-run
+    ("residual-scaling", "family.class1.c1=-1.0", "family.class1"),
+    ("residual-scaling", "family.class1.c1=.nan", "family.class1"),
+    ("identity-suite", "family.class1.c1=-0.5", "family.class1"),
+    ("residual-scaling", "family.class1.sigma_zero=10", "family.class1"),
+    ("residual-scaling", "family.class1.domain=[-2,2]", "grid"),
+    ("identity-suite", "family.class2.grid.lo=-10", "family.class2.grid"),
 ]
 
 
@@ -295,7 +302,8 @@ def test_concentration_failure_is_reported_not_raised():
 
 
 def test_registry_matches_scenario_names():
-    assert set(SCENARIOS) == set(SCENARIO_NAMES)
+    """Every scenario schema has a runner, and every runner a schema."""
+    assert set(_RUNNERS) == set(SCHEMAS.values())
 
 
 @pytest.mark.parametrize("scenario, jets", [
@@ -509,7 +517,7 @@ def test_cylindrical_residual_memory():
     def residual():
         # the jet is dropped before the operator residual allocates its arrays
         jet = w.jet(np.ix_(*grid.axes()), 0.3)
-        psi = assemble_leading_term(jet, grid, 0.3, params)
+        psi = assemble_leading_term(jet, grid, params)
         dpsi = leading_term_time_derivative(jet, psi, params)
         del jet
         return relative_residual(apply_nlse_operator((psi, dpsi), free_potential(), params),

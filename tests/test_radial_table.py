@@ -46,7 +46,7 @@ def _full_mesh_pair(w, grid, t, params):
     """The leading state and its time derivative on the whole grid, from
     one jet sampled on the open mesh."""
     jet = w.jet(np.ix_(*grid.axes()), t)
-    psi = assemble_leading_term(jet, grid, t, params)
+    psi = assemble_leading_term(jet, grid, params)
     return psi, leading_term_time_derivative(jet, psi, params)
 
 
@@ -71,10 +71,10 @@ def _full_mesh_arrays(w, grid, t, pot, params):
     """|a - b| between the two assembly routes, |first integral residual|
     and |eikonal residual| on the whole grid."""
     jet = w.jet(grid.mesh(), t)
-    a = assemble_leading_term(jet, grid, t, params).values
-    b = psi_via_representation(jet, grid, t, params).values
+    a = assemble_leading_term(jet, grid, params).values
+    b = psi_via_representation(jet, grid, params).values
     return (np.abs(a - b), np.abs(first_integral_residual(jet, params)),
-            np.abs(hj_residual(jet, grid, t, pot, params)))
+            np.abs(hj_residual(jet, pot, params)))
 
 
 # Over seeds 1-20 at half_width 0.3, 0.7, 1.1 and 1.3 on 256^2, the
@@ -98,14 +98,14 @@ def test_identity_ring_maxima_match_full_mesh(seed):
     w = cylindrical_fields(_seeded_ring(seed), params)
     pot = free_potential()
     exact = make_axis_offset_grid(2, 2.0, 256)
-    table = _pointwise_maxima(w, exact, 0.25, pot, params)[1:]
+    table = _pointwise_maxima(w, exact, 0.25, pot, params)
     full = tuple(float(np.max(v)) for v in _full_mesh_arrays(w, exact, 0.25, pot, params))
     assert table == full
     assert min(table) > 0.0
 
     inexact = make_axis_offset_grid(2, 1.1, 256)
     assert not np.array_equal(inexact.axes()[0][::-1], -inexact.axes()[0])
-    table = _pointwise_maxima(w, inexact, 0.25, pot, params)[1:]
+    table = _pointwise_maxima(w, inexact, 0.25, pot, params)
     arrays = _full_mesh_arrays(w, inexact, 0.25, pot, params)
     assert table == tuple(float(np.max(v[128:, 128:])) for v in arrays)
     for q, v in zip(table, arrays):

@@ -396,7 +396,7 @@ def soliton_pair(grid, t, params, xi=0.25, eta=0.5):
     w = soliton_correction_fields(sp, params)
     psi = one_soliton(sp, grid, t, params)
     jet = w.jet(grid.mesh(), t)
-    dpsi = leading_term_time_derivative(jet, assemble_leading_term(jet, grid, t, params), params)
+    dpsi = leading_term_time_derivative(jet, assemble_leading_term(jet, grid, params), params)
     return psi, dpsi
 
 
