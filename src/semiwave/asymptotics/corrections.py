@@ -75,8 +75,7 @@ def _coefficients(jet: FieldJet, cp: CorrectionParams, pot: PotentialSpec,
     m = params.mass
     g = _positive_slope(jet)
     dim = len(jet.xs)
-    A = tuple(np.asarray(a, dtype=float)
-              for a in pot.vector.value(jet.xs, jet.t))
+    A = pot.vector.value(jet.xs, jet.t)
     divA = pot.vector.divergence(jet.xs, jet.t)
     dsig, dg = jet.dsigma, jet.dg
     flow = tuple(jet.dS[j] - A[j] for j in range(dim))

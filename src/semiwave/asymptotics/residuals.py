@@ -58,7 +58,7 @@ def transport_residuals(jet: FieldJet, pot: PotentialSpec,
     with g = (dsigma)^2.  Both vanish identically on the shipped families.
     """
     m = params.mass
-    _, A = sample_potential(pot, jet.xs, jet.t)
+    A = pot.vector.value(jet.xs, jet.t)
     divA = pot.vector.divergence(jet.xs, jet.t)
     g = _positive_slope(jet)
     dsig, dS1, dsig1, dg = jet.dsigma, jet.dS1, jet.dsigma1, jet.dg

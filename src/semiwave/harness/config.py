@@ -4,15 +4,17 @@ A configuration is one YAML document with nested blocks.  Each scenario
 declares its document below as a frozen dataclass, one class per block,
 and parse_config() walks the raw blocks into those classes once.  Every
 problem is reported by dotted field path: a missing, unknown or mistyped
-key, or a ValueError from a block's own checks.  Where the library
-declares a block's keys (SolitonParams, Class1Params, Class2Params,
-CylindricalParams) the walker fills that class directly.  Potentials and
-profiles are named closed forms with numeric parameters, and callable
-fields are never read, so a config file can never inject code.
+key (a float key takes finite numbers alone), or a ValueError from a
+block's own checks.  Where the library declares a block's keys
+(SolitonParams, Class1Params, Class2Params, CylindricalParams) the
+walker fills that class directly.  Potentials and profiles are named
+closed forms with numeric parameters, and callable fields are never
+read, so a config file can never inject code.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
@@ -551,7 +553,7 @@ def default_config_path(scenario: str) -> Path:
 # ---------------------------------------------------------------------------
 # walker
 
-_KINDS = {float: "a number", int: "an integer", str: "a string"}
+_KINDS = {float: "a finite number", int: "an integer", str: "a string"}
 
 
 def _join(path: str, key) -> str:
@@ -559,7 +561,10 @@ def _join(path: str, key) -> str:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float, bool excluded: NaN, +-inf and ints beyond the
+    float range are refused for every float key."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
 
 
 @cache
@@ -632,7 +637,7 @@ def _value(tp, v, path: str, problems: list):
     elif origin is tuple:
         size = None if args[-1] is Ellipsis else len(args)
         ok = isinstance(v, list) and all(map(_is_number, v)) and size in (None, len(v))
-        what = f"needs a list of {'' if size is None else f'{size} '}numbers"
+        what = f"needs a list of {'' if size is None else f'{size} '}finite numbers"
         v = tuple(map(float, v)) if ok else v
     elif isinstance(v, list):
         ok, what = False, "must be a single value, not a list"

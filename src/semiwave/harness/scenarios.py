@@ -379,9 +379,11 @@ def run_identity_suite(spec: IdentitySuite) -> ScenarioResult:
     params = spec.params.phys()
     maxima = {name: _pointwise_maxima(w, grid, spec.family.eval_time, pot, params)
               for name, w, grid, pot in _identity_families(spec, params)}
-    repr_max = max(m[0] for m in maxima.values())
-    integral_max = max(m[1] for m in maxima.values())
-    reduction_max = max(0.0, *(v for m in maxima.values() for v in m[3:]))
+    # np.max keeps a NaN wherever it sits; Python's max drops one that is
+    # not its first argument, and the row would then pass
+    repr_max = np.max([m[0] for m in maxima.values()])
+    integral_max = np.max([m[1] for m in maxima.values()])
+    reduction_max = np.max([0.0, *(v for m in maxima.values() for v in m[3:])])
 
     result = ScenarioResult(scenario=scen)
     result.rows.append(_below(scen, "assembly", "representation_identity_max",
@@ -439,7 +441,7 @@ def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     residuals, asymmetries = zip(*(
         _quadrant_residual(w, grid, spec.family.eval_time, base.with_hbar(hb), classes)
         for hb in hbars))
-    sym_max = max(0.0, *asymmetries)
+    sym_max = np.max([0.0, *asymmetries])  # keeps a NaN, as in run_identity_suite
     monotone = all(a > b for a, b in zip(residuals, residuals[1:]))
     fit = fit_scaling(hbars, residuals)
     result = ScenarioResult(scenario=scen)

@@ -10,13 +10,16 @@ and a second local half step with the modulus refreshed.  Every factor is
 a pure phase, so each step preserves the norm to rounding.
 
 A run builds one propagator plan (_StrangPlan) per (grid, params, pot).
-It holds the mesh and a single cached kinetic factor, rebuilt only when
-the uniform A or the step length changes.  A scalar potential whose
-`static` property is true (ZeroScalar, HarmonicScalar, SeparatedScalar)
-is sampled once per plan, and its term of the local phase
-is kept per total half-step length; when r is 0 as well the local factor
-itself is the same every step and is kept instead.  Any other V is
-sampled at the midpoint of each half step, twice per step.
+It owns the work arrays that every step is written into and runs the
+transform pair in place, so only the snapshot states are fresh arrays;
+its docstring lists the arrays and says why every complex multiply is
+written psi times factor.  V is sampled on the open mesh of the grid's
+axes.  A scalar potential whose `static` property is true
+(ZeroScalar, HarmonicScalar, SeparatedScalar) is sampled once per plan,
+and its term of the local phase is kept per total half-step length; when
+r is 0 as well the local factor itself is the same every step and is
+kept instead.  Any other V is sampled at the midpoint of each half step,
+twice per step.
 
 Because the local factor is a pure phase, |psi|^2 is the same on both
 sides of it, so the closing half step of step n and the opening half step
@@ -137,21 +140,48 @@ def _uniform_components(vec: ZeroVector | UniformVector, dim: int,
     return comps
 
 
-def _density(vals: np.ndarray) -> np.ndarray:
-    return vals.real ** 2 + vals.imag ** 2
+def _density(vals: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    """|vals|^2 as re^2 + im^2, written into out with im^2 in scratch when
+    they are given (real arrays of vals' shape)."""
+    out = np.square(vals.real, out=out)
+    out += np.square(vals.imag, out=scratch)
+    return out
 
 
 class _StrangPlan:
     """Strang propagator on one grid for one (params, pot).
 
-    Holds the mesh, the local phase rate V/(2 hbar) when the scalar
-    potential is static (sampled once, at t0), and one kinetic factor,
-    rebuilt only when the uniform A or the step length changes.  For a
-    static V the term hsum * V/(2 hbar) of each total half-step length
-    hsum is built once and kept (h, 2h, and with a shortened last step
-    h + tail and tail: at most four); when r is 0 as well the whole local
-    factor exp(-i hsum V/(2 hbar)) is kept instead, so a step makes no
-    cos/sin pass for it.
+    Holds the open mesh np.ix_ of the grid's axes, at which V is sampled
+    and then broadcast to the grid's shape; the local phase rate
+    V/(2 hbar) when the scalar potential is static (sampled once, at t0);
+    and the work arrays every step is written into, so a step allocates
+    none of the grid's size:
+
+    * two complex arrays used in turn: the local factor goes into the one
+      that does not hold psi, and psi times it into the same one, which
+      the kinetic step's transform pair then overwrites in place;
+    * the kinetic factor, rebuilt in place only when the uniform A or the
+      step length changes;
+    * real arrays for the phase theta and for scratch, and two for
+      |psi|^2 used in turn, so a non-finite norm can still be traced to
+      the pending closing half step, which acts on the previous density.
+
+    A snapshot state alone is written into a fresh array, so no work array
+    escapes into a ComplexField.
+
+    Every complex multiply is written as psi times factor.  Complex
+    multiply with FMA is not commutative to the bit, and numpy computes
+    psi * (a temporary factor) as factor *= psi for arrays of 256 KiB and
+    more (temporary elision): the order would then depend on the grid's
+    size.  Fixed, it gives the bits of the written-out product on every
+    grid.
+
+    For a static V the term hsum * V/(2 hbar) of each total half-step
+    length hsum is built once and kept (h, 2h, and with a shortened last
+    step h + tail and tail: at most four); when r is 0 as well the whole
+    local factor exp(-i hsum V/(2 hbar)) is kept instead, so a step makes
+    no cos/sin pass for it.
     """
 
     def __init__(self, grid: Grid, params: PhysParams, pot: PotentialSpec, t0: float):
@@ -163,29 +193,41 @@ class _StrangPlan:
             )
         self.params = params
         self.pot = pot
-        self.xs = grid.mesh()
+        self.xs = np.ix_(*grid.axes())
+        self.shape = grid.shape
         self.dv = grid.cell_volume
         self.v_rate = self._v_rate(t0) if pot.scalar.static else None
         self._static = {}  # total half-step length -> its static term
         self.hk = tuple(params.hbar * grid.axis_wavenumber(ax) for ax in range(grid.dim))
         self._kin_key = None
-        self._kin = None
+        self._kin = np.empty(grid.shape, dtype=np.complex128)
+        self._work = tuple(np.empty(grid.shape, dtype=np.complex128) for _ in range(2))
+        self._theta, self._scratch = np.empty(grid.shape), np.empty(grid.shape)
+        self._dens = tuple(np.empty(grid.shape) for _ in range(2))
 
-    def _v_rate(self, t: float) -> np.ndarray:
+    def _v_rate(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         v = np.asarray(self.pot.scalar.value(self.xs, t), dtype=float)
-        return (0.5 / self.params.hbar) * v
+        return np.multiply(0.5 / self.params.hbar, np.broadcast_to(v, self.shape), out=out)
 
-    def local_factor(self, dens: np.ndarray, halves: list[tuple[float, float]]) -> np.ndarray:
+    def _free(self, vals: np.ndarray) -> np.ndarray:
+        """The work array that does not hold vals."""
+        first, second = self._work
+        return second if np.may_share_memory(vals, first) else first
+
+    def local_factor(self, dens: np.ndarray, halves: list[tuple[float, float]],
+                     out: np.ndarray) -> np.ndarray:
         """exp(-i phase) of the local half steps `halves`, (t, h) pairs that
-        each act for h/2 with V sampled at t.  A pure phase leaves |psi|^2
-        unchanged, so all of them share dens and combine into one factor."""
+        each act for h/2 with V sampled at t, written into out unless it is
+        a kept static factor.  A pure phase leaves |psi|^2 unchanged, so
+        all of them share dens and combine into one factor."""
         hsum = sum(h for _, h in halves)
         r = self.params.r
+        theta = self._theta
         if self.v_rate is None:
-            theta = (r * hsum / self.params.hbar) * dens
+            np.multiply(r * hsum / self.params.hbar, dens, out=theta)
             for t, h in halves:
-                theta -= h * self._v_rate(t)
-            return _expi(theta)
+                theta -= np.multiply(h, self._v_rate(t, self._scratch), out=self._scratch)
+            return _expi(theta, out=out)
         term = self._static.get(hsum)
         if term is None:
             term = hsum * self.v_rate
@@ -195,51 +237,54 @@ class _StrangPlan:
             self._static[hsum] = term
         if r == 0:
             return term
-        theta = (r * hsum / self.params.hbar) * dens
+        np.multiply(r * hsum / self.params.hbar, dens, out=theta)
         theta -= term
-        return _expi(theta)
+        return _expi(theta, out=out)
 
     def kinetic(self, vals: np.ndarray, t: float, h: float) -> np.ndarray:
-        """Full kinetic step of length h, A sampled at t."""
+        """Full kinetic step of length h, A sampled at t, in place on vals,
+        which must be a work array."""
         a = _uniform_components(self.pot.vector, len(self.hk), t)
         if (a, h) != self._kin_key:
             scale = h / (2.0 * self.params.mass * self.params.hbar)
-            factor = 1.0
-            for hk, a_ax in zip(self.hk, a):
-                factor = factor * _expi(-scale * (hk - a_ax) ** 2)
-            self._kin_key, self._kin = (a, h), factor
-        return _spectral_multiply(vals, self._kin)
+            *head, last = (_expi(-scale * (hk - a_ax) ** 2) for hk, a_ax in zip(self.hk, a))
+            # the per-axis factors are small; only their last product is full size
+            np.multiply(math.prod(head, start=1.0), last, out=self._kin)
+            self._kin_key = (a, h)
+        return _spectral_multiply(vals, self._kin, _owned=True)
 
     def run(self, vals: np.ndarray, t0: float, steps: list[tuple[float, float]],
             every: int):
         """Strang steps from t0, one per (length, end time) pair of `steps`.
         Yields (t, norm, state) after each step; state is the exact Strang
-        state after every `every`-th step and the last one, and None between
-        them, where the closing half step is still pending and will be fused
-        with the next opening one.  A non-finite norm aborts with the index
-        of the step that produced it.
+        state after every `every`-th step and the last one, a fresh array,
+        and None between them, where the closing half step is still pending
+        and will be fused with the next opening one.  vals is only read.  A
+        non-finite norm aborts with the index of the step that produced it.
         """
-        dens = _density(vals)
+        dens, prev = self._dens  # |psi|^2 now and one step before
+        _density(vals, dens, self._scratch)
         closing = None  # (t, h) of the previous step's pending closing half
         t = t0
         for step, (h, t_next) in enumerate(steps, 1):
             t_start, t = t, t_next
             opening = (t_start + 0.25 * h, h)
-            vals = vals * self.local_factor(dens, [opening] if closing is None
-                                            else [closing, opening])
-            vals = self.kinetic(vals, t_start + 0.5 * h, h)
-            prev, dens = dens, _density(vals)
+            work = self._free(vals)
+            factor = self.local_factor(dens, [opening] if closing is None
+                                       else [closing, opening], work)
+            vals = self.kinetic(np.multiply(vals, factor, out=work), t_start + 0.5 * h, h)
+            dens, prev = _density(vals, prev, self._scratch), dens
             nrm = float(np.sum(dens)) * self.dv
             if not math.isfinite(nrm):
-                if closing is not None and not np.all(
-                        np.isfinite(self.local_factor(prev, [closing]))):
+                if closing is not None and not np.all(np.isfinite(
+                        self.local_factor(prev, [closing], self._free(vals)))):
                     step, t = step - 1, t_start
                 raise _nonfinite(step, t)
             closing = (t_start + 0.75 * h, h)
             if step % every == 0 or step == len(steps):
-                vals = vals * self.local_factor(dens, [closing])
+                vals = np.multiply(vals, self.local_factor(dens, [closing], self._free(vals)))
                 closing = None
-                dens = _density(vals)
+                dens, prev = _density(vals, prev, self._scratch), dens
                 nrm = float(np.sum(dens)) * self.dv
                 if not math.isfinite(nrm):
                     raise _nonfinite(step, t)

@@ -46,6 +46,7 @@ from semiwave.harness import (
 )
 from semiwave.core import _reflection_classes
 from semiwave.harness.config import SCHEMAS
+from semiwave.harness import scenarios
 from semiwave.harness.scenarios import _RUNNERS, _quadrant_residual
 
 def small_propagation_dict():
@@ -199,7 +200,11 @@ REJECTED = [
     ("identity-suite", "solver.dt=0.1", "solver"),
     # separated families: refused at parse time, not mid-run
     ("residual-scaling", "family.class1.c1=-1.0", "family.class1"),
-    ("residual-scaling", "family.class1.c1=.nan", "family.class1"),
+    # a float key takes finite numbers alone, in a list as well
+    ("residual-scaling", "family.class1.c1=.nan", "family.class1.c1"),
+    ("identity-suite", "family.class2.c1=.nan", "family.class2.c1"),
+    ("identity-suite", "params.hbar=.inf", "params.hbar"),
+    ("ehrenfest", "params.r_values=[0.5, -.inf]", "params.r_values"),
     ("identity-suite", "family.class1.c1=-0.5", "family.class1"),
     ("residual-scaling", "family.class1.sigma_zero=10", "family.class1"),
     ("residual-scaling", "family.class1.domain=[-2,2]", "grid"),
@@ -233,6 +238,42 @@ def test_unknown_keys_rejected_in_every_block():
             cfg.apply_override(f"{path}.bogus_key=1")
             with pytest.raises(ConfigError, match=rf"{re.escape(path)}\.bogus_key: unknown key"):
                 validate_config(cfg)
+
+
+@pytest.mark.parametrize("column, metric", [(0, "representation_identity_max"),
+                                            (1, "first_integral_max"),
+                                            (3, "transport_reduction_max")])
+def test_nan_family_maximum_fails_its_row(column, metric, monkeypatch):
+    """A NaN maximum of identity-suite's third family (class 2, on a 1D
+    grid, so it has every column) reaches its row and fails it.  Python's
+    max drops a NaN that is not its first argument, and the row passed."""
+    real, calls = scenarios._pointwise_maxima, []
+
+    def poisoned(*args):
+        m = real(*args)
+        calls.append(m)
+        return m[:column] + (math.nan,) + m[column + 1:] if len(calls) == 3 else m
+
+    monkeypatch.setattr(scenarios, "_pointwise_maxima", poisoned)
+    row = run_scenario(ExperimentConfig.from_file(
+        default_config_path("identity-suite"))).row(metric)
+    assert len(calls[2]) == 5
+    assert math.isnan(row.value) and not row.passed
+
+
+def test_nan_asymmetry_fails_the_symmetry_row(monkeypatch):
+    """The same for cylindrical-check's asymmetry at the second hbar."""
+    real, calls = scenarios._quadrant_residual, []
+
+    def poisoned(*args):
+        calls.append(1)
+        res, asym = real(*args)
+        return res, (math.nan if len(calls) == 2 else asym)
+
+    monkeypatch.setattr(scenarios, "_quadrant_residual", poisoned)
+    row = run_scenario(ExperimentConfig.from_file(
+        default_config_path("cylindrical-check"))).row("radial_symmetry_max")
+    assert math.isnan(row.value) and not row.passed
 
 
 def test_run_scenario_validates_first():
@@ -606,6 +647,15 @@ def test_cli_failing_run_exits_one(tmp_path, capsys):
     assert code == 1
     assert "[FAIL] mass_within_sqrt_hbar" in out
     assert (tmp_path / "out" / "results.csv").is_file()
+
+
+@pytest.mark.parametrize("override, path", [("family.class2.c1=.nan", "family.class2.c1"),
+                                             ("params.hbar=.inf", "params.hbar")])
+def test_cli_validate_refuses_non_finite_numbers(override, path, capsys):
+    """A NaN or an infinity exits 2 from validate and names its key,
+    instead of passing validation and failing mid-run."""
+    assert main(["validate", "identity-suite", "--override", override]) == 2
+    assert f"{path}: must be a finite number" in capsys.readouterr().err
 
 
 def test_cli_validate_reports_problems(tmp_path, capsys):
