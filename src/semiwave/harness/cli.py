@@ -1,4 +1,7 @@
-"""Command-line front end: run, validate, list-scenarios."""
+"""Command-line front end: run, validate, list-scenarios.
+
+Exit codes: 0 when every row passes, 1 when a row fails, 2 for a
+configuration error, 3 when a validated run aborts inside the library."""
 
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from .config import (
     parse_config,
 )
 from .emit import emit, format_float
-from .scenarios import run_scenario
+from .scenarios import gate_of, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,14 +69,18 @@ def _load_config(source: str, overrides: list[str]) -> ExperimentConfig:
     return cfg
 
 
+def _rule(gate) -> str:
+    """How a row of this gate passes, as printed after its value."""
+    bound = "" if gate.bound is None else format_float(gate.bound)
+    return {"below": f"< {bound}", "at_least": f">= {bound}",
+            "within": f"within {bound} of {format_float(gate.center)}",
+            "flag": "yes/no", "reported": "reported"}[gate.kind]
+
+
 def _print_rows(result) -> None:
     for r in result.rows:
-        flag = "PASS" if r.passed else "FAIL"
-        if r.tolerance is None:
-            print(f"[{flag}] {r.metric} = {format_float(r.value)} (reported)")
-        else:
-            print(f"[{flag}] {r.metric} = {format_float(r.value)} "
-                  f"(tolerance {format_float(r.tolerance)})")
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.metric} = "
+              f"{format_float(r.value)} ({_rule(gate_of(r.scenario, r.metric))})")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,12 +104,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration ok: scenario {cfg.scenario}")
         return 0
 
-    result = run_scenario(cfg)
     out_dir = args.out or spec.output.directory \
         or f"out/{cfg.scenario.replace('-', '_')}"
     formats = ("results", "plotdata", "snapshots") if args.snapshots \
         else ("results", "plotdata")
-    written = emit(result, out_dir, formats=formats)
+    try:
+        result = run_scenario(cfg)
+        written = emit(result, out_dir, formats=formats)
+    except Exception as err:  # a validated config that the library cannot run
+        print(f"run error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
     _print_rows(result)
     failed = sum(1 for r in result.rows if not r.passed)

@@ -611,6 +611,14 @@ def _fill(cls, raw, path: str, problems: list, known: set | None = None):
     return None
 
 
+def _reads_as_number(text: str) -> bool:
+    """True for a string that Python, but not YAML 1.1, reads as a finite number."""
+    try:
+        return _is_number(float(text))
+    except ValueError:
+        return False
+
+
 def _value(tp, v, path: str, problems: list):
     origin, args = get_origin(tp), get_args(tp)
     if is_dataclass(tp):
@@ -647,7 +655,11 @@ def _value(tp, v, path: str, problems: list):
         v = float(v) if ok and tp is float else v
     if ok:
         return v
-    problems.append(f"{path}: {what}")
+    hint = float in (tp, *args) and any(
+        isinstance(x, str) and _reads_as_number(x) for x in (v if isinstance(v, list) else [v]))
+    problems.append(f"{path}: {what}, got {type(v).__name__} {v!r}"
+                    + (" (YAML 1.1 reads a float only with a dot and a signed exponent: "
+                       "write 1.0e-3 or 1.0e+3, not 1e-3 or 1.0e3)" if hint else ""))
     return None
 
 

@@ -47,7 +47,7 @@ from semiwave.harness import (
 from semiwave.core import _reflection_classes
 from semiwave.harness.config import SCHEMAS
 from semiwave.harness import scenarios
-from semiwave.harness.scenarios import _RUNNERS, _quadrant_residual
+from semiwave.harness.scenarios import GATES, PASSES, _RUNNERS, _quadrant_residual, _rows
 
 def small_propagation_dict():
     return {
@@ -274,6 +274,19 @@ def test_nan_asymmetry_fails_the_symmetry_row(monkeypatch):
     row = run_scenario(ExperimentConfig.from_file(
         default_config_path("cylindrical-check"))).row("radial_symmetry_max")
     assert math.isnan(row.value) and not row.passed
+
+
+@pytest.mark.parametrize("kind", sorted(PASSES))
+def test_non_finite_value_never_passes(kind):
+    """A NaN or an infinity fails its row whatever the gate's kind, a
+    reported row included; a value that meets the gate passes."""
+    (scen, metric), gate = next((key, g) for key, g in GATES.items() if g.kind == kind)
+    ok = {"below": 0.0, "at_least": gate.bound, "within": gate.center, "flag": 1.0,
+          "reported": 0.5}[kind]
+    for value in (ok, math.nan, math.inf, -math.inf):
+        [row] = _rows(scen, {metric: value})
+        assert row.passed == (value == ok)
+        assert row.tolerance == gate.bound
 
 
 def test_run_scenario_validates_first():
@@ -631,7 +644,9 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert "[PASS] radial_symmetry_max" in out
+    assert "[PASS] residual_monotone = 1 (yes/no)\n" in out
+    assert re.search(r"\[PASS\] residual_slope = \S+ \(reported\)\n", out)
+    assert "[PASS] radial_symmetry_max = 0 (< 1e-14)\n" in out
     assert (tmp_path / "results.csv").is_file()
     assert (tmp_path / "plotdata" / "scaling.csv").is_file()
 
@@ -656,6 +671,25 @@ def test_cli_validate_refuses_non_finite_numbers(override, path, capsys):
     instead of passing validation and failing mid-run."""
     assert main(["validate", "identity-suite", "--override", override]) == 2
     assert f"{path}: must be a finite number" in capsys.readouterr().err
+
+
+def test_cli_validate_names_what_yaml_read(capsys):
+    """YAML 1.1 reads 1e-3 (no dot) as a string: the refusal names the
+    string it got and says how to write the number."""
+    assert main(["validate", "soliton-propagation", "--override", "solver.dt=1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert "solver.dt: must be a finite number, got str '1e-3'" in err
+    assert "write 1.0e-3" in err
+    assert main(["validate", "soliton-propagation", "--override", "solver.dt=1.0e-3"]) == 0
+
+
+def test_cli_library_abort_exits_three(tmp_path, capsys):
+    """A validated config whose run dies inside the library exits 3 with
+    the error's type and message, not 1 (a failed gate) and a traceback."""
+    code = main(["run", "concentration", "--out", str(tmp_path),
+                 "--override", "family.soliton.eta=1.0e+200"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("run error: OverflowError: ")
 
 
 def test_cli_validate_reports_problems(tmp_path, capsys):
