@@ -43,7 +43,6 @@ from semiwave.core import (
     make_axis_offset_grid,
     make_uniform_grid,
     norm_squared,
-    sample_potential,
 )
 from semiwave.moments import (
     MomentRecord,
@@ -107,7 +106,6 @@ __all__ = [
     "one_soliton",
     "psi_via_representation",
     "relative_residual",
-    "sample_potential",
     "separated_class1",
     "separated_class2",
     "soliton_correction_fields",

@@ -10,13 +10,16 @@ Four families ship with the package:
   are fixed by two linear quadratures;
 * a radially symmetric two-dimensional ring state.
 
-Each family is a WkbFields whose jet(xs, t) writes every entry in closed
-form, computing the shared intermediates (the radius, the envelope slope,
-the dressing and its derivative) once per jet.  The spatial derivatives go
-in the jet's derivative block, a closure over those intermediates that runs
-only when a derivative is read: the ring state's block (unit radial vector,
-1/radius) is never evaluated when only the leading state and its time
-derivative are built.
+Each family is a WkbFields whose `potential` is the one external field it
+solves: V = v1(x) for the two separated classes, set once when the family
+is built and the only place their v1 and its slope are read, and the free
+field for the soliton and the ring.  Its jet(xs, t) writes every entry in
+closed form, computing the shared intermediates (the radius, the envelope
+slope, the dressing and its derivative) once per jet.  The spatial
+derivatives go in the jet's derivative block, a closure over those
+intermediates that runs only when a derivative is read: the ring state's
+block (unit radial vector, 1/radius) is never evaluated when only the
+leading state and its time derivative are built.
 
 The paper's separated potentials add a term u(t) of time alone to v1(x).
 Such a term only multiplies psi by the global phase
@@ -30,15 +33,10 @@ from typing import Callable
 
 import numpy as np
 
-from semiwave.core import (ComplexField, Grid, PhysParams, SeparatedScalar, _constant, _diff,
-                           _expi)
+from semiwave.core import (ComplexField, Grid, PhysParams, PotentialSpec, SeparatedScalar,
+                           _diff, _expi)
 from semiwave.asymptotics.fields import FieldJet, WkbFields, _sech
 from semiwave.asymptotics.quadrature import Antiderivative
-
-
-def _sample_v1(v1: Callable | None, x) -> np.ndarray:
-    """The spatial potential part v1 at x; zero when there is none."""
-    return np.asarray(v1(x), dtype=float) if v1 is not None else _constant(x)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,8 @@ def _check_class1(p1: Class1Params, domain: tuple[float, float],
     """Refuse c1 + v1 <= 0 on the domain, or a peak sigma_zero outside it;
     cheap enough for the configuration schema to run at parse time."""
     lo, hi = domain
-    if not np.all(p1.c1 + _sample_v1(p1.v1, np.linspace(lo, hi, 4097)) > 0):
+    v1 = SeparatedScalar(p1.v1).value((np.linspace(lo, hi, 4097),), 0.0)
+    if not np.all(p1.c1 + v1 > 0):
         raise ValueError("separated family needs c1 + v1 > 0 on the domain")
     if sigma_zero is not None and not lo <= sigma_zero <= hi:
         raise ValueError(f"sigma_zero = {sigma_zero:g} lies outside the domain "
@@ -190,7 +189,7 @@ class Class1Fields(WkbFields):
         lo, hi = float(domain[0]), float(domain[1])
         _check_class1(p1, (lo, hi), sigma_zero)
         self.p1 = p1
-        self._pot = SeparatedScalar(p1.v1, p1.v1_prime)
+        self.potential = PotentialSpec(SeparatedScalar(p1.v1, p1.v1_prime))
         self.mass = mass
         self.domain = (lo, hi)
         self._sigma = Antiderivative(self._sigma_x, lo, hi, base_point=sigma_zero)
@@ -200,7 +199,8 @@ class Class1Fields(WkbFields):
     # the envelope slope; its derivative in the jet is closed-form when
     # v1_prime is given
     def _sigma_x(self, x):
-        return np.sqrt(2.0 * self.mass * (self.p1.c1 + _sample_v1(self.p1.v1, x)))
+        return np.sqrt(2.0 * self.mass
+                       * (self.p1.c1 + self.potential.scalar.value((x,), 0.0)))
 
     def jet(self, xs, t) -> FieldJet:
         p1, m = self.p1, self.mass
@@ -211,7 +211,7 @@ class Class1Fields(WkbFields):
             sigma1 = sigma1 + m * p1.c2 * self._inv_int(x)
 
         def derivatives():
-            sxx = m * self._pot.gradient((x,), 0.0)[0] / sx
+            sxx = m * self.potential.scalar.gradient((x,), 0.0)[0] / sx
             return dict(dS=(0.0,), dsigma=(sx,), dS1=(0.0,),
                         dsigma1=(1.5 * sxx / sx + m * p1.c2 / sx,),
                         lap_S=0.0, lap_sigma=sxx, dg=(2.0 * sx * sxx,))
@@ -274,7 +274,7 @@ class Class2Fields(WkbFields):
     def __init__(self, p2: Class2Params, domain: tuple[float, float], mass: float):
         lo, hi = float(domain[0]), float(domain[1])
         self.p2 = p2
-        self._pot = SeparatedScalar(p2.v1, p2.v1_prime)
+        self.potential = PotentialSpec(SeparatedScalar(p2.v1, p2.v1_prime))
         self.mass = mass
         self.domain = (lo, hi)
         self._p = Antiderivative(self._p_x, lo, hi)
@@ -283,7 +283,7 @@ class Class2Fields(WkbFields):
         self._g = Antiderivative(lambda x: self._slopes(x)[3], lo, hi)
 
     def _p_x(self, x):
-        w = _sample_v1(self.p2.v1, x) + self.p2.c3
+        w = self.potential.scalar.value((x,), 0.0) + self.p2.c3
         q = -w + np.sqrt(w * w + self.p2.c1**2)
         return np.sqrt(self.mass * q)
 
@@ -291,8 +291,9 @@ class Class2Fields(WkbFields):
         """p', p'' and the slopes f', g' of the spatial parts of S1, sigma1."""
         c1, m = self.p2.c1, self.mass
         px = self._p_x(x)
-        w = _sample_v1(self.p2.v1, x) + self.p2.c3
-        qprime = self._pot.gradient((x,), 0.0)[0] * (w / np.sqrt(w * w + c1**2) - 1.0)
+        v = self.potential.scalar
+        w = v.value((x,), 0.0) + self.p2.c3
+        qprime = v.gradient((x,), 0.0)[0] * (w / np.sqrt(w * w + c1**2) - 1.0)
         pxx = m * qprime / (2.0 * px)
         num = c1 * m * m * self.p2.a2 * px - m * self.p2.a1 * px**3 - c1 * m * px * pxx
         fx = num / (px**4 + c1 * c1 * m * m)

@@ -37,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from semiwave.core import ComplexField, Grid, PhysParams, _along, _diff, _diff2, _expi
+from semiwave.core import (ComplexField, Grid, PhysParams, PotentialSpec, _along, _diff,
+                           _diff2, _expi, free_potential)
 
 _THETA_GUARD = 300.0
 
@@ -93,6 +94,9 @@ class WkbFields:
     Subclasses implement jet(xs, t).  Shipped families write every entry in
     closed form, and in particular never differentiate numerically in time.
 
+    `potential` is the external field the phases solve the eikonal and
+    transport equations under: the free field unless a family sets its own.
+
     `radial` is True when every value and time entry of the jet depends on
     position only through x*x + y*y.  Such a jet may then be sampled once
     per reflection class of a grid (`core._reflection_classes`), so a
@@ -101,6 +105,7 @@ class WkbFields:
 
     dim: int = 1
     radial: bool = False
+    potential: PotentialSpec = free_potential()
 
     def jet(self, xs, t) -> FieldJet:
         raise NotImplementedError

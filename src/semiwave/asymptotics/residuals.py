@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from semiwave.core import PhysParams, PotentialSpec, sample_potential
+from semiwave.core import PhysParams, PotentialSpec
 from semiwave.asymptotics.fields import FieldJet, _positive_slope, _sech, envelope_amplitude
 
 
@@ -34,7 +34,7 @@ def hj_residual(jet: FieldJet, pot: PotentialSpec, params: PhysParams) -> np.nda
     at the jet's sample points and time.  The square is the complex square,
     not a squared modulus; its imaginary part couples the two real phases.
     """
-    V, A = sample_potential(pot, jet.xs, jet.t)
+    V, A = pot.scalar.value(jet.xs, jet.t), pot.vector.value(jet.xs, jet.t)
     dS, dsig = jet.dS, jet.dsigma
     kin = sum((dS[j] + 1j * dsig[j] - A[j]) ** 2 for j in range(len(A)))
     return (jet.S_t + 1j * jet.sigma_t) + V + kin / (2.0 * params.mass)

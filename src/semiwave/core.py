@@ -507,18 +507,3 @@ class PotentialSpec:
 def free_potential() -> PotentialSpec:
     return PotentialSpec(ZeroScalar(), ZeroVector())
 
-
-def sample_potential(spec: PotentialSpec, xs, t: float):
-    """V and A at the points xs (one coordinate array per axis, as
-    `Grid.mesh()` gives them) and time t.
-
-    Returns (V, (A_1, ..., A_dim)) as plain arrays of the points' broadcast
-    shape.
-    """
-    shape = np.broadcast(*xs).shape
-    v = np.broadcast_to(np.asarray(spec.scalar.value(xs, t), dtype=float), shape).copy()
-    a = tuple(
-        np.broadcast_to(np.asarray(c, dtype=float), shape).copy()
-        for c in spec.vector.value(xs, t)
-    )
-    return v, a

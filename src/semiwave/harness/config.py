@@ -9,7 +9,8 @@ block's own checks.  Where the library declares a block's keys
 (SolitonParams, Class1Params, Class2Params, CylindricalParams) the
 walker fills that class directly.  Potentials and profiles are named
 closed forms with numeric parameters, and callable fields are never
-read, so a config file can never inject code.
+read, so a config file can never inject code.  A family block builds a
+WkbFields, which carries the external field it solves.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from ..asymptotics import (Class1Params, Class2Params, CylindricalParams, Solito
 from ..asymptotics.families import _check_class1
 from ..asymptotics.quadrature import _within
 from ..core import (Grid, HarmonicScalar, PhysParams, PotentialSpec, SeparatedScalar,
-                    UniformVector, ZeroScalar, ZeroVector, free_potential,
-                    make_axis_offset_grid, make_uniform_grid)
+                    UniformVector, ZeroVector, make_axis_offset_grid, make_uniform_grid)
 from ..solver import SolverConfig
 
 
@@ -221,9 +221,6 @@ class EhrenfestParams(Params):
 class Zero:
     form: ClassVar[str] = "zero"
 
-    def scalar(self, mass=None):
-        return ZeroScalar()
-
     def vector(self):
         return ZeroVector()
 
@@ -257,7 +254,7 @@ class Quadratic:
         c = self.coefficient
         return (lambda x: c * np.asarray(x) ** 2), (lambda x: 2.0 * c * np.asarray(x))
 
-    def scalar(self, mass=None):
+    def scalar(self, mass):
         v1, v1_prime = self.profile()
         return SeparatedScalar(v1=v1, v1_prime=v1_prime)
 
@@ -277,12 +274,12 @@ class Uniform:
 class Potential:
     """The confining V and the vector A of ehrenfest's one-dimensional run."""
 
-    scalar: Zero | Harmonic | Quadratic
+    scalar: Harmonic | Quadratic
     vector: Zero | Uniform = Zero()
 
     def __post_init__(self):
         v = self.scalar
-        _require(isinstance(v, Harmonic) or isinstance(v, Quadratic) and v.coefficient > 0,
+        _require(not isinstance(v, Quadratic) or v.coefficient > 0,
                  "scalar: ehrenfest needs a confining potential (harmonic, or "
                  "quadratic with coefficient > 0)")
         _require(not isinstance(self.vector, Uniform) or len(self.vector.components) == 1,
@@ -324,7 +321,8 @@ class Output:
 @_block
 class _Separated:
     """The profile of V = v1(x) and the interval [lo, hi] the envelope is
-    built on; subclasses add the family's constants."""
+    built on; subclasses add the family's constants, whose class picks the
+    family that fields() builds."""
 
     v1: Zero | Quadratic = Zero()
     domain: tuple[float, float]
@@ -340,8 +338,12 @@ class _Separated:
         v1, v1_prime = self.v1.profile()
         return replace(self.constants, v1=v1, v1_prime=v1_prime)
 
-    def potential(self) -> PotentialSpec:
-        return PotentialSpec(scalar=self.v1.scalar())
+    def fields(self, phys: PhysParams):
+        """The family the constants' class names, on the domain."""
+        if isinstance(self.constants, Class1Params):
+            return separated_class1(self.profiled(), self.domain, phys,
+                                    sigma_zero=self.sigma_zero)
+        return separated_class2(self.profiled(), self.domain, phys)
 
     def check_grid(self, grid: Grid, path: str) -> None:
         """Refuse a grid with samples outside the domain, where the family's
@@ -358,27 +360,17 @@ class Class1(_Separated):
     constants: Class1Params = field(metadata=_INLINE)
     sigma_zero: float | None = None
 
-    def fields(self, phys: PhysParams):
-        return separated_class1(self.profiled(), self.domain, phys,
-                                sigma_zero=self.sigma_zero)
-
 
 @_block
 class SampledClass1(_Separated):
     constants: Class1Params = field(metadata=_INLINE)
     grid: SampleGrid
 
-    def fields(self, phys: PhysParams):
-        return separated_class1(self.profiled(), self.domain, phys)
-
 
 @_block
 class SampledClass2(_Separated):
     constants: Class2Params = field(metadata=_INLINE)
     grid: SampleGrid
-
-    def fields(self, phys: PhysParams):
-        return separated_class2(self.profiled(), self.domain, phys)
 
 
 @_block
@@ -418,10 +410,10 @@ class ScalingFamily:
                  f"{self.type}: required for type {self.type}")
 
     def fields(self, phys: PhysParams):
-        """Fields plus the potential they solve."""
+        """The family of the chosen block; it carries the potential it solves."""
         if self.type == "soliton":
-            return soliton_correction_fields(self.soliton, phys), free_potential()
-        return self.class1.fields(phys), self.class1.potential()
+            return soliton_correction_fields(self.soliton, phys)
+        return self.class1.fields(phys)
 
 
 @_block

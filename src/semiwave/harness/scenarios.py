@@ -308,7 +308,8 @@ def run_residual_scaling(spec: ResidualScaling) -> ScenarioResult:
     grid = spec.grid.build()
     hbars = spec.params.hbars
     base = spec.params.phys()
-    w, pot = spec.family.fields(base)
+    w = spec.family.fields(base)
+    pot = w.potential
     t_eval = spec.family.eval_time
     cp = CorrectionParams(C1=spec.family.correction_c1)
 
@@ -369,16 +370,14 @@ def run_concentration(spec: Concentration) -> ScenarioResult:
 
 
 def _identity_families(spec: IdentitySuite, params):
-    """(name, fields, grid, potential) for all four shipped families."""
+    """(name, fields, grid) for all four shipped families."""
     fam = spec.family
     sgrid, grid1, grid2, cgrid = fam.grids()
     return (
-        ("soliton", soliton_correction_fields(fam.soliton.constants, params), sgrid,
-         free_potential()),
-        ("class1", fam.class1.fields(params), grid1, fam.class1.potential()),
-        ("class2", fam.class2.fields(params), grid2, fam.class2.potential()),
-        ("cylindrical", cylindrical_fields(fam.cylindrical.constants, params), cgrid,
-         free_potential()),
+        ("soliton", soliton_correction_fields(fam.soliton.constants, params), sgrid),
+        ("class1", fam.class1.fields(params), grid1),
+        ("class2", fam.class2.fields(params), grid2),
+        ("cylindrical", cylindrical_fields(fam.cylindrical.constants, params), cgrid),
     )
 
 
@@ -398,10 +397,11 @@ def _reduced_transport(jet, params):
     return red_a, red_b
 
 
-def _pointwise_maxima(w, grid, t, pot, params):
+def _pointwise_maxima(w, grid, t, params):
     """The largest |a - b| between the two assembly routes, |first integral
     residual| and |eikonal residual| over the grid for one family at t, and
-    on a line those of the two transport residuals minus their reduction.
+    on a line those of the two transport residuals minus their reduction,
+    both residuals under the potential the family solves.
 
     A radial family is sampled once per reflection class, whose maximum is
     the maximum over the even extension of the positive quadrant.  For the
@@ -409,6 +409,7 @@ def _pointwise_maxima(w, grid, t, pot, params):
     under a reflection-invariant potential, so this is done only under the
     free potential; any other family or potential is sampled on the full
     mesh."""
+    pot = w.potential
     free = isinstance(pot.scalar, ZeroScalar) and isinstance(pot.vector, ZeroVector)
     xs = _reflection_classes(grid)[0] if w.radial and free else grid.mesh()
     jet = w.jet(xs, t)
@@ -426,8 +427,8 @@ def run_identity_suite(spec: IdentitySuite) -> ScenarioResult:
     vanishes, and the eikonal residual is at rounding level."""
     scen = spec.scenario
     params = spec.params.phys()
-    maxima = {name: _pointwise_maxima(w, grid, spec.family.eval_time, pot, params)
-              for name, w, grid, pot in _identity_families(spec, params)}
+    maxima = {name: _pointwise_maxima(w, grid, spec.family.eval_time, params)
+              for name, w, grid in _identity_families(spec, params)}
     # np.max keeps a NaN wherever it sits; Python's max drops one that is
     # not its first argument, and the row would then pass
     repr_max = np.max([m[0] for m in maxima.values()])

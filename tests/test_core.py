@@ -36,7 +36,6 @@ from semiwave.core import (
     make_axis_offset_grid,
     make_uniform_grid,
     norm_squared,
-    sample_potential,
 )
 
 
@@ -328,13 +327,13 @@ def test_vector_fallback_samples_a_once_per_axis_pair():
     assert len(calls) == 4
 
 
-def test_sample_potential_shapes_and_uniform_vector():
+def test_potential_spec_shapes_and_uniform_vector():
     g = make_uniform_grid(1, -5.0, 5.0, 64)
     spec = PotentialSpec(
         scalar=HarmonicScalar(omega=(2.0,), center=(1.0,), mass=1.0),
         vector=UniformVector(a_of_t=lambda t: (0.3 * t,)),
     )
-    V, A = sample_potential(spec, g.mesh(), 2.0)
+    V, A = spec.scalar.value(g.mesh(), 2.0), spec.vector.value(g.mesh(), 2.0)
     assert V.shape == (64,)
     assert A[0].shape == (64,)
     assert np.allclose(A[0], 0.6)
@@ -344,7 +343,8 @@ def test_sample_potential_shapes_and_uniform_vector():
 
 def test_zero_specs():
     g = make_uniform_grid(1, -1.0, 1.0, 16)
-    V, A = sample_potential(PotentialSpec(ZeroScalar(), ZeroVector()), g.mesh(), 0.0)
+    spec = PotentialSpec(ZeroScalar(), ZeroVector())
+    V, A = spec.scalar.value(g.mesh(), 0.0), spec.vector.value(g.mesh(), 0.0)
     assert np.all(V == 0.0)
     assert np.all(A[0] == 0.0)
 

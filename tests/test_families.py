@@ -383,6 +383,23 @@ def test_gradients_match_finite_differences(family):
             _compare(a, b, rtol)
 
 
+@pytest.mark.parametrize("family, v1", [("soliton", 0.0), ("class1", 0.1), ("class2", 0.1),
+                                        ("radial", 0.0)])
+def test_family_potential_is_the_field_it_solves(family, v1):
+    """Each family carries the external field its eikonal residual
+    vanishes under: at rounding with w.potential.  Under the free field a
+    separated family's residual is -v1(x) = -v1 x**2, far from zero, so a
+    family paired with the wrong field fails here."""
+    params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
+    w, xs = _sampled_family(family, params, np.random.default_rng(11))
+    jet = w.jet(xs, 0.37)
+    assert np.max(np.abs(hj_residual(jet, w.potential, params))) < 1e-12
+    free = hj_residual(jet, free_potential(), params)
+    assert np.max(np.abs(free + v1 * xs[0] ** 2)) < 1e-12
+    if v1:
+        assert np.max(np.abs(free)) > 0.5
+
+
 @pytest.mark.parametrize("family", ["soliton", "class1", "class2", "radial", "callable"])
 def test_derivative_block_evaluated_once_per_jet(family):
     """A jet evaluates its derivative block on the first read of a

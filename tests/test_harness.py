@@ -136,9 +136,14 @@ def test_sweep_and_scalar_scenarios_reject_wrong_shape():
 
 
 def test_ehrenfest_requires_confining_potential():
+    """The zero V is not a form ehrenfest's scalar takes, and a quadratic
+    one must confine."""
     cfg = ExperimentConfig.from_file(default_config_path("ehrenfest"))
     cfg.potential["scalar"] = {"form": "zero"}
-    with pytest.raises(ConfigError, match="confining"):
+    with pytest.raises(ConfigError, match=r"potential\.scalar\.form: unknown form 'zero'"):
+        validate_config(cfg)
+    cfg.potential["scalar"] = {"form": "quadratic", "coefficient": -1.0}
+    with pytest.raises(ConfigError, match=r"potential\.scalar: .*confining"):
         validate_config(cfg)
 
 

@@ -98,14 +98,14 @@ def test_identity_ring_maxima_match_full_mesh(seed):
     w = cylindrical_fields(_seeded_ring(seed), params)
     pot = free_potential()
     exact = make_axis_offset_grid(2, 2.0, 256)
-    table = _pointwise_maxima(w, exact, 0.25, pot, params)
+    table = _pointwise_maxima(w, exact, 0.25, params)
     full = tuple(float(np.max(v)) for v in _full_mesh_arrays(w, exact, 0.25, pot, params))
     assert table == full
     assert min(table) > 0.0
 
     inexact = make_axis_offset_grid(2, 1.1, 256)
     assert not np.array_equal(inexact.axes()[0][::-1], -inexact.axes()[0])
-    table = _pointwise_maxima(w, inexact, 0.25, pot, params)
+    table = _pointwise_maxima(w, inexact, 0.25, params)
     arrays = _full_mesh_arrays(w, inexact, 0.25, pot, params)
     assert table == tuple(float(np.max(v[128:, 128:])) for v in arrays)
     for q, v in zip(table, arrays):
