@@ -18,7 +18,7 @@ from .config import (
     parse_config,
 )
 from .emit import emit, format_float
-from .scenarios import gate_of, run_scenario
+from .scenarios import gate_of, run_spec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     formats = ("results", "plotdata", "snapshots") if args.snapshots \
         else ("results", "plotdata")
     try:
-        result = run_scenario(cfg)
+        result = run_spec(spec)
         written = emit(result, out_dir, formats=formats)
     except Exception as err:  # a validated config that the library cannot run
         print(f"run error: {type(err).__name__}: {err}", file=sys.stderr)

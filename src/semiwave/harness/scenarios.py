@@ -180,11 +180,6 @@ def _peak_position(fld: ComplexField) -> float:
     return float(fld.grid.axes()[0][j] + shift)
 
 
-def _l2_relative(a: ComplexField, b: ComplexField) -> float:
-    diff = a.with_values(a.values - b.values)
-    return float(np.sqrt(norm_squared(diff) / norm_squared(b)))
-
-
 def _scaling_table(fit: ScalingReport, value: str) -> tuple[list[str], list[tuple]]:
     """Plot table of a fitted sweep: hbar, the measured value, and the fit."""
     return ["hbar", value, "fitted"], [
@@ -218,6 +213,7 @@ def run_soliton_propagation(spec: SolitonPropagation) -> ScenarioResult:
     psi0 = one_soliton(sp, grid, 0.0, params)
     rec = evolve(psi0, config)
     exact = one_soliton(sp, grid, config.t_end, params)
+    error = rec.final.with_values(rec.final.values - exact.values)
 
     times = np.array(rec.times)
     peaks = np.array([_peak_position(s) for s in rec.snapshots])
@@ -240,7 +236,7 @@ def run_soliton_propagation(spec: SolitonPropagation) -> ScenarioResult:
     ratio = float(np.max(np.abs(coarse - mid))) / float(np.max(np.abs(mid - fine)))
 
     rows = _rows(scen, {
-        "l2_error": _l2_relative(rec.final, exact),
+        "l2_error": relative_residual(error, exact),
         "mass_drift": rec.mass_drift,
         "peak_velocity": velocity,
         "peak_velocity_error": abs(velocity - target),
@@ -501,7 +497,12 @@ _RUNNERS = {
 }
 
 
+def run_spec(spec) -> ScenarioResult:
+    """Run the scenario of a parsed configuration, an instance of its
+    SCHEMAS class."""
+    return _RUNNERS[type(spec)](spec)
+
+
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     """Parse the configuration, then run the scenario it names."""
-    spec = parse_config(cfg)
-    return _RUNNERS[type(spec)](spec)
+    return run_spec(parse_config(cfg))

@@ -46,7 +46,7 @@ from semiwave.harness import (
 )
 from semiwave.core import _reflection_classes
 from semiwave.harness.config import SCHEMAS
-from semiwave.harness import scenarios
+from semiwave.harness import cli, config, scenarios
 from semiwave.harness.scenarios import GATES, PASSES, _RUNNERS, _quadrant_residual, _rows
 
 def small_propagation_dict():
@@ -654,6 +654,21 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     assert "[PASS] radial_symmetry_max = 0 (< 1e-14)\n" in out
     assert (tmp_path / "results.csv").is_file()
     assert (tmp_path / "plotdata" / "scaling.csv").is_file()
+
+
+def test_cli_run_parses_once(tmp_path, monkeypatch):
+    """`semiwave run` parses its configuration once, before any work, and
+    runs the spec it checked."""
+    real, calls = config.parse_config, []
+
+    def counting(cfg):
+        calls.append(cfg.scenario)
+        return real(cfg)
+
+    for module in (config, cli, scenarios):
+        monkeypatch.setattr(module, "parse_config", counting)
+    assert main(["run", "identity-suite", "--out", str(tmp_path)]) == 0
+    assert calls == ["identity-suite"]
 
 
 def test_cli_failing_run_exits_one(tmp_path, capsys):
