@@ -11,15 +11,16 @@ Four families ship with the package:
 * a radially symmetric two-dimensional ring state.
 
 Each family is a WkbFields whose `potential` is the one external field it
-solves: V = v1(x) for the two separated classes, set once when the family
-is built and the only place their v1 and its slope are read, and the free
-field for the soliton and the ring.  Its jet(xs, t) writes every entry in
-closed form, computing the shared intermediates (the radius, the envelope
-slope, the dressing and its derivative) once per jet.  The spatial
-derivatives go in the jet's derivative block, a closure over those
-intermediates that runs only when a derivative is read: the ring state's
-block (unit radial vector, 1/radius) is never evaluated when only the
-leading state and its time derivative are built.
+solves: for the two separated classes, the static ScalarPotential v1 they
+are built with (free by default), the only place their V = v1(x) and its
+slope are read; the free field for the soliton and the ring.  Its
+jet(xs, t) writes every entry in closed form, computing the shared
+intermediates (the radius, the envelope slope, the dressing and its
+derivative) once per jet.  The spatial derivatives go in the jet's
+derivative block, a closure over those intermediates that runs only when
+a derivative is read: the ring state's block (unit radial vector,
+1/radius) is never evaluated when only the leading state and its time
+derivative are built.
 
 The paper's separated potentials add a term u(t) of time alone to v1(x).
 Such a term only multiplies psi by the global phase
@@ -33,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from semiwave.core import (ComplexField, Grid, PhysParams, PotentialSpec, SeparatedScalar,
-                           _diff, _expi)
+from semiwave.core import (ComplexField, Grid, PhysParams, PotentialSpec, ScalarPotential,
+                           ZeroScalar, _diff, _expi)
 from semiwave.asymptotics.fields import FieldJet, WkbFields, _sech
 from semiwave.asymptotics.quadrature import Antiderivative
 
@@ -150,27 +151,32 @@ def one_soliton(sp: SolitonParams, grid: Grid, t: float, params: PhysParams) -> 
 class Class1Params:
     """Separated family with a standing envelope.
 
+    Numbers only: the potential V = v1(x) is handed to separated_class1.
     c1 shifts the potential split (c1 + v1 must stay positive on the working
     interval), c2 feeds the linear-in-time part of the phase correction,
-    c3 and c4 are additive constants.  v1_prime is optional; without it the
-    potential slope is taken by central differences.
+    c3 and c4 are additive constants.
     """
 
     c1: float
     c2: float = 0.0
     c3: float = 0.0
     c4: float = 0.0
-    v1: Callable | None = None
-    v1_prime: Callable | None = None
 
 
-def _check_class1(p1: Class1Params, domain: tuple[float, float],
+def _separated_potential(v1: ScalarPotential) -> PotentialSpec:
+    """V = v1(x) as a separated family's potential; the construction holds
+    for a static v1 alone."""
+    if not v1.static:
+        raise ValueError("separated family needs a static v1(x)")
+    return PotentialSpec(v1)
+
+
+def _check_class1(c1: float, v1: ScalarPotential, domain: tuple[float, float],
                   sigma_zero: float | None = None) -> None:
     """Refuse c1 + v1 <= 0 on the domain, or a peak sigma_zero outside it;
     cheap enough for the configuration schema to run at parse time."""
     lo, hi = domain
-    v1 = SeparatedScalar(p1.v1).value((np.linspace(lo, hi, 4097),), 0.0)
-    if not np.all(p1.c1 + v1 > 0):
+    if not np.all(c1 + v1.value((np.linspace(lo, hi, 4097),), 0.0) > 0):
         raise ValueError("separated family needs c1 + v1 > 0 on the domain")
     if sigma_zero is not None and not lo <= sigma_zero <= hi:
         raise ValueError(f"sigma_zero = {sigma_zero:g} lies outside the domain "
@@ -185,11 +191,12 @@ class Class1Fields(WkbFields):
     dim = 1
 
     def __init__(self, p1: Class1Params, domain: tuple[float, float],
-                 mass: float, sigma_zero: float | None = None):
+                 mass: float, sigma_zero: float | None = None,
+                 v1: ScalarPotential = ZeroScalar()):
         lo, hi = float(domain[0]), float(domain[1])
-        _check_class1(p1, (lo, hi), sigma_zero)
+        self.potential = _separated_potential(v1)
+        _check_class1(p1.c1, v1, (lo, hi), sigma_zero)
         self.p1 = p1
-        self.potential = PotentialSpec(SeparatedScalar(p1.v1, p1.v1_prime))
         self.mass = mass
         self.domain = (lo, hi)
         self._sigma = Antiderivative(self._sigma_x, lo, hi, base_point=sigma_zero)
@@ -197,7 +204,7 @@ class Class1Fields(WkbFields):
                                        base_point=sigma_zero)
 
     # the envelope slope; its derivative in the jet is closed-form when
-    # v1_prime is given
+    # v1's gradient is
     def _sigma_x(self, x):
         return np.sqrt(2.0 * self.mass
                        * (self.p1.c1 + self.potential.scalar.value((x,), 0.0)))
@@ -224,14 +231,15 @@ class Class1Fields(WkbFields):
 
 
 def separated_class1(p1: Class1Params, domain: tuple[float, float],
-                     params: PhysParams, sigma_zero: float | None = None) -> Class1Fields:
-    """Build the standing separated family on the working interval.
+                     params: PhysParams, sigma_zero: float | None = None,
+                     v1: ScalarPotential = ZeroScalar()) -> Class1Fields:
+    """Build the standing separated family for V = v1(x) on its interval.
 
     sigma vanishes at sigma_zero (interval midpoint by default), which is
     where the envelope peaks; the additive freedom in the antiderivative
     just relocates the peak within the family.
     """
-    return Class1Fields(p1, domain, params.mass, sigma_zero=sigma_zero)
+    return Class1Fields(p1, domain, params.mass, sigma_zero=sigma_zero, v1=v1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +264,6 @@ class Class2Params:
     a2: float = 0.0
     a3: float = 0.0
     a4: float = 0.0
-    v1: Callable | None = None
-    v1_prime: Callable | None = None
 
     def __post_init__(self):
         if self.c1 == 0.0:
@@ -271,10 +277,11 @@ class Class2Fields(WkbFields):
 
     dim = 1
 
-    def __init__(self, p2: Class2Params, domain: tuple[float, float], mass: float):
+    def __init__(self, p2: Class2Params, domain: tuple[float, float], mass: float,
+                 v1: ScalarPotential = ZeroScalar()):
         lo, hi = float(domain[0]), float(domain[1])
+        self.potential = _separated_potential(v1)
         self.p2 = p2
-        self.potential = PotentialSpec(SeparatedScalar(p2.v1, p2.v1_prime))
         self.mass = mass
         self.domain = (lo, hi)
         self._p = Antiderivative(self._p_x, lo, hi)
@@ -319,9 +326,9 @@ class Class2Fields(WkbFields):
 
 
 def separated_class2(p2: Class2Params, domain: tuple[float, float],
-                     params: PhysParams) -> Class2Fields:
-    """Build the travelling separated family on the working interval."""
-    return Class2Fields(p2, domain, params.mass)
+                     params: PhysParams, v1: ScalarPotential = ZeroScalar()) -> Class2Fields:
+    """Build the travelling separated family for V = v1(x) on its interval."""
+    return Class2Fields(p2, domain, params.mass, v1=v1)
 
 
 # ---------------------------------------------------------------------------

@@ -401,20 +401,15 @@ class SeparatedScalar(ScalarPotential):
 
     static = True
 
-    v1: Callable[[np.ndarray], np.ndarray] | None = None
+    v1: Callable[[np.ndarray], np.ndarray]
     v1_prime: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value(self, xs, t):
         x = np.asarray(xs[0], dtype=float)
-        out = _constant(x)
-        if self.v1 is not None:
-            out = out + self.v1(x)
-        return out
+        return _constant(x) + self.v1(x)
 
     def gradient(self, xs, t):
         x = np.asarray(xs[0], dtype=float)
-        if self.v1 is None:
-            return (_constant(x),)
         if self.v1_prime is not None:
             return (np.asarray(self.v1_prime(x), dtype=float),)
         return (_diff(self.v1, x),)

@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(source: str, overrides: list[str]) -> ExperimentConfig:
     path = Path(source)
     name = source.replace("_", "-")  # packaged files are named by the stem
-    if path.exists():
+    if path.is_file():
         cfg = ExperimentConfig.from_file(path)
     elif name in SCENARIO_NAMES:
         cfg = ExperimentConfig.from_file(default_config_path(name))

@@ -7,32 +7,33 @@ problem is reported by dotted field path: a missing, unknown or mistyped
 key (a float key takes finite numbers alone), or a ValueError from a
 block's own checks.  Where the library declares a block's keys
 (SolitonParams, Class1Params, Class2Params, CylindricalParams) the
-walker fills that class directly.  Potentials and profiles are named
-closed forms with numeric parameters, and callable fields are never
-read, so a config file can never inject code.  A family block builds a
-WkbFields, which carries the external field it solves.
+walker fills that class directly.  Potentials are named closed forms
+with numeric parameters, each with one scalar() builder, and callable
+fields are never read, so a config file can never inject code.  A family
+block builds a WkbFields, which carries the external field it solves.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import ClassVar, Literal, Union, get_args, get_origin, get_type_hints
+from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
 from ..asymptotics import (Class1Params, Class2Params, CylindricalParams, SolitonParams,
-                          separated_class1, separated_class2, soliton_correction_fields)
+                          separated_class1, separated_class2)
 from ..asymptotics.families import _check_class1
 from ..asymptotics.quadrature import _within
 from ..core import (Grid, HarmonicScalar, PhysParams, PotentialSpec, SeparatedScalar,
-                    UniformVector, ZeroVector, make_axis_offset_grid, make_uniform_grid)
+                    UniformVector, ZeroScalar, ZeroVector, make_axis_offset_grid,
+                    make_uniform_grid)
 from ..solver import SolverConfig
 
 
@@ -47,16 +48,17 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     """Raw configuration blocks of one scenario run, as loaded and
-    overridden; parse_config() turns them into the scenario's schema."""
+    overridden; parse_config() turns them into the scenario's schema.  An
+    absent block is None, and a present one, empty included, is a dict."""
 
     scenario: str
-    grid: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-    potential: dict = field(default_factory=dict)
-    family: dict = field(default_factory=dict)
-    solver: dict = field(default_factory=dict)
-    convergence: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
+    grid: dict | None = None
+    params: dict | None = None
+    potential: dict | None = None
+    family: dict | None = None
+    solver: dict | None = None
+    convergence: dict | None = None
+    output: dict | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -75,8 +77,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        text = Path(path).read_text()
-        return cls.from_dict(yaml.safe_load(text))
+        return cls.from_dict(_load_yaml(Path(path).read_text(), str(path)))
 
     def apply_override(self, dotted: str) -> None:
         """Apply one 'a.b.c=value' override; the value is parsed as YAML.
@@ -89,7 +90,7 @@ class ExperimentConfig:
         keys = [k for k in path.strip().split(".") if k]
         if not keys:
             raise ConfigError([f"{dotted}: empty override path"])
-        value = yaml.safe_load(raw_val)
+        value = _load_yaml(raw_val, dotted)
         if keys == ["scenario"]:
             self.scenario = str(value)
             return
@@ -103,11 +104,22 @@ class ExperimentConfig:
             setattr(self, keys[0], value)
             return
         node = getattr(self, keys[0])
+        if node is None:  # an absent block is made by its first write
+            setattr(self, keys[0], node := {})
         for k in keys[1:-1]:
             node = node.setdefault(k, {})
             if not isinstance(node, dict):
                 raise ConfigError([f"{path}: {k} is not a mapping"])
         node[keys[-1]] = value
+
+
+def _load_yaml(text: str, source: str):
+    """The YAML document in text; source names it in a parse error."""
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as err:
+        problem = f"{source}: not valid YAML ({' '.join(str(err).split())})"
+        raise ConfigError([problem]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +233,11 @@ class EhrenfestParams(Params):
 class Zero:
     form: ClassVar[str] = "zero"
 
+    def scalar(self, mass=None):
+        return ZeroScalar()
+
     def vector(self):
         return ZeroVector()
-
-    def profile(self):
-        return None, None
 
 
 @_block
@@ -250,13 +262,10 @@ class Quadratic:
     form: ClassVar[str] = "quadratic"
     coefficient: float
 
-    def profile(self):
+    def scalar(self, mass=None):
         c = self.coefficient
-        return (lambda x: c * np.asarray(x) ** 2), (lambda x: 2.0 * c * np.asarray(x))
-
-    def scalar(self, mass):
-        v1, v1_prime = self.profile()
-        return SeparatedScalar(v1=v1, v1_prime=v1_prime)
+        return SeparatedScalar(v1=lambda x: c * np.asarray(x) ** 2,
+                               v1_prime=lambda x: 2.0 * c * np.asarray(x))
 
 
 @_block
@@ -320,7 +329,7 @@ class Output:
 
 @_block
 class _Separated:
-    """The profile of V = v1(x) and the interval [lo, hi] the envelope is
+    """The potential V = v1(x) and the interval [lo, hi] the envelope is
     built on; subclasses add the family's constants, whose class picks the
     family that fields() builds."""
 
@@ -331,19 +340,14 @@ class _Separated:
     def __post_init__(self):
         _require(self.domain[0] < self.domain[1], "domain: must be [lo, hi] with hi > lo")
         if isinstance(self.constants, Class1Params):
-            _check_class1(self.profiled(), self.domain, self.sigma_zero)
-
-    def profiled(self):
-        """The constants with the v1 profile filled in."""
-        v1, v1_prime = self.v1.profile()
-        return replace(self.constants, v1=v1, v1_prime=v1_prime)
+            _check_class1(self.constants.c1, self.v1.scalar(), self.domain, self.sigma_zero)
 
     def fields(self, phys: PhysParams):
         """The family the constants' class names, on the domain."""
         if isinstance(self.constants, Class1Params):
-            return separated_class1(self.profiled(), self.domain, phys,
-                                    sigma_zero=self.sigma_zero)
-        return separated_class2(self.profiled(), self.domain, phys)
+            return separated_class1(self.constants, self.domain, phys,
+                                    sigma_zero=self.sigma_zero, v1=self.v1.scalar())
+        return separated_class2(self.constants, self.domain, phys, v1=self.v1.scalar())
 
     def check_grid(self, grid: Grid, path: str) -> None:
         """Refuse a grid with samples outside the domain, where the family's
@@ -397,23 +401,9 @@ class ConcentrationFamily(SolitonFamily):
 
 @_block
 class ScalingFamily:
-    """type picks the class1 or the soliton block."""
-
-    type: Literal["class1", "soliton"]
-    class1: Class1 | None = None
-    soliton: SolitonParams | None = None
+    class1: Class1
     correction_c1: float = 0.0
     eval_time: float = 0.0
-
-    def __post_init__(self):
-        _require(getattr(self, self.type) is not None,
-                 f"{self.type}: required for type {self.type}")
-
-    def fields(self, phys: PhysParams):
-        """The family of the chosen block; it carries the potential it solves."""
-        if self.type == "soliton":
-            return soliton_correction_fields(self.soliton, phys)
-        return self.class1.fields(phys)
 
 
 @_block
@@ -489,8 +479,7 @@ class ResidualScaling(_Scenario):
     family: ScalingFamily
 
     def __post_init__(self):
-        if self.family.type == "class1":
-            self.family.class1.check_grid(self.grid.build(), "grid")
+        self.family.class1.check_grid(self.grid.build(), "grid")
 
 
 @_block
@@ -632,9 +621,7 @@ def _value(tp, v, path: str, problems: list):
             what = f"unknown form {name!r}" if "form" in v else "required"
             problems.append(f"{path}.form: {what} (choose from {', '.join(forms)})")
         return None
-    if origin is Literal:
-        ok, what = v in args, f"must be one of {', '.join(args)}"
-    elif origin is tuple:
+    if origin is tuple:
         size = None if args[-1] is Ellipsis else len(args)
         ok = isinstance(v, list) and all(map(_is_number, v)) and size in (None, len(v))
         what = f"needs a list of {'' if size is None else f'{size} '}finite numbers"
@@ -666,7 +653,7 @@ def parse_config(cfg: ExperimentConfig):
         )
     raw = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     problems: list[str] = []
-    spec = _fill(schema, {k: v for k, v in raw.items() if v != {}}, "", problems)
+    spec = _fill(schema, {k: v for k, v in raw.items() if v is not None}, "", problems)
     if problems:
         raise ConfigError(problems)
     return spec

@@ -64,24 +64,19 @@ def max_abs(a):
 def make_family(name, params):
     """Build one representative of each shipped family with a generic
     parameter set, plus a matching grid and potential."""
-    quad = lambda x: 0.1 * x * x
-    quad_prime = lambda x: 0.2 * x
+    v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
     if name == "soliton":
         sp = SolitonParams(xi=0.25, eta=0.5, phi0=0.3,
                            f=lambda z: 0.1 * z + 0.05 * np.sin(z))
         w = soliton_correction_fields(sp, params)
         return w, make_uniform_grid(1, -20.0, 20.0, 1024), free_potential()
     if name == "class1":
-        p1 = Class1Params(c1=0.5, v1=quad, v1_prime=quad_prime)
-        w = separated_class1(p1, (-4.0, 4.0), params)
-        pot = PotentialSpec(scalar=SeparatedScalar(v1=quad))
-        return w, make_uniform_grid(1, -4.0, 4.0, 1024), pot
+        w = separated_class1(Class1Params(c1=0.5), (-4.0, 4.0), params, v1=v1)
+        return w, make_uniform_grid(1, -4.0, 4.0, 1024), w.potential
     if name == "class2":
-        p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05,
-                          v1=quad, v1_prime=quad_prime)
-        w = separated_class2(p2, (-4.0, 4.0), params)
-        pot = PotentialSpec(scalar=SeparatedScalar(v1=quad))
-        return w, make_uniform_grid(1, -4.0, 4.0, 1024), pot
+        p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05)
+        w = separated_class2(p2, (-4.0, 4.0), params, v1=v1)
+        return w, make_uniform_grid(1, -4.0, 4.0, 1024), w.potential
     w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
     return w, make_axis_offset_grid(2, 2.0, 128), free_potential()
 
@@ -444,11 +439,10 @@ def test_corrected_time_derivative_consistency(family):
     central difference of the corrected field itself."""
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     if family == "class1":
-        p1 = Class1Params(c1=0.5, c2=0.3, v1=lambda x: 0.1 * x * x,
-                          v1_prime=lambda x: 0.2 * x)
-        w = separated_class1(p1, (-4.0, 4.0), params)
+        v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
+        w = separated_class1(Class1Params(c1=0.5, c2=0.3), (-4.0, 4.0), params, v1=v1)
         grid = make_uniform_grid(1, -4.0, 4.0, 512)
-        pot = PotentialSpec(scalar=SeparatedScalar(v1=lambda x: 0.1 * x * x))
+        pot = w.potential
     else:
         sp = SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.2 * np.cos(z),
                            fprime=lambda z: -0.2 * np.sin(z))
@@ -475,11 +469,10 @@ def test_class1_correction_is_stationary_with_zero_imaginary_part():
     """For the standing separated family the correction's imaginary part
     cancels exactly and its real part carries no time dependence."""
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    p1 = Class1Params(c1=0.5, v1=lambda x: 0.1 * x * x,
-                      v1_prime=lambda x: 0.2 * x)
-    w = separated_class1(p1, (-4.0, 4.0), params)
+    v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
+    w = separated_class1(Class1Params(c1=0.5), (-4.0, 4.0), params, v1=v1)
     grid = make_uniform_grid(1, -4.0, 4.0, 512)
-    pot = PotentialSpec(scalar=SeparatedScalar(v1=lambda x: 0.1 * x * x))
+    pot = w.potential
     (u0, v0), (u1, v1) = (first_correction_uv(w.jet(grid.mesh(), t), CorrectionParams(),
                                               pot, params) for t in (0.0, 0.8))
     assert max_abs(v0) == 0.0

@@ -268,18 +268,19 @@ def _vector_jacobian():
 def _family(build):
     """The family built without v1_prime against the same family with it."""
     v1, v1_prime = (lambda x: 0.3 * np.cos(x)), (lambda x: -0.3 * np.sin(x))
-    jets = (build(v1, None).jet((_XF,), 0.0), build(v1, v1_prime).jet((_XF,), 0.0))
+    jets = (build(SeparatedScalar(v1)).jet((_XF,), 0.0),
+            build(SeparatedScalar(v1, v1_prime)).jet((_XF,), 0.0))
     return [np.broadcast_arrays(jet.dsigma1[0], jet.lap_sigma, jet.lap_S) for jet in jets]
 
 
 def _class1():
-    return _family(lambda v1, v1p: separated_class1(
-        Class1Params(c1=1.0, c2=0.2, v1=v1, v1_prime=v1p), (-3.0, 3.0), _PARAMS))
+    return _family(lambda v1: separated_class1(
+        Class1Params(c1=1.0, c2=0.2), (-3.0, 3.0), _PARAMS, v1=v1))
 
 
 def _class2():
-    return _family(lambda v1, v1p: separated_class2(
-        Class2Params(c1=0.8, c3=0.5, a1=0.1, a2=0.2, v1=v1, v1_prime=v1p), (-3.0, 3.0), _PARAMS))
+    return _family(lambda v1: separated_class2(
+        Class2Params(c1=0.8, c3=0.5, a1=0.1, a2=0.2), (-3.0, 3.0), _PARAMS, v1=v1))
 
 
 def _soliton():

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from semiwave.core import (
+    ExpressionScalar,
     PhysParams,
+    SeparatedScalar,
     apply_momentum,
     free_potential,
     inner_product,
@@ -148,9 +150,9 @@ def test_class1_constant_potential_profile():
 def test_class1_arcsine_envelope_oracle():
     """For v1 = -x^2/2 and c1 = 1/2 the slope is sqrt(1 - x^2) and the
     quadrature has the closed form (x sqrt(1-x^2) + arcsin x)/2."""
-    p1 = Class1Params(c1=0.5, v1=lambda x: -0.5 * x * x,
-                      v1_prime=lambda x: -x)
-    w = separated_class1(p1, (-0.95, 0.95), PhysParams(hbar=1.0, mass=1.0, r=0.0))
+    v1 = SeparatedScalar(v1=lambda x: -0.5 * x * x, v1_prime=lambda x: -x)
+    w = separated_class1(Class1Params(c1=0.5), (-0.95, 0.95),
+                         PhysParams(hbar=1.0, mass=1.0, r=0.0), v1=v1)
     x = np.linspace(-0.9, 0.9, 181)
     exact = 0.5 * (x * np.sqrt(1.0 - x * x) + np.arcsin(x))
     assert np.max(np.abs(w.jet((x,), 0.0).sigma - exact)) < 1e-9
@@ -158,23 +160,32 @@ def test_class1_arcsine_envelope_oracle():
 
 def test_class1_rejects_nonpositive_depth():
     """c1 + v1 dips below zero on a wide interval, leaving no real slope."""
-    p1 = Class1Params(c1=0.5, v1=lambda x: -0.5 * x * x)
+    v1 = SeparatedScalar(v1=lambda x: -0.5 * x * x)
     with pytest.raises(ValueError):
-        separated_class1(p1, (-4.0, 4.0), PhysParams(hbar=1.0, mass=1.0, r=0.0))
+        separated_class1(Class1Params(c1=0.5), (-4.0, 4.0),
+                         PhysParams(hbar=1.0, mass=1.0, r=0.0), v1=v1)
+
+
+def test_separated_families_refuse_a_potential_that_is_not_static():
+    """The separated construction holds for V = v1(x) alone: both classes
+    refuse a V that the propagator would have to sample at every step."""
+    v = ExpressionScalar(fn=lambda xs, t: 0.1 * xs[0] ** 2)
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
+    with pytest.raises(ValueError, match="static"):
+        separated_class1(Class1Params(c1=0.5), (-4.0, 4.0), params, v1=v)
+    with pytest.raises(ValueError, match="static"):
+        separated_class2(Class2Params(c1=0.8), (-4.0, 4.0), params, v1=v)
 
 
 def test_class1_transport_with_linear_time_correction():
     """A nonzero c2 feeds both S1 = c2 t + c3 and the quadrature term of
     sigma1; the transport pair must still vanish identically."""
-    from semiwave.core import PotentialSpec, SeparatedScalar
-
-    p1 = Class1Params(c1=0.5, c2=0.4, c3=0.1, c4=-0.2,
-                      v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
+    p1 = Class1Params(c1=0.5, c2=0.4, c3=0.1, c4=-0.2)
+    v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = separated_class1(p1, (-4.0, 4.0), params)
+    w = separated_class1(p1, (-4.0, 4.0), params, v1=v1)
     grid = make_uniform_grid(1, -4.0, 4.0, 1024)
-    pot = PotentialSpec(scalar=SeparatedScalar(v1=lambda x: 0.1 * x * x))
-    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.6), pot, params)
+    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.6), w.potential, params)
     assert np.max(np.abs(eq_a)) < 1e-10
     assert np.max(np.abs(eq_b)) < 1e-10
 
@@ -197,9 +208,9 @@ def test_class2_defining_radical_identity():
     """After construction, p'(x)^2 / m must reproduce the radical
     -(v1 + c3) + sqrt((v1 + c3)^2 + c1^2) pointwise."""
     v1 = lambda x: 0.1 * x * x
-    p2 = Class2Params(c1=0.8, c3=0.2, v1=v1,
-                      v1_prime=lambda x: 0.2 * x)
-    w = separated_class2(p2, (-4.0, 4.0), PhysParams(hbar=1.0, mass=1.0, r=0.0))
+    w = separated_class2(Class2Params(c1=0.8, c3=0.2), (-4.0, 4.0),
+                         PhysParams(hbar=1.0, mass=1.0, r=0.0),
+                         v1=SeparatedScalar(v1=v1, v1_prime=lambda x: 0.2 * x))
     x = np.linspace(-3.9, 3.9, 301)
     p_x = w.jet((x,), 0.0).dS[0]
     lhs = p_x ** 2 / 1.0
@@ -228,16 +239,12 @@ def test_class2_constant_correction_slopes():
 def test_class2_transport_generic_potential():
     """Generic smooth v1: the quadrature-built corrections keep both
     transport residuals at quadrature tolerance."""
-    from semiwave.core import PotentialSpec, SeparatedScalar
-
-    v1 = lambda x: 0.1 * x * x
-    p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05, a4=0.3,
-                      v1=v1, v1_prime=lambda x: 0.2 * x)
+    p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05, a4=0.3)
+    v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = separated_class2(p2, (-4.0, 4.0), params)
+    w = separated_class2(p2, (-4.0, 4.0), params, v1=v1)
     grid = make_uniform_grid(1, -4.0, 4.0, 2048)
-    pot = PotentialSpec(scalar=SeparatedScalar(v1=v1))
-    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.3), pot, params)
+    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.3), w.potential, params)
     assert np.max(np.abs(eq_a)) < 1e-8
     assert np.max(np.abs(eq_b)) < 1e-8
 
@@ -348,14 +355,13 @@ def _sampled_family(family, params, rng):
     if family == "soliton":
         sp = SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.1 * np.sin(z))
         return soliton_correction_fields(sp, params), (rng.uniform(-8.0, 8.0, 100),)
+    v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
     if family == "class1":
-        p1 = Class1Params(c1=0.5, c2=0.3, v1=lambda x: 0.1 * x * x,
-                          v1_prime=lambda x: 0.2 * x)
-        return separated_class1(p1, (-4.0, 4.0), params), (rng.uniform(-3.8, 3.8, 100),)
+        w = separated_class1(Class1Params(c1=0.5, c2=0.3), (-4.0, 4.0), params, v1=v1)
+        return w, (rng.uniform(-3.8, 3.8, 100),)
     if family == "class2":
-        p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05,
-                          v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
-        return separated_class2(p2, (-4.0, 4.0), params), (rng.uniform(-3.8, 3.8, 100),)
+        p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05)
+        return separated_class2(p2, (-4.0, 4.0), params, v1=v1), (rng.uniform(-3.8, 3.8, 100),)
     w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
     ang = rng.uniform(0.0, 2.0 * np.pi, 100)
     rad = rng.uniform(0.3, 1.8, 100)

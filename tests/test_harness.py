@@ -214,6 +214,13 @@ REJECTED = [
     ("residual-scaling", "family.class1.sigma_zero=10", "family.class1"),
     ("residual-scaling", "family.class1.domain=[-2,2]", "grid"),
     ("identity-suite", "family.class2.grid.lo=-10", "family.class2.grid"),
+    # residual-scaling builds class 1 alone: the soliton's dressing is a
+    # callable, which no file can carry
+    ("residual-scaling", "family.type=class1", "family.type"),
+    ("residual-scaling", "family.soliton={eta: 0.5, xi: 0.1}", "family.soliton"),
+    # an empty block is still a block the scenario does not read
+    ("concentration", "potential={}", "potential"),
+    ("concentration", "solver={}", "solver"),
 ]
 
 
@@ -722,3 +729,26 @@ def test_cli_validate_reports_problems(tmp_path, capsys):
     cfg_path.write_text(yaml.safe_dump(bad))
     assert main(["validate", str(cfg_path)]) == 2
     assert "family.soliton.eta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [None, "grid.n=[1"])
+def test_cli_invalid_yaml_exits_two(override, tmp_path, capsys):
+    """YAML that does not parse, in a file or in an override, exits 2 and
+    names where it came from, not 1 (a failed gate) and a traceback."""
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text("scenario: concentration\ngrid: [1\n")
+    args = ["validate", str(cfg_path)] if override is None \
+        else ["validate", "concentration", "--override", override]
+    assert main(args) == 2
+    assert f"{override or cfg_path}: not valid YAML" in capsys.readouterr().err
+
+
+def test_cli_directory_is_not_a_config_file(tmp_path, monkeypatch, capsys):
+    """A directory named like a scenario does not shadow the packaged
+    configuration, and any other directory is refused as no file."""
+    (tmp_path / "concentration").mkdir()
+    (tmp_path / "runs").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "concentration"]) == 0
+    assert main(["validate", "runs"]) == 2
+    assert "'runs' is neither an existing file" in capsys.readouterr().err
