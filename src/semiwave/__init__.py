@@ -11,25 +11,24 @@ tests.
 from semiwave.asymptotics import (
     Antiderivative,
     CallableWkbFields,
+    Class1Fields,
     Class1Params,
+    Class2Fields,
     Class2Params,
-    CorrectionParams,
+    CylindricalFields,
     CylindricalParams,
     FieldJet,
+    SolitonFields,
     SolitonParams,
     WkbFields,
     assemble_leading_term,
     corrected_term_with_dt,
-    cylindrical_fields,
     cylindrical_special,
     first_integral_residual,
     hj_residual,
     leading_term_time_derivative,
     one_soliton,
     psi_via_representation,
-    separated_class1,
-    separated_class2,
-    soliton_correction_fields,
     transport_residuals,
 )
 from semiwave.core import (
@@ -38,7 +37,6 @@ from semiwave.core import (
     PhysParams,
     PotentialSpec,
     apply_momentum,
-    free_potential,
     inner_product,
     make_axis_offset_grid,
     make_uniform_grid,
@@ -66,10 +64,12 @@ from semiwave.solver import (
 __all__ = [
     "Antiderivative",
     "CallableWkbFields",
+    "Class1Fields",
     "Class1Params",
+    "Class2Fields",
     "Class2Params",
     "ComplexField",
-    "CorrectionParams",
+    "CylindricalFields",
     "CylindricalParams",
     "EvolutionRecord",
     "FieldJet",
@@ -78,6 +78,7 @@ __all__ = [
     "PhysParams",
     "PotentialSpec",
     "ScalingReport",
+    "SolitonFields",
     "SolitonParams",
     "SolverConfig",
     "WkbFields",
@@ -88,12 +89,10 @@ __all__ = [
     "compute_moment_record",
     "concentration_scaling",
     "corrected_term_with_dt",
-    "cylindrical_fields",
     "cylindrical_special",
     "evolve",
     "first_integral_residual",
     "fit_scaling",
-    "free_potential",
     "hj_residual",
     "inner_product",
     "leading_term_time_derivative",
@@ -106,9 +105,6 @@ __all__ = [
     "one_soliton",
     "psi_via_representation",
     "relative_residual",
-    "separated_class1",
-    "separated_class2",
-    "soliton_correction_fields",
 ]
 
 __version__ = "0.1.0"

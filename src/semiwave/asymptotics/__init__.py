@@ -12,16 +12,16 @@ from semiwave.asymptotics.fields import (
     psi_via_representation,
 )
 from semiwave.asymptotics.families import (
+    Class1Fields,
     Class1Params,
+    Class2Fields,
     Class2Params,
+    CylindricalFields,
     CylindricalParams,
+    SolitonFields,
     SolitonParams,
-    cylindrical_fields,
     cylindrical_special,
     one_soliton,
-    separated_class1,
-    separated_class2,
-    soliton_correction_fields,
 )
 from semiwave.asymptotics.quadrature import Antiderivative
 from semiwave.asymptotics.residuals import (
@@ -30,7 +30,6 @@ from semiwave.asymptotics.residuals import (
     transport_residuals,
 )
 from semiwave.asymptotics.corrections import (
-    CorrectionParams,
     corrected_term_with_dt,
     first_correction_uv,
 )
@@ -38,16 +37,18 @@ from semiwave.asymptotics.corrections import (
 __all__ = [
     "Antiderivative",
     "CallableWkbFields",
+    "Class1Fields",
     "Class1Params",
+    "Class2Fields",
     "Class2Params",
-    "CorrectionParams",
+    "CylindricalFields",
     "CylindricalParams",
     "FieldJet",
+    "SolitonFields",
     "SolitonParams",
     "WkbFields",
     "assemble_leading_term",
     "corrected_term_with_dt",
-    "cylindrical_fields",
     "cylindrical_special",
     "envelope_amplitude",
     "envelope_rho",
@@ -57,7 +58,4 @@ __all__ = [
     "leading_term_time_derivative",
     "one_soliton",
     "psi_via_representation",
-    "separated_class1",
-    "separated_class2",
-    "soliton_correction_fields",
 ]

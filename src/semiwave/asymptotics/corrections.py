@@ -12,17 +12,17 @@ analytically leaves bounded hyperbolic shape factors
 
 with eps the sign of sigma, so the tails cause no overflow where the sign
 of theta agrees with eps (everywhere outside an O(hbar) neighbourhood of
-the sigma = 0 surface).
+the sigma = 0 surface).  The sign convention eps = sign(sigma) is fixed,
+with eps = +1 on the measure-zero set sigma = 0.
 
 The corrected pair is built on the caller's jet and the leading pair the
-caller assembled from it, so a sweep over hbar at one (family, grid, t)
-samples the phases there once; the corrected builder itself samples them
-only at t +- h, for the explicit time dependence of the coefficients.
+caller assembled from it, under the external field the family solves, so
+a sweep over hbar at one (family, grid, t) samples the phases there once;
+the corrected builder itself samples them only at t +- h, for the
+explicit time dependence of the coefficients.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +36,6 @@ from semiwave.asymptotics.fields import (
 
 _RHO_FLOOR = 1e-300
 _EXP_CLIP = 700.0
-
-
-@dataclass
-class CorrectionParams:
-    """Free data of the first correction: the constant C1.  The sign
-    convention eps = sign(sigma) is fixed, with eps = +1 on the measure-zero
-    set sigma = 0."""
-
-    C1: float = 0.0
 
 
 def _epsilon(sigma: np.ndarray) -> np.ndarray:
@@ -63,8 +54,7 @@ def _shapes(theta: np.ndarray, eps: np.ndarray):
     return u_shape, v_shape, du_shape, dv_shape
 
 
-def _coefficients(jet: FieldJet, cp: CorrectionParams, pot: PotentialSpec,
-                  params: PhysParams):
+def _coefficients(jet: FieldJet, pot: PotentialSpec, params: PhysParams, C1: float):
     """Spatial coefficient fields multiplying the shape factors:
 
         u = P tanh(theta) + Q + R u_shape,      v = P + W v_shape,
@@ -80,7 +70,7 @@ def _coefficients(jet: FieldJet, cp: CorrectionParams, pot: PotentialSpec,
     dsig, dg = jet.dsigma, jet.dg
     flow = tuple(jet.dS[j] - A[j] for j in range(dim))
 
-    P = (2.0 * m / g) * cp.C1
+    P = (2.0 * m / g) * C1
     Q = sum(dsig[j] * jet.dsigma1[j] for j in range(dim)) / g
     R = (jet.lap_sigma + sum(dsig[j] * dg[j] for j in range(dim)) / g) / (6.0 * g)
     dt_log_g = (jet.g_t + sum(flow[j] * dg[j] for j in range(dim)) / m) / g
@@ -88,14 +78,13 @@ def _coefficients(jet: FieldJet, cp: CorrectionParams, pot: PotentialSpec,
     return P, Q, R, W
 
 
-def _correction(jet: FieldJet, cp: CorrectionParams, pot: PotentialSpec,
-                params: PhysParams):
+def _correction(jet: FieldJet, pot: PotentialSpec, params: PhysParams, C1: float):
     """u and v with the pieces of their time derivative: tanh(theta), the
     four shape factors, the coefficients (P, Q, R, W), and the mask of
     samples where the envelope has underflowed (rho below 1e-300)."""
     theta = jet.sigma / params.hbar + jet.sigma1
     shapes = _shapes(theta, _epsilon(jet.sigma))
-    coeffs = P, Q, R, W = _coefficients(jet, cp, pot, params)
+    coeffs = P, Q, R, W = _coefficients(jet, pot, params, C1)
     tanh = np.tanh(theta)
     u = P * tanh + Q + R * shapes[0]
     v = P + W * shapes[1]
@@ -110,25 +99,24 @@ def _zero_where(tiny, *arrays):
     return arrays
 
 
-def first_correction_uv(jet: FieldJet, cp: CorrectionParams, pot: PotentialSpec,
-                        params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+def first_correction_uv(jet: FieldJet, pot: PotentialSpec, params: PhysParams,
+                        C1: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the first correction at the jet's sample
-    points and time.
+    points and time, under the external field pot, with the free constant C1.
 
     Where the envelope has underflowed (rho below 1e-300) the correction is
     set to zero; the field carries no weight there.
     """
-    u, v, _, _, _, tiny = _correction(jet, cp, pot, params)
+    u, v, _, _, _, tiny = _correction(jet, pot, params, C1)
     return _zero_where(tiny, u, v)
 
 
 def corrected_term_with_dt(w: WkbFields, jet: FieldJet, psi: ComplexField,
-                           dpsi: ComplexField, cp: CorrectionParams,
-                           pot: PotentialSpec,
-                           params: PhysParams) -> tuple[ComplexField, ComplexField]:
+                           dpsi: ComplexField, params: PhysParams,
+                           C1: float = 0.0) -> tuple[ComplexField, ComplexField]:
     """Corrected field together with its analytic-in-theta time derivative,
     built on the caller's jet of w and the leading pair (psi, dpsi) the
-    caller assembled from it.
+    caller assembled from it, under w.potential, with the free constant C1.
 
     d/dt (u + i v) splits into the chain-rule part through theta, whose
     theta-derivatives are available in closed form, and the explicit time
@@ -136,8 +124,8 @@ def corrected_term_with_dt(w: WkbFields, jet: FieldJet, psi: ComplexField,
     of the coefficients of w's jets at t +- h (exactly zero for the shipped
     stationary families).  Those two jets are the only ones built here.
     """
-    hbar = params.hbar
-    u, v, tanh, shapes, (P, Q, R, W), tiny = _correction(jet, cp, pot, params)
+    hbar, pot = params.hbar, w.potential
+    u, v, tanh, shapes, (P, Q, R, W), tiny = _correction(jet, pot, params, C1)
     u_shape, v_shape, du_shape, dv_shape = shapes
 
     theta_t = jet.sigma_t / hbar + jet.sigma1_t
@@ -146,7 +134,7 @@ def corrected_term_with_dt(w: WkbFields, jet: FieldJet, psi: ComplexField,
     dv_chain = W * dv_shape * theta_t
 
     dP, dQ, dR, dW = _diff(lambda s: np.stack(np.broadcast_arrays(
-        *_coefficients(w.jet(jet.xs, s), cp, pot, params))), jet.t)
+        *_coefficients(w.jet(jet.xs, s), pot, params, C1))), jet.t)
     du = du_chain + dP * tanh + dQ + dR * u_shape
     dv = dv_chain + dP + dW * v_shape
     u, v, du, dv = _zero_where(tiny, u, v, du, dv)

@@ -64,9 +64,10 @@ class SolitonParams:
 
 
 class SolitonFields(WkbFields):
-    """Linear phases S = alpha1 t + alpha2 x + phi0 and
-    sigma = beta1 t + beta2 (x - x0), with the frequency alpha1 and drift
-    beta1 tied to the slopes by the complex eikonal equation."""
+    """Phase fields of the soliton family, dressing included: linear phases
+    S = alpha1 t + alpha2 x + phi0 and sigma = beta1 t + beta2 (x - x0),
+    with the frequency alpha1 and drift beta1 tied to the slopes by the
+    complex eikonal equation."""
 
     dim = 1
 
@@ -110,11 +111,6 @@ class SolitonFields(WkbFields):
                 dsigma1=(wp.imag,), lap_S=0.0, lap_sigma=0.0, dg=(0.0,)))
 
 
-def soliton_correction_fields(sp: SolitonParams, params: PhysParams) -> SolitonFields:
-    """Phase fields of the soliton family, dressing included."""
-    return SolitonFields(sp, params.mass)
-
-
 def one_soliton(sp: SolitonParams, grid: Grid, t: float, params: PhysParams) -> ComplexField:
     """Closed-form solitary wave
 
@@ -151,7 +147,7 @@ def one_soliton(sp: SolitonParams, grid: Grid, t: float, params: PhysParams) -> 
 class Class1Params:
     """Separated family with a standing envelope.
 
-    Numbers only: the potential V = v1(x) is handed to separated_class1.
+    Numbers only: the potential V = v1(x) is handed to Class1Fields.
     c1 shifts the potential split (c1 + v1 must stay positive on the working
     interval), c2 feeds the linear-in-time part of the phase correction,
     c3 and c4 are additive constants.
@@ -184,9 +180,15 @@ def _check_class1(c1: float, v1: ScalarPotential, domain: tuple[float, float],
 
 
 class Class1Fields(WkbFields):
-    """sigma is the antiderivative of sqrt(2 m (c1 + v1)); the correction
+    """The standing separated family for V = v1(x) on its interval.
+
+    sigma is the antiderivative of sqrt(2 m (c1 + v1)); the correction
     sigma1 = (3/2) log sigma_x + m c2 * int dx/sigma_x + c4 makes both
-    transport equations vanish identically."""
+    transport equations vanish identically.  sigma vanishes at sigma_zero
+    (interval midpoint by default), which is where the envelope peaks; the
+    additive freedom in the antiderivative just relocates the peak within
+    the family.
+    """
 
     dim = 1
 
@@ -198,7 +200,6 @@ class Class1Fields(WkbFields):
         _check_class1(p1.c1, v1, (lo, hi), sigma_zero)
         self.p1 = p1
         self.mass = mass
-        self.domain = (lo, hi)
         self._sigma = Antiderivative(self._sigma_x, lo, hi, base_point=sigma_zero)
         self._inv_int = Antiderivative(lambda x: 1.0 / self._sigma_x(x), lo, hi,
                                        base_point=sigma_zero)
@@ -230,18 +231,6 @@ class Class1Fields(WkbFields):
             g=sx**2, g_t=0.0, derivatives=derivatives)
 
 
-def separated_class1(p1: Class1Params, domain: tuple[float, float],
-                     params: PhysParams, sigma_zero: float | None = None,
-                     v1: ScalarPotential = ZeroScalar()) -> Class1Fields:
-    """Build the standing separated family for V = v1(x) on its interval.
-
-    sigma vanishes at sigma_zero (interval midpoint by default), which is
-    where the envelope peaks; the additive freedom in the antiderivative
-    just relocates the peak within the family.
-    """
-    return Class1Fields(p1, domain, params.mass, sigma_zero=sigma_zero, v1=v1)
-
-
 # ---------------------------------------------------------------------------
 # separated class 2
 
@@ -271,9 +260,12 @@ class Class2Params:
 
 
 class Class2Fields(WkbFields):
-    """The rapid action gains the quadrature p(x) of the envelope-slope
+    """The travelling separated family for V = v1(x) on its interval.
+
+    The rapid action gains the quadrature p(x) of the envelope-slope
     relation; without it the imaginary part of the complex eikonal equation
-    cannot balance sigma_t = c1."""
+    cannot balance sigma_t = c1.
+    """
 
     dim = 1
 
@@ -283,7 +275,6 @@ class Class2Fields(WkbFields):
         self.potential = _separated_potential(v1)
         self.p2 = p2
         self.mass = mass
-        self.domain = (lo, hi)
         self._p = Antiderivative(self._p_x, lo, hi)
         self._inv_int = Antiderivative(lambda x: 1.0 / self._p_x(x), lo, hi)
         self._f = Antiderivative(lambda x: self._slopes(x)[2], lo, hi)
@@ -323,12 +314,6 @@ class Class2Fields(WkbFields):
             S1=p2.a1 * t + p2.a3 + self._f(x), sigma1=p2.a2 * t + p2.a4 + self._g(x),
             S_t=p2.c3, sigma_t=p2.c1, S1_t=p2.a1, sigma1_t=p2.a2,
             g=(p2.c1 * m / self._p_x(x)) ** 2, g_t=0.0, derivatives=derivatives)
-
-
-def separated_class2(p2: Class2Params, domain: tuple[float, float],
-                     params: PhysParams, v1: ScalarPotential = ZeroScalar()) -> Class2Fields:
-    """Build the travelling separated family for V = v1(x) on its interval."""
-    return Class2Fields(p2, domain, params.mass, v1=v1)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +388,6 @@ class CylindricalFields(WkbFields):
         return dict(dS=(0.0, 0.0), dsigma=(cp.c1 * ex, cp.c1 * ey),
                     dS1=(c * ex, c * ey), dsigma1=(c_sigma1 * ex, c_sigma1 * ey),
                     lap_S=0.0, lap_sigma=cp.c1 / r, dg=(0.0, 0.0))
-
-
-def cylindrical_fields(cp: CylindricalParams, params: PhysParams) -> CylindricalFields:
-    return CylindricalFields(cp, params.mass)
 
 
 def cylindrical_special(cp: CylindricalParams, grid: Grid, t: float,

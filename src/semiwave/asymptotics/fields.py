@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from semiwave.core import (ComplexField, Grid, PhysParams, PotentialSpec, _along, _diff,
-                           _diff2, _expi, free_potential)
+                           _diff2, _expi)
 
 _THETA_GUARD = 300.0
 
@@ -105,7 +105,7 @@ class WkbFields:
 
     dim: int = 1
     radial: bool = False
-    potential: PotentialSpec = free_potential()
+    potential: PotentialSpec = PotentialSpec()
 
     def jet(self, xs, t) -> FieldJet:
         raise NotImplementedError

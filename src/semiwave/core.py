@@ -497,8 +497,3 @@ class PotentialSpec:
 
     scalar: ScalarPotential = field(default_factory=ZeroScalar)
     vector: VectorPotential = field(default_factory=ZeroVector)
-
-
-def free_potential() -> PotentialSpec:
-    return PotentialSpec(ZeroScalar(), ZeroVector())
-

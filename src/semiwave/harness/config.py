@@ -27,10 +27,9 @@ from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 import numpy as np
 import yaml
 
-from ..asymptotics import (Class1Params, Class2Params, CylindricalParams, SolitonParams,
-                          separated_class1, separated_class2)
+from ..asymptotics import (Class1Fields, Class1Params, Class2Fields, Class2Params,
+                          CylindricalParams, SolitonParams)
 from ..asymptotics.families import _check_class1
-from ..asymptotics.quadrature import _within
 from ..core import (Grid, HarmonicScalar, PhysParams, PotentialSpec, SeparatedScalar,
                     UniformVector, ZeroScalar, ZeroVector, make_axis_offset_grid,
                     make_uniform_grid)
@@ -145,29 +144,19 @@ def _grid_size(n: int) -> None:
 
 
 @_block
-class SampleGrid:
-    """n points on [lo, hi); lo and hi default to the owner's interval."""
+class Grid1d:
+    """n points on [lo, hi)."""
 
     n: int
-    lo: float | None = None
-    hi: float | None = None
-
-    def __post_init__(self):
-        _grid_size(self.n)
-
-    def build(self, lo: float | None = None, hi: float | None = None) -> Grid:
-        return make_uniform_grid(1, lo if self.lo is None else self.lo,
-                                 hi if self.hi is None else self.hi, self.n)
-
-
-@_block
-class Grid1d(SampleGrid):
     lo: float
     hi: float
 
     def __post_init__(self):
-        super().__post_init__()
+        _grid_size(self.n)
         self.build()
+
+    def build(self) -> Grid:
+        return make_uniform_grid(1, self.lo, self.hi, self.n)
 
 
 @_block
@@ -329,32 +318,26 @@ class Output:
 
 @_block
 class _Separated:
-    """The potential V = v1(x) and the interval [lo, hi] the envelope is
-    built on; subclasses add the family's constants, whose class picks the
-    family that fields() builds."""
+    """The potential V = v1(x); subclasses add the family's constants, whose
+    class picks the family that fields() builds.  The family's interval is
+    that of the grid it is sampled on."""
 
     v1: Zero | Quadratic = Zero()
-    domain: tuple[float, float]
     sigma_zero: ClassVar[float | None] = None  # a key of Class1 alone
 
-    def __post_init__(self):
-        _require(self.domain[0] < self.domain[1], "domain: must be [lo, hi] with hi > lo")
+    def check(self, grid: Grid1d) -> None:
+        """Refuse class-1 constants with c1 + v1 <= 0 on the grid's interval
+        or a sigma_zero outside it, before any family is built."""
         if isinstance(self.constants, Class1Params):
-            _check_class1(self.constants.c1, self.v1.scalar(), self.domain, self.sigma_zero)
+            _check_class1(self.constants.c1, self.v1.scalar(), (grid.lo, grid.hi),
+                          self.sigma_zero)
 
-    def fields(self, phys: PhysParams):
-        """The family the constants' class names, on the domain."""
+    def fields(self, mass: float, grid: Grid1d):
+        """The family the constants' class names, on the grid's interval."""
         if isinstance(self.constants, Class1Params):
-            return separated_class1(self.constants, self.domain, phys,
-                                    sigma_zero=self.sigma_zero, v1=self.v1.scalar())
-        return separated_class2(self.constants, self.domain, phys, v1=self.v1.scalar())
-
-    def check_grid(self, grid: Grid, path: str) -> None:
-        """Refuse a grid with samples outside the domain, where the family's
-        antiderivatives are not tabulated."""
-        x, (lo, hi) = grid.axes()[0], self.domain
-        _require(_within(x, lo, hi), f"{path}: samples [{x[0]:g}, {x[-1]:g}] leave "
-                                     f"the family's domain [{lo:g}, {hi:g}]")
+            return Class1Fields(self.constants, (grid.lo, grid.hi), mass,
+                                sigma_zero=self.sigma_zero, v1=self.v1.scalar())
+        return Class2Fields(self.constants, (grid.lo, grid.hi), mass, v1=self.v1.scalar())
 
 
 @_block
@@ -368,19 +351,22 @@ class Class1(_Separated):
 @_block
 class SampledClass1(_Separated):
     constants: Class1Params = field(metadata=_INLINE)
-    grid: SampleGrid
+    grid: Grid1d
+
+    def __post_init__(self):
+        self.check(self.grid)
 
 
 @_block
 class SampledClass2(_Separated):
     constants: Class2Params = field(metadata=_INLINE)
-    grid: SampleGrid
+    grid: Grid1d
 
 
 @_block
 class SampledSoliton:
     constants: SolitonParams = field(metadata=_INLINE)
-    grid: SampleGrid
+    grid: Grid1d
 
 
 @_block
@@ -408,25 +394,11 @@ class ScalingFamily:
 
 @_block
 class IdentityFamily:
-    """The soliton's grid spans [-20, 20) and a separated family's its
-    interval, unless lo and hi are given."""
-
     soliton: SampledSoliton
     class1: SampledClass1
     class2: SampledClass2
     cylindrical: SampledCylindrical
     eval_time: float = 0.25
-
-    def __post_init__(self):
-        _, grid1, grid2, _ = self.grids()
-        self.class1.check_grid(grid1, "class1.grid")
-        self.class2.check_grid(grid2, "class2.grid")
-
-    def grids(self) -> tuple[Grid, ...]:
-        return (self.soliton.grid.build(-20.0, 20.0),
-                self.class1.grid.build(*self.class1.domain),
-                self.class2.grid.build(*self.class2.domain),
-                self.cylindrical.grid.build())
 
 
 @_block
@@ -479,7 +451,10 @@ class ResidualScaling(_Scenario):
     family: ScalingFamily
 
     def __post_init__(self):
-        self.family.class1.check_grid(self.grid.build(), "grid")
+        try:
+            self.family.class1.check(self.grid)
+        except ValueError as err:
+            raise ConfigError([f"family.class1: {err}"]) from None
 
 
 @_block
@@ -494,7 +469,7 @@ class Concentration(_Scenario):
 
 @_block
 class IdentitySuite(_Scenario):
-    """pointwise identities: assembly routes, transport reduction, first
+    """pointwise identities: assembly routes, transport residuals, first
     integral, eikonal residual"""
 
     params: Params

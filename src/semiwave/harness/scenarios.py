@@ -18,22 +18,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..asymptotics import (
-    CorrectionParams,
+    CylindricalFields,
+    SolitonFields,
     assemble_leading_term,
     corrected_term_with_dt,
-    cylindrical_fields,
     first_integral_residual,
     hj_residual,
     leading_term_time_derivative,
     one_soliton,
-    soliton_correction_fields,
     transport_residuals,
 )
 from ..asymptotics.fields import _leading_values, _representation_values, \
     _time_derivative_values
 from ..classical import PhasePoint, integrate_bicharacteristic
-from ..core import ComplexField, ZeroScalar, ZeroVector, _reflection_classes, \
-    free_potential, norm_squared
+from ..core import ComplexField, PotentialSpec, ZeroScalar, ZeroVector, \
+    _reflection_classes, norm_squared
 from ..moments import ScalingReport, concentration_scaling, fit_scaling, \
     mass_within_radius, mean_momentum, mean_position, centered_moment
 from ..solver import SolverConfig, _quadrant_relative_residual, apply_nlse_operator, \
@@ -103,11 +102,15 @@ PASSES = {
 }
 
 GATES: dict[tuple[str, str], Gate] = {
-    ("soliton-propagation", "l2_error"): Gate("propagation", "below", 1e-4),
-    ("soliton-propagation", "mass_drift"): Gate("propagation", "below", 1e-10),
+    # measured 9.7e-7, 4.5e-13 and 4.4e-7 as shipped, and at most 1.5e-6,
+    # 6.4e-13 and 1.8e-6 over 40 seeded solitons (xi in (0.15, 0.35), eta
+    # in (0.45, 0.55), x0 in (-5, 5 - 20 xi), so the centre stays 15 from
+    # the box edges); gated 6.5x, 7.8x and 5.6x above those maxima
+    ("soliton-propagation", "l2_error"): Gate("propagation", "below", 1e-5),
+    ("soliton-propagation", "mass_drift"): Gate("propagation", "below", 5e-12),
     ("soliton-propagation", "peak_velocity"): Gate(
         "propagation", "reported", reason="peak_velocity_error gates it"),
-    ("soliton-propagation", "peak_velocity_error"): Gate("propagation", "below", 1e-3),
+    ("soliton-propagation", "peak_velocity_error"): Gate("propagation", "below", 1e-5),
     ("soliton-propagation", "step_norm_drift"): Gate("propagation", "below", 1e-12),
     ("soliton-propagation", "convergence_ratio"): Gate(
         "convergence", "reported", reason="convergence_ratio_deviation gates it"),
@@ -118,7 +121,10 @@ GATES: dict[tuple[str, str], Gate] = {
         "convergence", "below", 0.05),
     ("ehrenfest", "x_deviation"): Gate(None, "below", 5e-3),
     ("ehrenfest", "p_deviation"): Gate(None, "below", 5e-3),
-    ("residual-scaling", "leading_slope"): Gate("leading", "at_least", 0.9),
+    # 2 for the symmetric profile; measured 2.0015538 to 2.0016056 over 40
+    # seeded c1 in construct-sweep's range (0.4975, 0.5025) and both its
+    # ends, at n = 1024 and 4096, so |v - 2| <= 1.6e-3, gated 6.2x above
+    ("residual-scaling", "leading_slope"): Gate("leading", "within", 0.01, center=2.0),
     ("residual-scaling", "corrected_slope"): Gate("corrected", "at_least", 1.8),
     # exactly 1 in theory; |v - 1| measured 8.9e-16 as shipped and at most
     # 4.4e-15 over construct-sweep seeds 1-5000 (xi in (-0.5, 0.5), x0 in
@@ -132,8 +138,18 @@ GATES: dict[tuple[str, str], Gate] = {
     # configurations, gated 5.5x above that
     ("concentration", "var_x_deviation"): Gate("variance", "below", 1e-13),
     ("concentration", "mass_within_sqrt_hbar"): Gate("mass", "at_least", 0.99),
+    # representation_identity_max and first_integral_max compare the
+    # package's own two sech forms, and hold for any jet with g > 0 and
+    # r > 0: rho = b sech(theta) gives |d rho/d theta| = b sech |tanh| =
+    # sqrt(2 m r / g) sqrt(b^2 - rho^2) rho.  So neither row checks a family
     ("identity-suite", "representation_identity_max"): Gate("assembly", "below", 1e-12),
-    ("identity-suite", "transport_reduction_max"): Gate("transport", "below", 1e-10),
+    # largest |eq_a| or |eq_b| over the four families; measured at most
+    # 2.8e-14 over construct-sweep seeds 1-2000 at its sizes (the ring at
+    # n = 512; class 1 2.8e-16, class 2 5.6e-16, soliton 0) and 1.1e-14 at
+    # the shipped sizes (3.6e-15 as shipped).  The ring's maximum grows like
+    # 1/r nearest the axis, so like n: 1.7e-13 at n = 2048 over 20 seeded
+    # rings, still 5.9x below the gate, which is 35x above the measured one
+    ("identity-suite", "transport_max"): Gate("transport", "below", 1e-12),
     ("identity-suite", "first_integral_max"): Gate("envelope", "below", 1e-10),
     ("identity-suite", "hj_soliton_max"): Gate("eikonal", "below", 1e-12),
     # measured at most 4.4e-16 (class 1, c1 in [0.45, 0.55] at n = 1024,
@@ -211,7 +227,7 @@ def run_soliton_propagation(spec: SolitonPropagation) -> ScenarioResult:
     scen = spec.scenario
     params = spec.params.phys()
     grid = spec.grid.build()
-    pot = free_potential()
+    pot = PotentialSpec()
     sp = spec.family.soliton
     config = spec.solver.config(params, pot)
 
@@ -309,10 +325,9 @@ def run_residual_scaling(spec: ResidualScaling) -> ScenarioResult:
     grid = spec.grid.build()
     hbars = spec.params.hbars
     base = spec.params.phys()
-    w = spec.family.class1.fields(base)
+    w = spec.family.class1.fields(base.mass, spec.grid)
     pot = w.potential
     t_eval = spec.family.eval_time
-    cp = CorrectionParams(C1=spec.family.correction_c1)
 
     # no jet entry depends on hbar: one jet serves the whole sweep, and its
     # derivative block is evaluated once, on the first corrected pair
@@ -324,7 +339,8 @@ def run_residual_scaling(spec: ResidualScaling) -> ScenarioResult:
         dpsi = leading_term_time_derivative(jet, psi, pp)
         lead.append(relative_residual(
             apply_nlse_operator((psi, dpsi), pot, pp), psi))
-        cpsi, cdpsi = corrected_term_with_dt(w, jet, psi, dpsi, cp, pot, pp)
+        cpsi, cdpsi = corrected_term_with_dt(w, jet, psi, dpsi, pp,
+                                             spec.family.correction_c1)
         corr.append(relative_residual(
             apply_nlse_operator((cpsi, cdpsi), pot, pp), cpsi))
 
@@ -370,75 +386,57 @@ def run_concentration(spec: Concentration) -> ScenarioResult:
 # identity-suite
 
 
-def _identity_families(spec: IdentitySuite, params):
+def _identity_families(spec: IdentitySuite, mass: float):
     """(name, fields, grid) for all four shipped families."""
     fam = spec.family
-    sgrid, grid1, grid2, cgrid = fam.grids()
     return (
-        ("soliton", soliton_correction_fields(fam.soliton.constants, params), sgrid),
-        ("class1", fam.class1.fields(params), grid1),
-        ("class2", fam.class2.fields(params), grid2),
-        ("cylindrical", cylindrical_fields(fam.cylindrical.constants, params), cgrid),
+        ("soliton", SolitonFields(fam.soliton.constants, mass), fam.soliton.grid.build()),
+        ("class1", fam.class1.fields(mass, fam.class1.grid), fam.class1.grid.build()),
+        ("class2", fam.class2.fields(mass, fam.class2.grid), fam.class2.grid.build()),
+        ("cylindrical", CylindricalFields(fam.cylindrical.constants, mass),
+         fam.cylindrical.grid.build()),
     )
-
-
-def _reduced_transport(jet, params):
-    """The one-dimensional reduced transport pair, written directly in
-    terms of x-derivatives, for comparison with the general form."""
-    m = params.mass
-    S_x, sig_x = jet.dS[0], jet.dsigma[0]
-    S1_x, sig1_x = jet.dS1[0], jet.dsigma1[0]
-    S_xx, sig_xx = jet.lap_S, jet.lap_sigma
-    sig_xt = jet.g_t / (2.0 * sig_x)
-    red_a = jet.S1_t + S_x * S1_x / m - sig_x * sig1_x / m \
-        + 1.5 * sig_xx / m
-    red_b = jet.sigma1_t + S_x * sig1_x / m + sig_x * S1_x / m \
-        - 0.5 * (S_xx / m + 2.0 * sig_xt / sig_x
-                 + 2.0 * S_x * sig_xx / (m * sig_x))
-    return red_a, red_b
 
 
 def _pointwise_maxima(w, grid, t, params):
     """The largest |a - b| between the two assembly routes, |first integral
-    residual| and |eikonal residual| over the grid for one family at t, and
-    on a line those of the two transport residuals minus their reduction,
-    both residuals under the potential the family solves.
+    residual|, |eikonal residual| and |transport residual| (both equations)
+    over the grid for one family at t, the residuals under the potential
+    the family solves.
 
     A radial family is sampled once per reflection class, whose maximum is
     the maximum over the even extension of the positive quadrant.  For the
-    eikonal residual, whose terms read the direction x/r, that holds only
-    under a reflection-invariant potential, so this is done only under the
-    free potential; any other family or potential is sampled on the full
-    mesh."""
+    eikonal and transport residuals, whose terms read the direction x/r,
+    that holds only under a reflection-invariant potential, so this is done
+    only under the free potential; any other family or potential is sampled
+    on the full mesh."""
     pot = w.potential
     free = isinstance(pot.scalar, ZeroScalar) and isinstance(pot.vector, ZeroVector)
     xs = _reflection_classes(grid)[0] if w.radial and free else grid.mesh()
     jet = w.jet(xs, t)
     arrays = [_leading_values(jet, params) - _representation_values(jet, params),
-              first_integral_residual(jet, params), hj_residual(jet, pot, params)]
-    if grid.dim == 1:
-        arrays += map(np.subtract, transport_residuals(jet, pot, params),
-                      _reduced_transport(jet, params))
+              first_integral_residual(jet, params), hj_residual(jet, pot, params),
+              *transport_residuals(jet, pot, params)]
     return tuple(float(np.max(np.abs(v))) for v in arrays)
 
 
 def run_identity_suite(spec: IdentitySuite) -> ScenarioResult:
-    """Pointwise identities: both assembly routes agree, the general
-    transport pair matches its 1D reduction, the envelope first integral
-    vanishes, and the eikonal residual is at rounding level."""
+    """Pointwise identities: both assembly routes agree, and the envelope
+    first integral, the eikonal residual and the transport pair vanish to
+    rounding level."""
     scen = spec.scenario
     params = spec.params.phys()
     maxima = {name: _pointwise_maxima(w, grid, spec.family.eval_time, params)
-              for name, w, grid in _identity_families(spec, params)}
+              for name, w, grid in _identity_families(spec, params.mass)}
     # np.max keeps a NaN wherever it sits; Python's max drops one that is
     # not its first argument, and the row would then pass
     repr_max = np.max([m[0] for m in maxima.values()])
     integral_max = np.max([m[1] for m in maxima.values()])
-    reduction_max = np.max([0.0, *(v for m in maxima.values() for v in m[3:])])
+    transport_max = np.max([v for m in maxima.values() for v in m[3:]])
 
     return ScenarioResult(scen, _rows(scen, {
         "representation_identity_max": repr_max,
-        "transport_reduction_max": reduction_max,
+        "transport_max": transport_max,
         "first_integral_max": integral_max,
         **{f"hj_{name}_max": m[2] for name, m in maxima.items()},
     }))
@@ -472,7 +470,7 @@ def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     grid = spec.grid.build()
     hbars = spec.params.hbars
     base = spec.params.phys()
-    w = cylindrical_fields(spec.family.cylindrical, base)
+    w = CylindricalFields(spec.family.cylindrical, base.mass)
     classes = _reflection_classes(grid)
     # the fields of one hbar are dropped on return, before the next hbar's
     # tables are built

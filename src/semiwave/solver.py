@@ -253,8 +253,7 @@ class _StrangPlan:
             self._kin_key = (a, h)
         return _spectral_multiply(vals, self._kin, _owned=True)
 
-    def run(self, vals: np.ndarray, t0: float, steps: list[tuple[float, float]],
-            every: int):
+    def run(self, vals: np.ndarray, t0: float, steps: _Schedule, every: int):
         """Strang steps from t0, one per (length, end time) pair of `steps`.
         Yields (t, norm, state) after each step; state is the exact Strang
         state after every `every`-th step and the last one, a fresh array,
@@ -265,7 +264,7 @@ class _StrangPlan:
         dens, prev = self._dens  # |psi|^2 now and one step before
         _density(vals, dens, self._scratch)
         closing = None  # (t, h) of the previous step's pending closing half
-        t = t0
+        t, last = t0, len(steps)
         for step, (h, t_next) in enumerate(steps, 1):
             t_start, t = t, t_next
             opening = (t_start + 0.25 * h, h)
@@ -281,7 +280,7 @@ class _StrangPlan:
                     step, t = step - 1, t_start
                 raise _nonfinite(step, t)
             closing = (t_start + 0.75 * h, h)
-            if step % every == 0 or step == len(steps):
+            if step % every == 0 or step == last:
                 vals = np.multiply(vals, self.local_factor(dens, [closing], self._free(vals)))
                 closing = None
                 dens, prev = _density(vals, prev, self._scratch), dens
@@ -295,16 +294,31 @@ def _nonfinite(step: int, t: float) -> FloatingPointError:
     return FloatingPointError(f"non-finite amplitude at step {step} (t={t:.6g}); aborting")
 
 
-def _schedule(t0: float, t_end: float, dt: float) -> list[tuple[float, float]]:
+class _Schedule:
     """(length, end time) of each step from t0 to t_end: whole steps of dt,
-    then one shortened step when a tail is left."""
-    remaining = t_end - t0
-    n_full = int(np.floor(remaining / dt + 1e-12))
-    steps = [(dt, t0 + k * dt) for k in range(1, n_full + 1)]
-    tail = remaining - n_full * dt
-    if tail >= 1e-12 * dt:
-        steps.append((tail, t0 + remaining))
-    return steps
+    then one shortened step when a tail is left.  Steps are yielded as they
+    are read and the schedule holds no list, so its size does not grow with
+    the step count; len() and one step by index need none of the others."""
+
+    def __init__(self, t0: float, t_end: float, dt: float):
+        remaining = t_end - t0
+        self.t0, self.dt, self.end = t0, dt, t0 + remaining
+        self.n_full = int(np.floor(remaining / dt + 1e-12))
+        tail = remaining - self.n_full * dt
+        self.tail = tail if tail >= 1e-12 * dt else None
+
+    def __len__(self) -> int:
+        return self.n_full + (self.tail is not None)
+
+    def __iter__(self):
+        for k in range(1, self.n_full + 1):
+            yield self.dt, self.t0 + k * self.dt
+        if self.tail is not None:
+            yield self.tail, self.end
+
+    def __getitem__(self, i: int) -> tuple[float, float]:
+        k = range(1, len(self) + 1)[i]  # IndexError past either end
+        return (self.dt, self.t0 + k * self.dt) if k <= self.n_full else (self.tail, self.end)
 
 
 def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
@@ -327,7 +341,7 @@ def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
     n0 = norm_squared(snapshots[0])
     drift = 0.0
     plan = _StrangPlan(grid, config.params, config.pot, t0)
-    steps = _schedule(t0, config.t_end, config.dt)
+    steps = _Schedule(t0, config.t_end, config.dt)
     for t, nrm, state in plan.run(psi0.values, t0, steps, config.snapshot_every):
         drift = max(drift, abs(nrm - n0) / n0)
         if state is not None:

@@ -23,7 +23,6 @@ from semiwave.core import (
     ExpressionScalar,
     SeparatedScalar,
     UniformVector,
-    free_potential,
     make_axis_offset_grid,
     make_uniform_grid,
     norm_squared,
@@ -31,16 +30,18 @@ from semiwave.core import (
 from semiwave.asymptotics import (
     Antiderivative,
     CallableWkbFields,
+    Class1Fields,
     Class1Params,
+    Class2Fields,
     Class2Params,
-    CorrectionParams,
+    CylindricalFields,
     CylindricalParams,
     FieldJet,
+    SolitonFields,
     SolitonParams,
     WkbFields,
     assemble_leading_term,
     corrected_term_with_dt,
-    cylindrical_fields,
     envelope_rho,
     first_correction_uv,
     first_integral_residual,
@@ -48,9 +49,6 @@ from semiwave.asymptotics import (
     leading_term_time_derivative,
     one_soliton,
     psi_via_representation,
-    separated_class1,
-    separated_class2,
-    soliton_correction_fields,
     transport_residuals,
 )
 
@@ -68,17 +66,17 @@ def make_family(name, params):
     if name == "soliton":
         sp = SolitonParams(xi=0.25, eta=0.5, phi0=0.3,
                            f=lambda z: 0.1 * z + 0.05 * np.sin(z))
-        w = soliton_correction_fields(sp, params)
-        return w, make_uniform_grid(1, -20.0, 20.0, 1024), free_potential()
+        w = SolitonFields(sp, params.mass)
+        return w, make_uniform_grid(1, -20.0, 20.0, 1024), PotentialSpec()
     if name == "class1":
-        w = separated_class1(Class1Params(c1=0.5), (-4.0, 4.0), params, v1=v1)
+        w = Class1Fields(Class1Params(c1=0.5), (-4.0, 4.0), params.mass, v1=v1)
         return w, make_uniform_grid(1, -4.0, 4.0, 1024), w.potential
     if name == "class2":
         p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05)
-        w = separated_class2(p2, (-4.0, 4.0), params, v1=v1)
+        w = Class2Fields(p2, (-4.0, 4.0), params.mass, v1=v1)
         return w, make_uniform_grid(1, -4.0, 4.0, 1024), w.potential
-    w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
-    return w, make_axis_offset_grid(2, 2.0, 128), free_potential()
+    w = CylindricalFields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params.mass)
+    return w, make_axis_offset_grid(2, 2.0, 128), PotentialSpec()
 
 
 FAMILIES = ["soliton", "class1", "class2", "radial"]
@@ -115,7 +113,7 @@ def test_envelope_degenerate_and_defocusing_errors():
     divides by it, and a defocusing r by every one that builds the
     envelope."""
     grid = make_uniform_grid(1, -4.0, 4.0, 16)
-    pot, cp = free_potential(), CorrectionParams()
+    pot = PotentialSpec()
     flat = CallableWkbFields(S=lambda xs, t: np.zeros_like(xs[0]),
                              sigma=lambda xs, t: np.ones_like(xs[0]))
     good = CallableWkbFields(S=lambda xs, t: np.zeros_like(xs[0]),
@@ -130,7 +128,7 @@ def test_envelope_degenerate_and_defocusing_errors():
             "rho": lambda: envelope_rho(jet, params),
             "transport": lambda: transport_residuals(jet, pot, params),
             "integral": lambda: first_integral_residual(jet, params),
-            "uv": lambda: first_correction_uv(jet, cp, pot, params),
+            "uv": lambda: first_correction_uv(jet, pot, params),
         }
         for name in entry_points:
             with pytest.raises(ValueError):
@@ -143,7 +141,7 @@ def test_envelope_half_width_scales_linearly_with_hbar():
     widths = []
     for hbar in (0.4, 0.2):
         params = PhysParams(hbar=hbar, mass=1.0, r=0.5)
-        w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5), params)
+        w = SolitonFields(SolitonParams(xi=0.0, eta=0.5), params.mass)
         peak = envelope_rho(w.jet((np.array([0.0]),), 0.0), params)[0]
 
         def half_crossing(x):
@@ -176,7 +174,7 @@ def test_representation_deep_tail_guard():
     switches to the sech path and keeps the identity finite and exact."""
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     sp = SolitonParams(xi=0.0, eta=0.5, x0=-20.0)
-    w = soliton_correction_fields(sp, params)
+    w = SolitonFields(sp, params.mass)
     grid = make_uniform_grid(1, -20.0, 20.0, 1024)
     jet = w.jet(grid.mesh(), 0.0)
     theta = jet.sigma / params.hbar + jet.sigma1
@@ -199,7 +197,7 @@ def test_leading_term_modulus_is_envelope():
 def test_leading_term_norm_oracle():
     """eta = 0.5, hbar = 0.5: squared norm is 4 eta hbar = 1 exactly."""
     params = PhysParams(hbar=0.5, mass=1.0, r=0.5)
-    w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5), params)
+    w = SolitonFields(SolitonParams(xi=0.0, eta=0.5), params.mass)
     grid = make_uniform_grid(1, -20.0, 20.0, 1024)
     fld = assemble_leading_term(w.jet(grid.mesh(), 0.0), grid, params)
     assert abs(norm_squared(fld) - 1.0) < 1e-10
@@ -273,7 +271,7 @@ def test_transport_one_dimensional_reduction():
     m = 1.3
     params = PhysParams(hbar=0.1, mass=m, r=0.5)
     t = 0.6
-    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), t), free_potential(), params)
+    eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), t), PotentialSpec(), params)
 
     x = grid.axes()[0]
     S_x = 0.6 * x + 0.05 * t
@@ -357,7 +355,7 @@ def test_first_integral_detects_corruption():
     """Scaling the profile off its exact value breaks the integral: a
     shrunken profile leaves a visible residual, a stretched one exceeds
     the amplitude bound and raises."""
-    w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5), HALF_FOCUSING)
+    w = SolitonFields(SolitonParams(xi=0.0, eta=0.5), HALF_FOCUSING.mass)
     grid = make_uniform_grid(1, -20.0, 20.0, 1024)
     jet = w.jet(grid.mesh(), 0.0)
     res = first_integral_residual(jet, HALF_FOCUSING, rho_factor=0.99)
@@ -374,10 +372,9 @@ def test_correction_vanishes_for_plain_soliton():
     """Constant envelope slope, no dressing, C1 = 0: every bracket in the
     correction is identically zero."""
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = soliton_correction_fields(SolitonParams(xi=0.25, eta=0.5), params)
+    w = SolitonFields(SolitonParams(xi=0.25, eta=0.5), params.mass)
     grid = make_uniform_grid(1, -20.0, 20.0, 512)
-    u, v = first_correction_uv(w.jet(grid.mesh(), 0.3), CorrectionParams(),
-                               free_potential(), params)
+    u, v = first_correction_uv(w.jet(grid.mesh(), 0.3), PotentialSpec(), params)
     assert max_abs(u) == 0.0
     assert max_abs(v) == 0.0
 
@@ -386,10 +383,9 @@ def test_correction_parity_with_constant_c1():
     """With only C1 = const switched on, u is odd and v is even in the
     envelope phase; for the centered resting soliton that is parity in x."""
     params = PhysParams(hbar=0.2, mass=1.0, r=0.5)
-    w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5), params)
+    w = SolitonFields(SolitonParams(xi=0.0, eta=0.5), params.mass)
     grid = make_uniform_grid(1, -16.0, 16.0, 512)
-    u, v = first_correction_uv(w.jet(grid.mesh(), 0.0), CorrectionParams(C1=0.7),
-                               free_potential(), params)
+    u, v = first_correction_uv(w.jet(grid.mesh(), 0.0), PotentialSpec(), params, C1=0.7)
     # index j=0 has no mirror sample on the right-open grid
     assert max_abs(u[1:] + u[:0:-1]) < 1e-12
     assert max_abs(v[1:] - v[:0:-1]) < 1e-12
@@ -403,10 +399,9 @@ def test_corrected_field_cancels_first_order_residual():
     while the corrected field gains a full extra order."""
     sp = SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.3 * np.cos(z),
                        fprime=lambda z: -0.3 * np.sin(z))
-    w = soliton_correction_fields(sp, PhysParams(hbar=1.0, mass=1.0, r=0.5))
+    w = SolitonFields(sp, 1.0)
     grid = make_uniform_grid(1, -20.0, 20.0, 4096)
     k = grid.wavenumbers()[0]
-    pot = free_potential()
     t = 0.4
     hbars = np.array([0.2, 0.1, 0.05, 0.025])
 
@@ -424,7 +419,7 @@ def test_corrected_field_cancels_first_order_residual():
         psi = assemble_leading_term(jet, grid, pp)
         dpsi = leading_term_time_derivative(jet, psi, pp)
         lead.append(rel_residual(psi, dpsi, pp))
-        fld, dfld = corrected_term_with_dt(w, jet, psi, dpsi, CorrectionParams(), pot, pp)
+        fld, dfld = corrected_term_with_dt(w, jet, psi, dpsi, pp)
         corr.append(rel_residual(fld, dfld, pp))
     slope_lead = np.polyfit(np.log(hbars), np.log(lead), 1)[0]
     slope_corr = np.polyfit(np.log(hbars), np.log(corr), 1)[0]
@@ -440,23 +435,20 @@ def test_corrected_time_derivative_consistency(family):
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     if family == "class1":
         v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
-        w = separated_class1(Class1Params(c1=0.5, c2=0.3), (-4.0, 4.0), params, v1=v1)
+        w = Class1Fields(Class1Params(c1=0.5, c2=0.3), (-4.0, 4.0), params.mass, v1=v1)
         grid = make_uniform_grid(1, -4.0, 4.0, 512)
-        pot = w.potential
     else:
         sp = SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.2 * np.cos(z),
                            fprime=lambda z: -0.2 * np.sin(z))
-        w = soliton_correction_fields(sp, params)
+        w = SolitonFields(sp, params.mass)
         grid = make_uniform_grid(1, -20.0, 20.0, 512)
-        pot = free_potential()
-    cp = CorrectionParams(C1=0.3)
     t, step = 0.5, 1e-5
 
     def corrected(s):
         jet = w.jet(grid.mesh(), s)
         psi = assemble_leading_term(jet, grid, params)
         dpsi = leading_term_time_derivative(jet, psi, params)
-        return corrected_term_with_dt(w, jet, psi, dpsi, cp, pot, params)
+        return corrected_term_with_dt(w, jet, psi, dpsi, params, C1=0.3)
 
     _, dfld = corrected(t)
     plus, minus = (corrected(s)[0] for s in (t + step, t - step))
@@ -470,11 +462,11 @@ def test_class1_correction_is_stationary_with_zero_imaginary_part():
     cancels exactly and its real part carries no time dependence."""
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
-    w = separated_class1(Class1Params(c1=0.5), (-4.0, 4.0), params, v1=v1)
+    w = Class1Fields(Class1Params(c1=0.5), (-4.0, 4.0), params.mass, v1=v1)
     grid = make_uniform_grid(1, -4.0, 4.0, 512)
     pot = w.potential
-    (u0, v0), (u1, v1) = (first_correction_uv(w.jet(grid.mesh(), t), CorrectionParams(),
-                                              pot, params) for t in (0.0, 0.8))
+    (u0, v0), (u1, v1) = (first_correction_uv(w.jet(grid.mesh(), t), pot, params)
+                          for t in (0.0, 0.8))
     assert max_abs(v0) == 0.0
     assert max_abs(v1) == 0.0
     assert max_abs(u0 - u1) < 1e-12
@@ -514,8 +506,8 @@ def test_inner_exponential_solves_linear_equation_to_second_order():
     vals = []
     for hb in hbars:
         pp = PhysParams(hbar=float(hb), mass=1.0, r=0.5)
-        w = soliton_correction_fields(sp, pp)
-        vals.append(max_abs(_linear_symbol(w, xs, 0.3, free_potential(), pp)))
+        w = SolitonFields(sp, pp.mass)
+        vals.append(max_abs(_linear_symbol(w, xs, 0.3, PotentialSpec(), pp)))
     slope = np.polyfit(np.log(hbars), np.log(vals), 1)[0]
     assert slope > 1.9
 

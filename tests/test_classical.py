@@ -29,7 +29,6 @@ from semiwave.core import (
     SeparatedScalar,
     UniformVector,
     ZeroVector,
-    free_potential,
 )
 
 
@@ -54,7 +53,7 @@ def test_rhs_signature_has_no_nonlinearity():
 
 def test_free_motion():
     z0 = PhasePoint(x=(-5.0,), p=(0.5,))
-    traj = integrate_bicharacteristic(z0, 10.0, 1e-2, free_potential(), mass=1.0)
+    traj = integrate_bicharacteristic(z0, 10.0, 1e-2, PotentialSpec(), mass=1.0)
     end = traj.points[-1]
     assert end.t == pytest.approx(10.0)
     assert end.x[0] == pytest.approx(0.0, abs=1e-12)

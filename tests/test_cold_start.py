@@ -22,8 +22,8 @@ import sys
 
 import semiwave
 import semiwave.harness
-from semiwave import (Class1Params, Class2Params, SolverConfig, evolve, one_soliton,
-                      separated_class1, separated_class2)
+from semiwave import (Class1Fields, Class1Params, Class2Fields, Class2Params, SolverConfig,
+                      evolve, one_soliton)
 from semiwave.classical import PhasePoint, integrate_bicharacteristic
 from semiwave.harness import (SCENARIO_NAMES, ExperimentConfig, default_config_path,
                               parse_config, validate_config)
@@ -52,8 +52,8 @@ traj = integrate_bicharacteristic(z0, t_end + dt, dt, pot, params.mass)
 assert len(traj.times()) > 1000
 assert loaded() == [], loaded()
 
-separated_class1(Class1Params(c1=1.0, c2=0.2), (-1.0, 1.0), params)
-separated_class2(Class2Params(c1=1.0, a1=0.1), (-1.0, 1.0), params)
+Class1Fields(Class1Params(c1=1.0, c2=0.2), (-1.0, 1.0), params.mass)
+Class2Fields(Class2Params(c1=1.0, a1=0.1), (-1.0, 1.0), params.mass)
 assert loaded() == [], loaded()
 
 psi0 = one_soliton(sp, spec.grid.build(), 0.0, params)

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from semiwave.asymptotics.families import (
+    Class1Fields,
     Class1Params,
+    Class2Fields,
     Class2Params,
     SolitonFields,
     SolitonParams,
-    separated_class1,
-    separated_class2,
 )
 from semiwave.core import (
     ComplexField,
@@ -274,13 +274,13 @@ def _family(build):
 
 
 def _class1():
-    return _family(lambda v1: separated_class1(
-        Class1Params(c1=1.0, c2=0.2), (-3.0, 3.0), _PARAMS, v1=v1))
+    return _family(lambda v1: Class1Fields(
+        Class1Params(c1=1.0, c2=0.2), (-3.0, 3.0), _PARAMS.mass, v1=v1))
 
 
 def _class2():
-    return _family(lambda v1: separated_class2(
-        Class2Params(c1=0.8, c3=0.5, a1=0.1, a2=0.2), (-3.0, 3.0), _PARAMS, v1=v1))
+    return _family(lambda v1: Class2Fields(
+        Class2Params(c1=0.8, c3=0.5, a1=0.1, a2=0.2), (-3.0, 3.0), _PARAMS.mass, v1=v1))
 
 
 def _soliton():

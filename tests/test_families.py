@@ -19,9 +19,9 @@ import pytest
 from semiwave.core import (
     ExpressionScalar,
     PhysParams,
+    PotentialSpec,
     SeparatedScalar,
     apply_momentum,
-    free_potential,
     inner_product,
     make_axis_offset_grid,
     make_uniform_grid,
@@ -29,23 +29,22 @@ from semiwave.core import (
 )
 from semiwave.asymptotics import (
     CallableWkbFields,
+    Class1Fields,
     Class1Params,
+    Class2Fields,
     Class2Params,
+    CylindricalFields,
     CylindricalParams,
+    SolitonFields,
     SolitonParams,
     assemble_leading_term,
-    cylindrical_fields,
     cylindrical_special,
     envelope_rho,
     hj_residual,
     leading_term_time_derivative,
     one_soliton,
-    separated_class1,
-    separated_class2,
-    soliton_correction_fields,
     transport_residuals,
 )
-from semiwave.asymptotics.families import CylindricalFields
 
 HALF_FOCUSING = PhysParams(hbar=1.0, mass=1.0, r=0.5)
 
@@ -90,8 +89,7 @@ def test_soliton_peak_velocity():
 def test_soliton_derived_constants():
     """Carrier frequency and envelope drift follow from the slopes alone:
     alpha1 = (beta2^2 - alpha2^2)/(2m) and beta1 = -alpha2 beta2 / m."""
-    w = soliton_correction_fields(SolitonParams(xi=0.0, eta=0.5),
-                                  PhysParams(hbar=1.0, mass=1.0, r=0.0))
+    w = SolitonFields(SolitonParams(xi=0.0, eta=0.5), 1.0)
     assert w.alpha2 == 0.0
     assert w.beta2 == 1.0
     assert w.alpha1 == 0.5
@@ -125,7 +123,7 @@ def test_one_soliton_matches_assembled_field():
     sp = SolitonParams(xi=0.25, eta=0.5, phi0=0.3,
                        f=lambda z: 0.1 * z + 0.05 * np.sin(z))
     params = PhysParams(hbar=0.25, mass=1.0, r=0.5)
-    w = soliton_correction_fields(sp, params)
+    w = SolitonFields(sp, params.mass)
     a = assemble_leading_term(w.jet(grid.mesh(), 0.7), grid, params)
     b = one_soliton(sp, grid, 0.7, params)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
@@ -138,8 +136,7 @@ def test_one_soliton_matches_assembled_field():
 def test_class1_constant_potential_profile():
     """v1 = 0 makes the envelope slope constant sqrt(2 m c1) = 1, so sigma
     is x itself (zeroed at the interval midpoint) and S = c1 t."""
-    w = separated_class1(Class1Params(c1=0.5), (-4.0, 4.0),
-                         PhysParams(hbar=1.0, mass=1.0, r=0.0))
+    w = Class1Fields(Class1Params(c1=0.5), (-4.0, 4.0), 1.0)
     x = np.linspace(-3.5, 3.5, 101)
     jet = w.jet((x,), 0.0)
     assert np.max(np.abs(jet.sigma - x)) < 1e-10
@@ -151,8 +148,7 @@ def test_class1_arcsine_envelope_oracle():
     """For v1 = -x^2/2 and c1 = 1/2 the slope is sqrt(1 - x^2) and the
     quadrature has the closed form (x sqrt(1-x^2) + arcsin x)/2."""
     v1 = SeparatedScalar(v1=lambda x: -0.5 * x * x, v1_prime=lambda x: -x)
-    w = separated_class1(Class1Params(c1=0.5), (-0.95, 0.95),
-                         PhysParams(hbar=1.0, mass=1.0, r=0.0), v1=v1)
+    w = Class1Fields(Class1Params(c1=0.5), (-0.95, 0.95), 1.0, v1=v1)
     x = np.linspace(-0.9, 0.9, 181)
     exact = 0.5 * (x * np.sqrt(1.0 - x * x) + np.arcsin(x))
     assert np.max(np.abs(w.jet((x,), 0.0).sigma - exact)) < 1e-9
@@ -162,8 +158,7 @@ def test_class1_rejects_nonpositive_depth():
     """c1 + v1 dips below zero on a wide interval, leaving no real slope."""
     v1 = SeparatedScalar(v1=lambda x: -0.5 * x * x)
     with pytest.raises(ValueError):
-        separated_class1(Class1Params(c1=0.5), (-4.0, 4.0),
-                         PhysParams(hbar=1.0, mass=1.0, r=0.0), v1=v1)
+        Class1Fields(Class1Params(c1=0.5), (-4.0, 4.0), 1.0, v1=v1)
 
 
 def test_separated_families_refuse_a_potential_that_is_not_static():
@@ -172,9 +167,9 @@ def test_separated_families_refuse_a_potential_that_is_not_static():
     v = ExpressionScalar(fn=lambda xs, t: 0.1 * xs[0] ** 2)
     params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
     with pytest.raises(ValueError, match="static"):
-        separated_class1(Class1Params(c1=0.5), (-4.0, 4.0), params, v1=v)
+        Class1Fields(Class1Params(c1=0.5), (-4.0, 4.0), params.mass, v1=v)
     with pytest.raises(ValueError, match="static"):
-        separated_class2(Class2Params(c1=0.8), (-4.0, 4.0), params, v1=v)
+        Class2Fields(Class2Params(c1=0.8), (-4.0, 4.0), params.mass, v1=v)
 
 
 def test_class1_transport_with_linear_time_correction():
@@ -183,7 +178,7 @@ def test_class1_transport_with_linear_time_correction():
     p1 = Class1Params(c1=0.5, c2=0.4, c3=0.1, c4=-0.2)
     v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = separated_class1(p1, (-4.0, 4.0), params, v1=v1)
+    w = Class1Fields(p1, (-4.0, 4.0), params.mass, v1=v1)
     grid = make_uniform_grid(1, -4.0, 4.0, 1024)
     eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.6), w.potential, params)
     assert np.max(np.abs(eq_a)) < 1e-10
@@ -198,7 +193,7 @@ def test_class2_constant_coefficient_reduction():
     """v1 = 0 and c3 = 0 collapse the radical to p' = sqrt(m c1); with
     m = c1 = 1 the envelope phase is the travelling wave t - x."""
     p2 = Class2Params(c1=1.0)
-    w = separated_class2(p2, (-4.0, 4.0), PhysParams(hbar=1.0, mass=1.0, r=0.0))
+    w = Class2Fields(p2, (-4.0, 4.0), 1.0)
     x = np.linspace(-3.5, 3.5, 101)
     assert np.max(np.abs(w.jet((x,), 0.0).dS[0] - 1.0)) < 1e-12
     assert np.max(np.abs(w.jet((x,), 2.0).sigma - (2.0 - x))) < 1e-10
@@ -208,8 +203,7 @@ def test_class2_defining_radical_identity():
     """After construction, p'(x)^2 / m must reproduce the radical
     -(v1 + c3) + sqrt((v1 + c3)^2 + c1^2) pointwise."""
     v1 = lambda x: 0.1 * x * x
-    w = separated_class2(Class2Params(c1=0.8, c3=0.2), (-4.0, 4.0),
-                         PhysParams(hbar=1.0, mass=1.0, r=0.0),
+    w = Class2Fields(Class2Params(c1=0.8, c3=0.2), (-4.0, 4.0), 1.0,
                          v1=SeparatedScalar(v1=v1, v1_prime=lambda x: 0.2 * x))
     x = np.linspace(-3.9, 3.9, 301)
     p_x = w.jet((x,), 0.0).dS[0]
@@ -226,7 +220,7 @@ def test_class2_constant_correction_slopes():
     relations."""
     m, c1, a1, a2 = 1.0, 0.9, 0.07, -0.04
     p2 = Class2Params(c1=c1, a1=a1, a2=a2)
-    w = separated_class2(p2, (-4.0, 4.0), PhysParams(hbar=1.0, mass=m, r=0.0))
+    w = Class2Fields(p2, (-4.0, 4.0), m)
     x = np.linspace(-3.0, 3.0, 61)
     px = np.sqrt(m * c1)   # radical with v1 = c3 = 0
     fprime = (c1 * m * m * a2 * px - m * a1 * px ** 3) / (px ** 4 + c1 ** 2 * m ** 2)
@@ -242,7 +236,7 @@ def test_class2_transport_generic_potential():
     p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05, a4=0.3)
     v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = separated_class2(p2, (-4.0, 4.0), params, v1=v1)
+    w = Class2Fields(p2, (-4.0, 4.0), params.mass, v1=v1)
     grid = make_uniform_grid(1, -4.0, 4.0, 2048)
     eq_a, eq_b = transport_residuals(w.jet(grid.mesh(), 0.3), w.potential, params)
     assert np.max(np.abs(eq_a)) < 1e-8
@@ -275,7 +269,7 @@ def test_cylindrical_peak_amplitude():
     modulus must equal c1 / sqrt(2 m r)."""
     cp = CylindricalParams(c1=1.0, a1=-1.0)
     params = PhysParams(hbar=0.2, mass=1.0, r=0.5)
-    w = cylindrical_fields(cp, params)
+    w = CylindricalFields(cp, params.mass)
     xs = (np.array([1.0]), np.array([0.0]))
     rho = envelope_rho(w.jet(xs, 0.0), params)
     assert abs(rho[0] - 1.0) < 1e-14
@@ -298,7 +292,7 @@ def test_cylindrical_matches_assembled_field():
     grid = make_axis_offset_grid(2, 2.0, 128)
     cp = CylindricalParams(c1=1.0, b1=0.1, a2=0.2, a3=0.05, c2=0.1, c3=-0.2)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = cylindrical_fields(cp, params)
+    w = CylindricalFields(cp, params.mass)
     a = assemble_leading_term(w.jet(grid.mesh(), 0.25), grid, params)
     b = cylindrical_special(cp, grid, 0.25, params)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
@@ -354,15 +348,15 @@ def _sampled_family(family, params, rng):
     """A family with 100 random interior sample points."""
     if family == "soliton":
         sp = SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.1 * np.sin(z))
-        return soliton_correction_fields(sp, params), (rng.uniform(-8.0, 8.0, 100),)
+        return SolitonFields(sp, params.mass), (rng.uniform(-8.0, 8.0, 100),)
     v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
     if family == "class1":
-        w = separated_class1(Class1Params(c1=0.5, c2=0.3), (-4.0, 4.0), params, v1=v1)
+        w = Class1Fields(Class1Params(c1=0.5, c2=0.3), (-4.0, 4.0), params.mass, v1=v1)
         return w, (rng.uniform(-3.8, 3.8, 100),)
     if family == "class2":
         p2 = Class2Params(c1=0.8, c3=0.2, a1=0.1, a2=0.05)
-        return separated_class2(p2, (-4.0, 4.0), params, v1=v1), (rng.uniform(-3.8, 3.8, 100),)
-    w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
+        return Class2Fields(p2, (-4.0, 4.0), params.mass, v1=v1), (rng.uniform(-3.8, 3.8, 100),)
+    w = CylindricalFields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params.mass)
     ang = rng.uniform(0.0, 2.0 * np.pi, 100)
     rad = rng.uniform(0.3, 1.8, 100)
     return w, (rad * np.cos(ang), rad * np.sin(ang))
@@ -400,7 +394,7 @@ def test_family_potential_is_the_field_it_solves(family, v1):
     w, xs = _sampled_family(family, params, np.random.default_rng(11))
     jet = w.jet(xs, 0.37)
     assert np.max(np.abs(hj_residual(jet, w.potential, params))) < 1e-12
-    free = hj_residual(jet, free_potential(), params)
+    free = hj_residual(jet, PotentialSpec(), params)
     assert np.max(np.abs(free + v1 * xs[0] ** 2)) < 1e-12
     if v1:
         assert np.max(np.abs(free)) > 0.5
@@ -439,10 +433,10 @@ def test_leading_pair_never_evaluates_the_radial_derivative_block(monkeypatch):
     monkeypatch.setattr(CylindricalFields, "_derivatives",
                         lambda self, *args: calls.append(1) or block(self, *args))
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
+    w = CylindricalFields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params.mass)
     grid = make_axis_offset_grid(2, 4.0, 64)
     jet = w.jet(np.ix_(*grid.axes()), 0.3)
     leading_term_time_derivative(jet, assemble_leading_term(jet, grid, params), params)
     assert calls == []
-    hj_residual(w.jet(grid.mesh(), 0.3), free_potential(), params)
+    hj_residual(w.jet(grid.mesh(), 0.3), PotentialSpec(), params)
     assert calls == [1]

@@ -21,16 +21,16 @@ import yaml
 from semiwave import (
     ComplexField,
     PhysParams,
+    PotentialSpec,
     WkbFields,
     apply_nlse_operator,
     assemble_leading_term,
-    free_potential,
     leading_term_time_derivative,
     make_axis_offset_grid,
     make_uniform_grid,
     relative_residual,
 )
-from semiwave.asymptotics import CylindricalParams, cylindrical_fields
+from semiwave.asymptotics import CylindricalFields, CylindricalParams
 from semiwave.harness import (
     SCENARIO_NAMES,
     ConfigError,
@@ -50,9 +50,12 @@ from semiwave.harness import cli, config, scenarios
 from semiwave.harness.scenarios import GATES, PASSES, _RUNNERS, _quadrant_residual, _rows
 
 def small_propagation_dict():
+    """The shipped grid, whose spacing the row gates were measured at (the
+    fitted peak velocity's error grows with the spacing: 4.2e-4 at n = 256
+    against 4.5e-6 here), over a twentieth of the shipped run."""
     return {
         "scenario": "soliton-propagation",
-        "grid": {"lo": -20.0, "hi": 20.0, "n": 256},
+        "grid": {"lo": -20.0, "hi": 20.0, "n": 1024},
         "params": {"hbar": 1.0, "mass": 1.0, "r": 0.5},
         "family": {"soliton": {"eta": 0.5, "xi": 0.25, "x0": -5.0}},
         "solver": {"dt": 1.0e-3, "t_end": 0.5, "snapshot_every": 100},
@@ -212,8 +215,10 @@ REJECTED = [
     ("ehrenfest", "params.r_values=[0.5, -.inf]", "params.r_values"),
     ("identity-suite", "family.class1.c1=-0.5", "family.class1"),
     ("residual-scaling", "family.class1.sigma_zero=10", "family.class1"),
-    ("residual-scaling", "family.class1.domain=[-2,2]", "grid"),
-    ("identity-suite", "family.class2.grid.lo=-10", "family.class2.grid"),
+    # a separated family's interval is the grid it is sampled on
+    ("residual-scaling", "family.class1.domain=[-2,2]", "family.class1.domain"),
+    ("identity-suite", "family.class1.grid={n: 1024}", "family.class1.grid.lo"),
+    ("identity-suite", "family.class2.grid.lo=10", "family.class2.grid"),
     # residual-scaling builds class 1 alone: the soliton's dressing is a
     # callable, which no file can carry
     ("residual-scaling", "family.type=class1", "family.type"),
@@ -254,11 +259,12 @@ def test_unknown_keys_rejected_in_every_block():
 
 @pytest.mark.parametrize("column, metric", [(0, "representation_identity_max"),
                                             (1, "first_integral_max"),
-                                            (3, "transport_reduction_max")])
+                                            (3, "transport_max")])
 def test_nan_family_maximum_fails_its_row(column, metric, monkeypatch):
-    """A NaN maximum of identity-suite's third family (class 2, on a 1D
-    grid, so it has every column) reaches its row and fails it.  Python's
-    max drops a NaN that is not its first argument, and the row passed."""
+    """A NaN maximum of identity-suite's third family (class 2) reaches
+    its row and fails it.  Python's max drops a NaN that is not its first
+    argument, and the row passed.  Every family, the ring included, has
+    every column."""
     real, calls = scenarios._pointwise_maxima, []
 
     def poisoned(*args):
@@ -269,7 +275,7 @@ def test_nan_family_maximum_fails_its_row(column, metric, monkeypatch):
     monkeypatch.setattr(scenarios, "_pointwise_maxima", poisoned)
     row = run_scenario(ExperimentConfig.from_file(
         default_config_path("identity-suite"))).row(metric)
-    assert len(calls[2]) == 5
+    assert [len(m) for m in calls] == [5] * 4
     assert math.isnan(row.value) and not row.passed
 
 
@@ -326,7 +332,7 @@ def test_propagation_rows_and_snapshots():
     assert len(res.snapshots) == 6
     header, rows = res.plotdata["density"]
     assert header == ["x", "density"]
-    assert len(rows) == 256
+    assert len(rows) == 1024
 
 
 def test_ehrenfest_rows_per_strength():
@@ -372,6 +378,20 @@ def test_concentration_failure_is_reported_not_raised():
 def test_registry_matches_scenario_names():
     """Every scenario schema has a runner, and every runner a schema."""
     assert set(_RUNNERS) == set(SCHEMAS.values())
+
+
+def test_residual_scaling_box_doubles_through_grid_overrides():
+    """A separated family's interval is the grid it is sampled on, so twice
+    the box at the same spacing takes grid overrides alone, and the slope
+    holds: 2.001565770707469 against 2.0015657707072654 as shipped."""
+    def leading_slope(*overrides):
+        cfg = ExperimentConfig.from_file(default_config_path("residual-scaling"))
+        for override in overrides:
+            cfg.apply_override(override)
+        return run_scenario(cfg).row("leading_slope").value
+
+    doubled = leading_slope("grid.lo=-8.0", "grid.hi=8.0", "grid.n=2048")
+    assert doubled == pytest.approx(leading_slope(), rel=1e-10)
 
 
 @pytest.mark.parametrize("scenario, jets", [
@@ -580,7 +600,7 @@ def test_cylindrical_residual_memory():
     its own temporary at 32.5 MiB)."""
     grid = make_axis_offset_grid(2, 8.0, 512)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
+    w = CylindricalFields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params.mass)
 
     def residual():
         # the jet is dropped before the operator residual allocates its arrays
@@ -588,7 +608,7 @@ def test_cylindrical_residual_memory():
         psi = assemble_leading_term(jet, grid, params)
         dpsi = leading_term_time_derivative(jet, psi, params)
         del jet
-        return relative_residual(apply_nlse_operator((psi, dpsi), free_potential(), params),
+        return relative_residual(apply_nlse_operator((psi, dpsi), PotentialSpec(), params),
                                  psi)
 
     residual()
@@ -609,7 +629,7 @@ def test_quadrant_residual_memory():
     full-mesh path of test_cylindrical_residual_memory peaks at 18.5)."""
     grid = make_axis_offset_grid(2, 8.0, 512)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = cylindrical_fields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params)
+    w = CylindricalFields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params.mass)
     classes = _reflection_classes(grid)
     _quadrant_residual(w, grid, 0.3, params, classes)
     tracemalloc.start()

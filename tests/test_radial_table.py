@@ -23,11 +23,11 @@ import random
 import numpy as np
 import pytest
 
-from semiwave import PhysParams, apply_nlse_operator, assemble_leading_term, \
-    first_integral_residual, fit_scaling, free_potential, hj_residual, \
+from semiwave import PhysParams, PotentialSpec, apply_nlse_operator, \
+    assemble_leading_term, first_integral_residual, fit_scaling, hj_residual, \
     leading_term_time_derivative, make_axis_offset_grid, make_uniform_grid, \
-    psi_via_representation, relative_residual
-from semiwave.asymptotics import CylindricalParams, cylindrical_fields
+    psi_via_representation, relative_residual, transport_residuals
+from semiwave.asymptotics import CylindricalFields, CylindricalParams
 from semiwave.core import _reflection_classes
 from semiwave.harness import ExperimentConfig, default_config_path, parse_config, \
     run_scenario, scenarios
@@ -58,7 +58,7 @@ def test_leading_pair_table_is_bit_identical(n, t):
     the full-mesh leading pair."""
     grid = make_axis_offset_grid(2, 2.0, n)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = cylindrical_fields(SHIPPED_RING, params)
+    w = CylindricalFields(SHIPPED_RING, params.mass)
     xs, gather = _reflection_classes(grid)
     h = n // 2
     assert len(xs[0]) == h * (h + 1) // 2
@@ -68,35 +68,38 @@ def test_leading_pair_table_is_bit_identical(n, t):
 
 
 def _full_mesh_arrays(w, grid, t, pot, params):
-    """|a - b| between the two assembly routes, |first integral residual|
-    and |eikonal residual| on the whole grid."""
+    """|a - b| between the two assembly routes, |first integral residual|,
+    |eikonal residual| and |transport residual| (both equations) on the
+    whole grid."""
     jet = w.jet(grid.mesh(), t)
     a = assemble_leading_term(jet, grid, params).values
     b = psi_via_representation(jet, grid, params).values
     return (np.abs(a - b), np.abs(first_integral_residual(jet, params)),
-            np.abs(hj_residual(jet, pot, params)))
+            np.abs(hj_residual(jet, pot, params)),
+            *map(np.abs, transport_residuals(jet, pot, params)))
 
 
 # Over seeds 1-20 at half_width 0.3, 0.7, 1.1 and 1.3 on 256^2, the
 # full-mesh maxima exceeded the class ones by at most 2.2e-14 (the first
-# integral, at 1.1), 2.2e-16 (the assembly routes) and 1.1e-16 (the
-# eikonal residual); the bound leaves a margin of 4.5x.  The rows gate
-# these maxima at 1e-10 and 1e-12
+# integral, at 1.1), 2.1e-14 and 2.8e-17 (the two transport equations),
+# 2.2e-16 (the assembly routes) and 1.1e-16 (the eikonal residual); the
+# bound leaves a margin of 4.5x.  The rows gate these maxima at 1e-10
+# and 1e-12
 RING_MAXIMA_ATOL = 1e-13
 
 
 @pytest.mark.parametrize("seed", [3, 9, 17])
 def test_identity_ring_maxima_match_full_mesh(seed):
     """identity-suite's ring maxima over the reflection classes, the
-    eikonal one included under its free potential, for seeded rings on
-    256^2 grids.  With exact mirror axes they equal the maxima over the
-    full mesh.  With axes that mirror only to rounding they equal the
-    full mesh's maxima over the positive quadrant, whose points are the
-    class representatives, and lie within RING_MAXIMA_ATOL below the
-    maxima over the whole grid."""
+    eikonal and transport ones included under the free potential, for
+    seeded rings on 256^2 grids.  With exact mirror axes they equal the
+    maxima over the full mesh.  With axes that mirror only to rounding
+    they equal the full mesh's maxima over the positive quadrant, whose
+    points are the class representatives, and lie within RING_MAXIMA_ATOL
+    below the maxima over the whole grid."""
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = cylindrical_fields(_seeded_ring(seed), params)
-    pot = free_potential()
+    w = CylindricalFields(_seeded_ring(seed), params.mass)
+    pot = PotentialSpec()
     exact = make_axis_offset_grid(2, 2.0, 256)
     table = _pointwise_maxima(w, exact, 0.25, params)
     full = tuple(float(np.max(v)) for v in _full_mesh_arrays(w, exact, 0.25, pot, params))
@@ -117,7 +120,7 @@ def test_axis_sample_still_raises():
     grid = make_uniform_grid(2, -2.0, 2.0, 64)
     assert np.any(grid.axes()[0] == 0.0)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-    w = cylindrical_fields(SHIPPED_RING, params)
+    w = CylindricalFields(SHIPPED_RING, params.mass)
     with pytest.raises(ValueError, match="symmetry axis"):
         _full_mesh_pair(w, grid, 0.0, params)
 
@@ -142,10 +145,10 @@ def test_quadrant_residual_matches_full_mesh(ring, n):
     for t in (0.0, 0.3):
         for hbar in SHIPPED_HBARS:
             params = PhysParams(hbar=hbar, mass=1.0, r=0.5)
-            w = cylindrical_fields(ring, params)
+            w = CylindricalFields(ring, params.mass)
             psi, dpsi = _full_mesh_pair(w, grid, t, params)
             full = relative_residual(
-                apply_nlse_operator((psi, dpsi), free_potential(), params), psi)
+                apply_nlse_operator((psi, dpsi), PotentialSpec(), params), psi)
             quadrant, asymmetry = _quadrant_residual(w, grid, t, params, classes)
             assert quadrant == pytest.approx(full, rel=QUADRANT_RTOL, abs=0.0)
             assert asymmetry == 0.0
@@ -163,13 +166,13 @@ def _full_mesh_residuals(cfg):
     apply_nlse_operator on the whole grid."""
     spec = parse_config(cfg)
     grid, base = spec.grid.build(), spec.params.phys()
-    w = cylindrical_fields(spec.family.cylindrical, base)
+    w = CylindricalFields(spec.family.cylindrical, base.mass)
     residuals = []
     for hbar in spec.params.hbars:
         params = base.with_hbar(hbar)
         psi, dpsi = _full_mesh_pair(w, grid, spec.family.eval_time, params)
         residuals.append(relative_residual(
-            apply_nlse_operator((psi, dpsi), free_potential(), params), psi))
+            apply_nlse_operator((psi, dpsi), PotentialSpec(), params), psi))
     return spec.params.hbars, residuals
 
 

@@ -36,16 +36,15 @@ from semiwave.core import (
     PotentialSpec,
     ScalarPotential,
     UniformVector,
-    free_potential,
     make_uniform_grid,
     norm_squared,
 )
 from semiwave.asymptotics import (
+    SolitonFields,
     SolitonParams,
     assemble_leading_term,
     leading_term_time_derivative,
     one_soliton,
-    soliton_correction_fields,
 )
 from semiwave import solver
 from semiwave.solver import (
@@ -90,7 +89,7 @@ def test_plane_wave_kinetic_phase():
     x = grid.axes()[0]
     psi0 = ComplexField(grid, np.exp(1j * p0 * x / params.hbar), hbar=params.hbar)
     config = SolverConfig(dt=1e-2, t_end=1.0, snapshot_every=100,
-                          params=params, pot=free_potential())
+                          params=params, pot=PotentialSpec())
     rec = evolve(psi0, config)
     expected = psi0.values * np.exp(-1j * p0 ** 2 * 1.0 / (2.0 * params.hbar))
     assert np.max(np.abs(rec.final.values - expected)) < 1e-10
@@ -120,7 +119,7 @@ def test_free_gaussian_spreading():
     s0 = 1.0
     psi0 = gaussian_state(grid, width=s0)
     config = SolverConfig(dt=1e-3, t_end=1.0, snapshot_every=1000,
-                          params=params, pot=free_potential())
+                          params=params, pot=PotentialSpec())
     rec = evolve(psi0, config)
     expected = s0 ** 2 + (params.hbar * 1.0 / (2.0 * params.mass * s0)) ** 2
     assert abs(var_x(rec.final) - expected) < 1e-6
@@ -176,7 +175,7 @@ def test_uniform_vector_potential_gauge_identity():
 
     shifted = psi0.with_values(np.exp(-1j * a0 * x / params.hbar) * psi0.values)
     cfg_0 = SolverConfig(dt=1e-3, t_end=0.2, snapshot_every=10 ** 9, params=params,
-                         pot=free_potential())
+                         pot=PotentialSpec())
     rec_0 = evolve(shifted, cfg_0)
     back = np.exp(1j * a0 * x / params.hbar) * rec_0.final.values
     assert np.max(np.abs(rec_a.final.values - back)) < 1e-10
@@ -259,7 +258,7 @@ def test_t_end_before_initial_time_rejected():
     params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
     psi0 = gaussian_state(grid).with_values(gaussian_state(grid).values, time=0.5)
     config = SolverConfig(dt=1e-3, t_end=0.2, snapshot_every=1,
-                          params=params, pot=free_potential())
+                          params=params, pot=PotentialSpec())
     with pytest.raises(ValueError, match="t_end=0.2 .*initial time 0.5"):
         evolve(psi0, config)
 
@@ -368,7 +367,7 @@ def test_snapshot_bookkeeping_and_partial_final_step():
     params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
     psi0 = gaussian_state(grid)
     config = SolverConfig(dt=1e-3, t_end=0.0105, snapshot_every=5,
-                          params=params, pot=free_potential())
+                          params=params, pot=PotentialSpec())
     rec = evolve(psi0, config)
     # start, steps 5 and 10, and the shortened final step to t_end
     assert len(rec.snapshots) == 4
@@ -430,7 +429,7 @@ def _reference_states(psi0, config):
         return scipy.fft.ifftn(np.multiply(scipy.fft.fftn(vals), factor))
 
     states, vals, t, closing = [psi0.values], psi0.values, psi0.time, []
-    steps = solver._schedule(psi0.time, config.t_end, config.dt)
+    steps = solver._Schedule(psi0.time, config.t_end, config.dt)
     for step, (h, t_next) in enumerate(steps, 1):
         vals = kinetic(local(vals, closing + [(t + 0.25 * h, h)]), t + 0.5 * h, h)
         closing = [(t + 0.75 * h, h)]
@@ -485,7 +484,7 @@ def test_steps_between_snapshots_allocate_no_grid_sized_array():
     tracemalloc.start()
     try:
         plan = solver._StrangPlan(psi0.grid, config.params, config.pot, 0.0)
-        run = plan.run(psi0.values, 0.0, solver._schedule(0.0, 0.0085, 1e-3), 10 ** 9)
+        run = plan.run(psi0.values, 0.0, solver._Schedule(0.0, 0.0085, 1e-3), 10 ** 9)
         next(run)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -495,6 +494,38 @@ def test_steps_between_snapshots_allocate_no_grid_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * real_bytes
+
+
+def test_schedule_holds_no_list():
+    """A schedule yields its steps as they are read: the shipped ehrenfest
+    schedule reads as the written-out list of t0 + k dt and its tail, by
+    iteration and by index, and a schedule of 10^12 steps reports its count
+    and its last step with a traced peak under 1 MiB (a list of its steps
+    would take about 112 TB)."""
+    import tracemalloc
+
+    t0, t_end, dt = 0.1, 0.1 + 6.283185307179586, 1e-3
+    remaining = t_end - t0
+    n_full = int(np.floor(remaining / dt + 1e-12))
+    written = [(dt, t0 + k * dt) for k in range(1, n_full + 1)]
+    written.append((remaining - n_full * dt, t0 + remaining))
+    steps = solver._Schedule(t0, t_end, dt)
+    assert len(steps) == len(written) == 6284
+    assert list(steps) == written == [steps[k] for k in range(len(steps))]
+    assert steps[-1] == written[-1]
+
+    tracemalloc.start()
+    try:
+        steps = solver._Schedule(0.0, 1.0e12 + 0.5, 1.0)
+        count, last, before = len(steps), steps[-1], steps[-2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 10 ** 12 + 1
+    assert (last, before) == ((0.5, 1.0e12 + 0.5), (1.0, 1.0e12))
+    assert peak < 2 ** 20
+    with pytest.raises(IndexError):
+        steps[count]
 
 
 def test_config_validation():
@@ -513,7 +544,7 @@ def test_config_validation():
 
 def soliton_pair(grid, t, params, xi=0.25, eta=0.5):
     sp = SolitonParams(xi=xi, eta=eta)
-    w = soliton_correction_fields(sp, params)
+    w = SolitonFields(sp, params.mass)
     psi = one_soliton(sp, grid, t, params)
     jet = w.jet(grid.mesh(), t)
     dpsi = leading_term_time_derivative(jet, assemble_leading_term(jet, grid, params), params)
@@ -526,7 +557,7 @@ def test_exact_soliton_residual_analytic_dt():
     grid = make_uniform_grid(1, -24.0, 24.0, 1024)
     params = PhysParams(hbar=1.0, mass=1.0, r=0.5)
     psi, dpsi = soliton_pair(grid, 0.3, params)
-    res = apply_nlse_operator((psi, dpsi), free_potential(), params)
+    res = apply_nlse_operator((psi, dpsi), PotentialSpec(), params)
     assert relative_residual(res, psi) < 1e-8
 
 
@@ -540,7 +571,7 @@ def test_plane_wave_wrong_dispersion_residual(dim, a):
     params = PhysParams(hbar=1.0, mass=2.0, r=0.0)
     dk = 2.0 * np.pi / grid.lengths[0]
     p = (6.0 * dk * params.hbar, -3.0 * dk * params.hbar)[:dim]
-    pot = free_potential() if a is None else PotentialSpec(
+    pot = PotentialSpec() if a is None else PotentialSpec(
         vector=UniformVector(lambda t: a))
     wrong_w = 0.8
     xs = grid.mesh()
@@ -578,7 +609,7 @@ def test_residual_kinetic_is_one_fft_pair(dim, monkeypatch):
     params = PhysParams(hbar=1.0, mass=1.0, r=0.5)
     if dim == 1:
         grid = make_uniform_grid(1, -10.0, 10.0, 128)
-        psi, pot = gaussian_state(grid), free_potential()
+        psi, pot = gaussian_state(grid), PotentialSpec()
     else:
         grid = make_uniform_grid(2, -8.0, 8.0, 32)
         psi = gaussian_packet_2d(grid)
@@ -616,11 +647,11 @@ def test_residual_pair_validation_errors():
     psi, dpsi = soliton_pair(grid, 0.0, params)
     _, elsewhere = soliton_pair(other, 0.0, params)
     _, later = soliton_pair(grid, 1e-3, params)
-    apply_nlse_operator((psi, dpsi), free_potential(), params)
+    apply_nlse_operator((psi, dpsi), PotentialSpec(), params)
     with pytest.raises(ValueError, match="different grids"):
-        apply_nlse_operator((psi, elsewhere), free_potential(), params)
+        apply_nlse_operator((psi, elsewhere), PotentialSpec(), params)
     with pytest.raises(ValueError, match="different times"):
-        apply_nlse_operator((psi, later), free_potential(), params)
+        apply_nlse_operator((psi, later), PotentialSpec(), params)
 
 
 def test_residual_with_spatially_varying_vector_potential():
@@ -787,7 +818,7 @@ def test_galilean_boost_moves_a_free_run(packet, j, cells, r):
     k0 = 2.0 * np.pi * j / (grid.shape[0] * h)
     dt = cells * h * params.mass / (params.hbar * k0)
     config = SolverConfig(dt=dt, t_end=10 * dt, snapshot_every=5, params=params,
-                          pot=free_potential())
+                          pot=PotentialSpec())
     (c, p) = packet
     vals = np.exp(-(x - c) ** 2 + 1j * p * x / params.hbar)
 
