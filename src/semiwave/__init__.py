@@ -24,11 +24,9 @@ from semiwave.asymptotics import (
     assemble_leading_term,
     corrected_term_with_dt,
     cylindrical_special,
-    first_integral_residual,
     hj_residual,
     leading_term_time_derivative,
     one_soliton,
-    psi_via_representation,
     transport_residuals,
 )
 from semiwave.core import (
@@ -91,7 +89,6 @@ __all__ = [
     "corrected_term_with_dt",
     "cylindrical_special",
     "evolve",
-    "first_integral_residual",
     "fit_scaling",
     "hj_residual",
     "inner_product",
@@ -103,7 +100,6 @@ __all__ = [
     "mean_position",
     "norm_squared",
     "one_soliton",
-    "psi_via_representation",
     "relative_residual",
 ]
 

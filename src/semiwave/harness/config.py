@@ -469,8 +469,8 @@ class Concentration(_Scenario):
 
 @_block
 class IdentitySuite(_Scenario):
-    """pointwise identities: assembly routes, transport residuals, first
-    integral, eikonal residual"""
+    """pointwise identities: eikonal residual of each family, transport
+    residuals of all four"""
 
     params: Params
     family: IdentityFamily
@@ -478,8 +478,8 @@ class IdentitySuite(_Scenario):
 
 @_block
 class CylindricalCheck(_Scenario):
-    """radial special solution: residual decay in hbar and reflection
-    symmetry of the modulus"""
+    """radial special solution: residual decay in hbar, with the slope
+    reported"""
 
     grid: Grid2d
     params: SweepParams

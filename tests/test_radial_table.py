@@ -24,9 +24,8 @@ import numpy as np
 import pytest
 
 from semiwave import PhysParams, PotentialSpec, apply_nlse_operator, \
-    assemble_leading_term, first_integral_residual, fit_scaling, hj_residual, \
-    leading_term_time_derivative, make_axis_offset_grid, make_uniform_grid, \
-    psi_via_representation, relative_residual, transport_residuals
+    assemble_leading_term, fit_scaling, hj_residual, leading_term_time_derivative, \
+    make_axis_offset_grid, make_uniform_grid, relative_residual, transport_residuals
 from semiwave.asymptotics import CylindricalFields, CylindricalParams
 from semiwave.core import _reflection_classes
 from semiwave.harness import ExperimentConfig, default_config_path, parse_config, \
@@ -68,23 +67,18 @@ def test_leading_pair_table_is_bit_identical(n, t):
 
 
 def _full_mesh_arrays(w, grid, t, pot, params):
-    """|a - b| between the two assembly routes, |first integral residual|,
-    |eikonal residual| and |transport residual| (both equations) on the
+    """|eikonal residual| and |transport residual| (both equations) on the
     whole grid."""
     jet = w.jet(grid.mesh(), t)
-    a = assemble_leading_term(jet, grid, params).values
-    b = psi_via_representation(jet, grid, params).values
-    return (np.abs(a - b), np.abs(first_integral_residual(jet, params)),
-            np.abs(hj_residual(jet, pot, params)),
+    return (np.abs(hj_residual(jet, pot, params)),
             *map(np.abs, transport_residuals(jet, pot, params)))
 
 
 # Over seeds 1-20 at half_width 0.3, 0.7, 1.1 and 1.3 on 256^2, the
-# full-mesh maxima exceeded the class ones by at most 2.2e-14 (the first
-# integral, at 1.1), 2.1e-14 and 2.8e-17 (the two transport equations),
-# 2.2e-16 (the assembly routes) and 1.1e-16 (the eikonal residual); the
-# bound leaves a margin of 4.5x.  The rows gate these maxima at 1e-10
-# and 1e-12
+# full-mesh maxima exceeded the class ones by at most 1.1e-16 (the eikonal
+# residual) and 2.1e-14 and 2.8e-17 (the two transport equations, the
+# first at 1.1); the bound leaves a margin of 4.7x.  The rows gate these
+# maxima at 1e-12
 RING_MAXIMA_ATOL = 1e-13
 
 
@@ -149,9 +143,8 @@ def test_quadrant_residual_matches_full_mesh(ring, n):
             psi, dpsi = _full_mesh_pair(w, grid, t, params)
             full = relative_residual(
                 apply_nlse_operator((psi, dpsi), PotentialSpec(), params), psi)
-            quadrant, asymmetry = _quadrant_residual(w, grid, t, params, classes)
+            quadrant = _quadrant_residual(w, grid, t, params, classes)
             assert quadrant == pytest.approx(full, rel=QUADRANT_RTOL, abs=0.0)
-            assert asymmetry == 0.0
 
 
 def _cylindrical_config(*overrides):
@@ -198,7 +191,6 @@ def test_cylindrical_rows_match_full_mesh(overrides):
     cfg = _cylindrical_config(*overrides)
     result = run_scenario(cfg)
     _assert_rows_match_full_mesh(result, cfg, QUADRANT_RTOL)
-    assert result.row("radial_symmetry_max").value == 0.0
 
 
 # On widths whose axes mirror only to rounding the quadrant residual agreed
@@ -213,8 +205,8 @@ INEXACT_RTOL = 1e-13
 @pytest.mark.parametrize("half_width", [0.3, 1.1])
 def test_inexact_widths_take_the_quadrant_path(half_width, monkeypatch):
     """A width whose axes mirror only to rounding takes the quadrant path
-    at every hbar, its symmetry row is exactly 0, and its residual rows
-    match the full mesh within INEXACT_RTOL."""
+    at every hbar, and its residual rows match the full mesh within
+    INEXACT_RTOL."""
     cfg = _cylindrical_config(f"grid.half_width={half_width}")
     grid = parse_config(cfg).grid.build()
     assert not np.array_equal(grid.axes()[0][::-1], -grid.axes()[0])
@@ -224,5 +216,4 @@ def test_inexact_widths_take_the_quadrant_path(half_width, monkeypatch):
                         lambda *args: calls.append(1) or quadrant(*args))
     result = run_scenario(cfg)
     assert len(calls) == len(parse_config(cfg).params.hbars)
-    assert result.row("radial_symmetry_max").value == 0.0
     _assert_rows_match_full_mesh(result, cfg, INEXACT_RTOL)
