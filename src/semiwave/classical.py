@@ -9,8 +9,8 @@ there is no way to pass the nonlinearity in.
 Orbits run on tuples of Python floats: the spec methods (value, gradient,
 jacobian) receive the position as one float per coordinate, return 0-d
 values, and are read with float().  A spatially constant A
-(ZeroVector, UniformVector) has a zero jacobian, so its Lorentz sum is
-skipped rather than evaluated.
+(ZeroVector, UniformVector) is read through its components(t, dim), and
+its jacobian is zero, so its Lorentz sum is skipped rather than evaluated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from semiwave.core import PotentialSpec, _SpatiallyConstant
+from semiwave.core import PotentialSpec, _Schedule, _SpatiallyConstant
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,13 @@ class PhasePoint:
 
 @dataclass
 class Trajectory:
-    """Uniform-step solution of the characteristic system: the times t, and
-    the positions x and momenta p as (steps, dim) arrays."""
+    """Solution of the characteristic system at the nodes of its step
+    schedule: the times t, and the positions x and momenta p as
+    (steps + 1, dim) arrays."""
 
     t: np.ndarray
     x: np.ndarray
     p: np.ndarray
-    dt: float
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):
@@ -88,9 +88,11 @@ def _rhs(x: tuple[float, ...], p: tuple[float, ...], t: float, pot: PotentialSpe
     dx_i/dt = (p_i - A_i)/m
     dp_i/dt = -dV/dx_i + sum_j (dA_j/dx_i) (p_j - A_j)/m
     """
-    u = [pj - float(aj) for pj, aj in zip(p, pot.vector.value(x, t))]
+    uniform = isinstance(pot.vector, _SpatiallyConstant)
+    a = pot.vector.components(t, len(x)) if uniform else pot.vector.value(x, t)
+    u = [pj - float(aj) for pj, aj in zip(p, a)]
     grad = pot.scalar.gradient(x, t)
-    if isinstance(pot.vector, _SpatiallyConstant):
+    if uniform:
         # zero jacobian; 0.0 - g gives +0.0 for a zero gradient, as the
         # Lorentz sum -g + 0.0*u/m does whenever u >= 0
         dp = [0.0 - float(gi) for gi in grad]
@@ -111,39 +113,35 @@ def _shift(x: tuple[float, ...], h: float, k: tuple[float, ...]) -> tuple[float,
 def integrate_bicharacteristic(
     z0: PhasePoint, t1: float, dt: float, pot: PotentialSpec, mass: float
 ) -> Trajectory:
-    """Integrate the characteristic system from z0.t to (approximately) t1
-    with the classical fourth-order Runge-Kutta scheme at a fixed step.
-
-    The number of steps is round((t1 - z0.t)/dt), so the final time lands
-    within one step of t1 and the step stays exactly uniform.
+    """Integrate the characteristic system from z0.t to t1 with the
+    classical fourth-order Runge-Kutta scheme, one RK4 step of length h per
+    step (h, end time) of core._Schedule(z0.t, t1, dt), the propagator's
+    step rule: the recorded times are the floats evolve() records for the
+    same start, end and dt, t0 + k dt and then t1.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    span = t1 - z0.t
-    if span < 0:
-        raise ValueError("t1 must not precede the initial time")
-    nsteps = int(round(span / dt))
-    half, sixth = 0.5 * dt, dt / 6.0
+    steps = _Schedule(z0.t, t1, dt)
+    nodes = len(steps) + 1
     t, x, p = z0.t, z0.x, z0.p
-    t_all = np.empty(nsteps + 1)
-    x_all = np.empty((nsteps + 1, z0.dim))
-    p_all = np.empty((nsteps + 1, z0.dim))
+    t_all = np.empty(nodes)
+    x_all = np.empty((nodes, z0.dim))
+    p_all = np.empty((nodes, z0.dim))
     t_all[0], x_all[0], p_all[0] = t, x, p
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, nsteps + 1):
+        for step, (h, t_next) in enumerate(steps, 1):
+            half, sixth = 0.5 * h, h / 6.0
             try:
                 k1x, k1p = _rhs(x, p, t, pot, mass)
                 k2x, k2p = _rhs(_shift(x, half, k1x), _shift(p, half, k1p), t + half, pot, mass)
                 k3x, k3p = _rhs(_shift(x, half, k2x), _shift(p, half, k2p), t + half, pot, mass)
-                k4x, k4p = _rhs(_shift(x, dt, k3x), _shift(p, dt, k3p), t + dt, pot, mass)
+                k4x, k4p = _rhs(_shift(x, h, k3x), _shift(p, h, k3p), t_next, pot, mass)
             except OverflowError as exc:  # float ** in a spec overflows, where numpy gives inf
                 raise RuntimeError(f"trajectory blew up at step {step}") from exc
             x = tuple(xi + sixth * (a + 2 * b + 2 * c + d)
                       for xi, a, b, c, d in zip(x, k1x, k2x, k3x, k4x))
             p = tuple(pi + sixth * (a + 2 * b + 2 * c + d)
                       for pi, a, b, c, d in zip(p, k1p, k2p, k3p, k4p))
-            t = t + dt
+            t = t_next
             if not all(map(math.isfinite, x + p)):
                 raise RuntimeError(f"trajectory blew up at step {step}")
             t_all[step], x_all[step], p_all[step] = t, x, p
-    return Trajectory(t=t_all, x=x_all, p=p_all, dt=dt)
+    return Trajectory(t=t_all, x=x_all, p=p_all)

@@ -294,6 +294,35 @@ def apply_momentum(psi: ComplexField, axis: int = 0) -> ComplexField:
     return psi.with_values(_momentum(psi.values, psi.grid, psi.hbar, axis))
 
 
+class _Schedule:
+    """(length, end time) of each step from t0 to t_end: whole steps of dt
+    ending at t0 + k dt, then a shortened one ending at t_end if a tail is
+    left.  The one step rule: the propagator and the classical orbit both
+    walk it.  Refuses dt <= 0 and t_end < t0.  Steps are yielded as they
+    are read, so its size does not grow with the step count."""
+
+    def __init__(self, t0: float, t_end: float, dt: float):
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if t_end < t0:
+            raise ValueError(f"t_end={t_end:g} precedes the initial time {t0:g}; "
+                             "steps only run forward")
+        remaining = t_end - t0
+        self.t0, self.dt, self.end = t0, dt, t0 + remaining
+        self.n_full = int(np.floor(remaining / dt + 1e-12))
+        tail = remaining - self.n_full * dt
+        self.tail = tail if tail >= 1e-12 * dt else None
+
+    def __len__(self) -> int:
+        return self.n_full + (self.tail is not None)
+
+    def __iter__(self):
+        for k in range(1, self.n_full + 1):
+            yield self.dt, self.t0 + k * self.dt
+        if self.tail is not None:
+            yield self.tail, self.end
+
+
 # ---------------------------------------------------------------------------
 # Potential specifications
 #
@@ -449,7 +478,15 @@ class VectorPotential:
 
 
 class _SpatiallyConstant(VectorPotential):
-    """A that does not vary in space: zero divergence and jacobian."""
+    """A that does not vary in space: zero divergence and jacobian.
+    components(t, dim), A at t as dim floats, is the one way it is read:
+    by the Strang step, the residual, the classical orbit and value()."""
+
+    def components(self, t: float, dim: int) -> tuple[float, ...]:
+        raise NotImplementedError
+
+    def value(self, xs, t):
+        return tuple(_constant(c, a) for c, a in zip(xs, self.components(t, len(xs))))
 
     def divergence(self, xs, t):
         return _constant(xs[0])
@@ -461,24 +498,22 @@ class _SpatiallyConstant(VectorPotential):
 
 @dataclass
 class ZeroVector(_SpatiallyConstant):
-    def value(self, xs, t):
-        return tuple(_constant(c) for c in xs)
+    def components(self, t, dim):
+        return (0.0,) * dim
 
 
 @dataclass
 class UniformVector(_SpatiallyConstant):
-    """Spatially uniform A(t); the only vector form the propagator accepts."""
+    """Spatially uniform A(t), one component per axis; the only vector form
+    the propagator accepts."""
 
     a_of_t: Callable[[float], Sequence[float]]
 
-    def components(self, t: float) -> tuple[float, ...]:
-        return tuple(float(c) for c in np.atleast_1d(self.a_of_t(t)))
-
-    def value(self, xs, t):
-        comps = self.components(t)
-        if len(comps) != len(xs):
+    def components(self, t, dim):
+        comps = tuple(float(c) for c in np.atleast_1d(self.a_of_t(t)))
+        if len(comps) != dim:
             raise ValueError("vector potential dimension mismatch")
-        return tuple(_constant(c, a) for c, a in zip(xs, comps))
+        return comps
 
 
 @dataclass

@@ -100,15 +100,19 @@ PASSES = {
 }
 
 GATES: dict[tuple[str, str], Gate] = {
-    # measured 9.7e-7, 4.5e-13 and 4.4e-7 as shipped, and at most 1.5e-6,
-    # 6.4e-13 and 1.8e-6 over 40 seeded solitons (xi in (0.15, 0.35), eta
-    # in (0.45, 0.55), x0 in (-5, 5 - 20 xi), so the centre stays 15 from
-    # the box edges); gated 6.5x, 7.8x and 5.6x above those maxima
+    # measured 9.7e-7 and 4.5e-13 as shipped, and at most 1.5e-6 and
+    # 6.4e-13 over 40 seeded solitons (xi in (0.15, 0.35), eta in
+    # (0.45, 0.55), x0 in (-5, 5 - 20 xi), so the centre stays 15 from the
+    # box edges); gated 6.5x and 7.8x above those maxima
     ("soliton-propagation", "l2_error"): Gate("propagation", "below", 1e-5),
     ("soliton-propagation", "mass_drift"): Gate("propagation", "below", 5e-12),
     ("soliton-propagation", "peak_velocity"): Gate(
         "propagation", "reported", reason="peak_velocity_error gates it"),
-    ("soliton-propagation", "peak_velocity_error"): Gate("propagation", "below", 1e-5),
+    # the centroid's fitted velocity: 2.8e-14 as shipped, at most 7.4e-13
+    # and 8.8e-13 over the same 40 solitons at n = 1024 and 256, and 2.3e-12
+    # and 2.5e-12 over a twentieth of the run (t_end 0.5) at n = 256 and
+    # 1024; gated 5.9x above the largest
+    ("soliton-propagation", "peak_velocity_error"): Gate("propagation", "below", 1.5e-11),
     ("soliton-propagation", "step_norm_drift"): Gate("propagation", "below", 1e-12),
     ("soliton-propagation", "convergence_ratio"): Gate(
         "convergence", "reported", reason="convergence_ratio_deviation gates it"),
@@ -179,18 +183,6 @@ def _rows(scenario: str, values: dict[str, float]) -> list[ReportRow]:
     return rows
 
 
-def _peak_position(fld: ComplexField) -> float:
-    """Sub-cell peak location of |psi|^2 by parabolic refinement."""
-    dens = fld.density()
-    j = int(np.argmax(dens))
-    n = len(dens)
-    jm, jp = (j - 1) % n, (j + 1) % n
-    h = fld.grid.spacing[0]
-    denom = dens[jm] - 2.0 * dens[j] + dens[jp]
-    shift = 0.0 if denom == 0.0 else 0.5 * h * (dens[jm] - dens[jp]) / denom
-    return float(fld.grid.axes()[0][j] + shift)
-
-
 def _scaling_table(fit: ScalingReport, value: str) -> tuple[list[str], list[tuple]]:
     """Plot table of a fitted sweep: hbar, the measured value, and the fit."""
     return ["hbar", value, "fitted"], [
@@ -213,7 +205,8 @@ def _class_tables(w, t, params, xs) -> tuple[np.ndarray, np.ndarray]:
 def run_soliton_propagation(spec: SolitonPropagation) -> ScenarioResult:
     """Propagate the closed-form solitary wave and compare against itself:
     terminal error, mass drift, fitted peak velocity, one-step norm
-    preservation, and a dt-halving order check."""
+    preservation, and a dt-halving order check.  The peak is located as
+    the centroid, which it is for the symmetric sech^2 packet."""
     scen = spec.scenario
     params = spec.params.phys()
     grid = spec.grid.build()
@@ -227,7 +220,7 @@ def run_soliton_propagation(spec: SolitonPropagation) -> ScenarioResult:
     error = rec.final.with_values(rec.final.values - exact.values)
 
     times = np.array(rec.times)
-    peaks = np.array([_peak_position(s) for s in rec.snapshots])
+    peaks = np.array([mean_position(s)[0] for s in rec.snapshots])
     velocity = float(np.polyfit(times, peaks, 1)[0])
     target = 2.0 * sp.xi / params.mass
 
@@ -278,7 +271,7 @@ def run_ehrenfest(spec: Ehrenfest) -> ScenarioResult:
 
     psi0 = one_soliton(sp, grid, 0.0, params)
     z0 = PhasePoint(x=(sp.x0,), p=(2.0 * sp.xi,), t=0.0)
-    traj = integrate_bicharacteristic(z0, t_end + dt, dt, pot, params.mass)
+    traj = integrate_bicharacteristic(z0, t_end, dt, pot, params.mass)
     ct = traj.times()
     cx = traj.positions()[:, 0]
     cp = traj.momenta()[:, 0]
@@ -289,8 +282,9 @@ def run_ehrenfest(spec: Ehrenfest) -> ScenarioResult:
         ts = np.array(rec.times)
         xs = np.array([mean_position(s)[0] for s in rec.snapshots])
         ps = np.array([mean_momentum(s)[0] for s in rec.snapshots])
-        ref_x = np.interp(ts, ct, cx)
-        ref_p = np.interp(ts, ct, cp)
+        # the orbit walks the propagator's schedule: every snapshot time is a node
+        node = np.searchsorted(ct, ts)
+        ref_x, ref_p = cx[node], cp[node]
         case = f"r={r:g}"
         values[f"x_deviation[{case}]"] = np.max(np.abs(xs - ref_x))
         values[f"p_deviation[{case}]"] = np.max(np.abs(ps - ref_p))

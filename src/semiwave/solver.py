@@ -7,7 +7,8 @@ The propagator integrates
 on a periodic grid with Strang splitting: a half step of the local
 (potential plus nonlinear) phase, a full kinetic step in Fourier space,
 and a second local half step with the modulus refreshed.  Every factor is
-a pure phase, so each step preserves the norm to rounding.
+a pure phase, so each step preserves the norm to rounding.  The steps are
+core._Schedule's, which the classical orbit walks too.
 
 A run builds one propagator plan (_StrangPlan) per (grid, params, pot).
 It owns the work arrays that every step is written into and runs the
@@ -57,7 +58,8 @@ terms are summed as above, and the relative residual is the ratio of the
 quadrant's sums.
 
 Propagation accepts only a spatially constant A (ZeroVector,
-UniformVector); the plan refuses any other when it is built.
+UniformVector), read through its components(t, dim); the plan refuses
+any other when it is built.
 """
 
 from __future__ import annotations
@@ -73,9 +75,8 @@ from .core import (
     PhysParams,
     PotentialSpec,
     TIME_ATOL,
-    UniformVector,
     ZeroScalar,
-    ZeroVector,
+    _Schedule,
     _SpatiallyConstant,
     _expi,
     _momentum,
@@ -127,17 +128,6 @@ class EvolutionRecord:
     @property
     def final(self) -> ComplexField:
         return self.snapshots[-1]
-
-
-def _uniform_components(vec: ZeroVector | UniformVector, dim: int,
-                        t: float) -> tuple[float, ...]:
-    """Components at time t of a spatially constant A on a dim-axis grid."""
-    if isinstance(vec, ZeroVector):
-        return (0.0,) * dim
-    comps = vec.components(t)
-    if len(comps) != dim:
-        raise ValueError("vector potential dimension mismatch")
-    return comps
 
 
 def _density(vals: np.ndarray, out: np.ndarray | None = None,
@@ -244,7 +234,7 @@ class _StrangPlan:
     def kinetic(self, vals: np.ndarray, t: float, h: float) -> np.ndarray:
         """Full kinetic step of length h, A sampled at t, in place on vals,
         which must be a work array."""
-        a = _uniform_components(self.pot.vector, len(self.hk), t)
+        a = self.pot.vector.components(t, len(self.hk))
         if (a, h) != self._kin_key:
             scale = h / (2.0 * self.params.mass * self.params.hbar)
             *head, last = (_expi(-scale * (hk - a_ax) ** 2) for hk, a_ax in zip(self.hk, a))
@@ -294,33 +284,6 @@ def _nonfinite(step: int, t: float) -> FloatingPointError:
     return FloatingPointError(f"non-finite amplitude at step {step} (t={t:.6g}); aborting")
 
 
-class _Schedule:
-    """(length, end time) of each step from t0 to t_end: whole steps of dt,
-    then one shortened step when a tail is left.  Steps are yielded as they
-    are read and the schedule holds no list, so its size does not grow with
-    the step count; len() and one step by index need none of the others."""
-
-    def __init__(self, t0: float, t_end: float, dt: float):
-        remaining = t_end - t0
-        self.t0, self.dt, self.end = t0, dt, t0 + remaining
-        self.n_full = int(np.floor(remaining / dt + 1e-12))
-        tail = remaining - self.n_full * dt
-        self.tail = tail if tail >= 1e-12 * dt else None
-
-    def __len__(self) -> int:
-        return self.n_full + (self.tail is not None)
-
-    def __iter__(self):
-        for k in range(1, self.n_full + 1):
-            yield self.dt, self.t0 + k * self.dt
-        if self.tail is not None:
-            yield self.tail, self.end
-
-    def __getitem__(self, i: int) -> tuple[float, float]:
-        k = range(1, len(self) + 1)[i]  # IndexError past either end
-        return (self.dt, self.t0 + k * self.dt) if k <= self.n_full else (self.tail, self.end)
-
-
 def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
     """Propagate psi0 to t_end, recording snapshots and the norm drift.
 
@@ -330,18 +293,12 @@ def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
     """
     grid = psi0.grid
     t0 = psi0.time
-    if config.t_end < t0:
-        raise ValueError(
-            f"t_end={config.t_end:g} precedes the initial time {t0:g}; "
-            "evolve only runs forward"
-        )
-
+    steps = _Schedule(t0, config.t_end, config.dt)
     hbar = config.params.hbar
     snapshots = [ComplexField(grid, psi0.values, time=t0, hbar=hbar)]
     n0 = norm_squared(snapshots[0])
     drift = 0.0
     plan = _StrangPlan(grid, config.params, config.pot, t0)
-    steps = _Schedule(t0, config.t_end, config.dt)
     for t, nrm, state in plan.run(psi0.values, t0, steps, config.snapshot_every):
         drift = max(drift, abs(nrm - n0) / n0)
         if state is not None:
@@ -365,7 +322,7 @@ def _kinetic_apply(values: np.ndarray, grid: Grid, pot: PotentialSpec,
     """
     hbar = params.hbar
     if isinstance(pot.vector, _SpatiallyConstant):
-        a = _uniform_components(pot.vector, grid.dim, t)
+        a = pot.vector.components(t, grid.dim)
         symbol = 0.0
         for ax, a_ax in enumerate(a):
             symbol = symbol + (hbar * grid.axis_wavenumber(ax) - a_ax) ** 2

@@ -132,6 +132,18 @@ def test_lorentz_force_circular_orbit():
     assert np.max(np.abs(p - np.column_stack([px, py]))) < 2e-8
 
 
+def test_last_step_is_shortened_to_land_on_t1():
+    """The orbit walks the propagator's schedule: three steps of 0.3, then
+    one of 0.1 that ends on t1 = 1 exactly.  Each RK4 step moves the unit
+    circle off the rotation by at most h^5/120 (2.0e-5 at h = 0.3), 6.1e-5
+    summed over the steps; measured 4.1e-5 (x) and 4.8e-5 (p)."""
+    traj = integrate_bicharacteristic(PhasePoint(x=(1.0,), p=(0.0,)), 1.0, 0.3, harmonic(), 1.0)
+    t = traj.times()
+    assert t.tolist() == [0.0, 0.3, 2 * 0.3, 3 * 0.3, 1.0]
+    assert np.max(np.abs(traj.positions()[:, 0] - np.cos(t))) < 6.1e-5
+    assert np.max(np.abs(traj.momenta()[:, 0] + np.sin(t))) < 6.1e-5
+
+
 def test_2d_point_and_motion():
     z0 = PhasePoint(x=(1.0, 0.0), p=(0.0, 0.5))
     pot = PotentialSpec(scalar=HarmonicScalar(omega=(1.0, 1.0), center=(0.0, 0.0), mass=1.0))

@@ -48,7 +48,7 @@ pot = spec.potential.build(params.mass)
 sp = spec.family.soliton
 dt, t_end = spec.solver.dt, spec.solver.t_end
 z0 = PhasePoint(x=(sp.x0,), p=(2.0 * sp.xi,), t=0.0)
-traj = integrate_bicharacteristic(z0, t_end + dt, dt, pot, params.mass)
+traj = integrate_bicharacteristic(z0, t_end, dt, pot, params.mass)
 assert len(traj.times()) > 1000
 assert loaded() == [], loaded()
 

@@ -32,6 +32,7 @@ from semiwave import (
     relative_residual,
 )
 from semiwave.asymptotics import CylindricalFields, CylindricalParams
+from semiwave.classical import PhasePoint, integrate_bicharacteristic
 from semiwave.harness import (
     SCENARIO_NAMES,
     ConfigError,
@@ -45,18 +46,16 @@ from semiwave.harness import (
     run_scenario,
     validate_config,
 )
-from semiwave.core import _reflection_classes
+from semiwave.core import HarmonicScalar, _reflection_classes
 from semiwave.harness.config import SCHEMAS
 from semiwave.harness import cli, config, scenarios
 from semiwave.harness.scenarios import GATES, PASSES, _RUNNERS, _quadrant_residual, _rows
 
 def small_propagation_dict():
-    """The shipped grid, whose spacing the row gates were measured at (the
-    fitted peak velocity's error grows with the spacing: 4.2e-4 at n = 256
-    against 4.5e-6 here), over a twentieth of the shipped run."""
+    """A twentieth of the shipped run on a quarter of its grid."""
     return {
         "scenario": "soliton-propagation",
-        "grid": {"lo": -20.0, "hi": 20.0, "n": 1024},
+        "grid": {"lo": -20.0, "hi": 20.0, "n": 256},
         "params": {"hbar": 1.0, "mass": 1.0, "r": 0.5},
         "family": {"soliton": {"eta": 0.5, "xi": 0.25, "x0": -5.0}},
         "solver": {"dt": 1.0e-3, "t_end": 0.5, "snapshot_every": 100},
@@ -344,7 +343,7 @@ def test_propagation_rows_and_snapshots():
     assert len(res.snapshots) == 6
     header, rows = res.plotdata["density"]
     assert header == ["x", "density"]
-    assert len(rows) == 1024
+    assert len(rows) == 256
 
 
 def test_ehrenfest_rows_per_strength():
@@ -368,6 +367,29 @@ def test_ehrenfest_rows_per_strength():
     header, rows = res.plotdata["centroid"]
     assert header == ["t", "mean_x", "mean_p", "classical_x", "classical_p"]
     assert rows[0][0] == 0.0
+
+
+def test_ehrenfest_snapshot_times_are_orbit_nodes(tmp_path):
+    """Over one period of the shipped well, which ends on a shortened step,
+    every snapshot time is a node of the classical orbit, so the classical
+    columns are orbit values with no interpolation: the last row's equal
+    x0 cos t + p0 sin t and p0 cos t - x0 sin t to RK4 accuracy (measured
+    2.6e-14 and 1.0e-13 at t = 2 pi)."""
+    cfg = ExperimentConfig.from_file(default_config_path("ehrenfest"))
+    cfg.apply_override("grid.n=512")
+    cfg.apply_override("params.r_values=[0.5]")
+    emit(run_scenario(cfg), tmp_path)
+    lines = (tmp_path / "plotdata" / "centroid.csv").read_text().splitlines()
+    table = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    x0, p0 = 2.0, 0.5
+    pot = PotentialSpec(scalar=HarmonicScalar(omega=(1.0,), center=(0.0,)))
+    nodes = integrate_bicharacteristic(PhasePoint(x=(x0,), p=(p0,)), 2.0 * math.pi, 1e-3,
+                                       pot, 1.0).times()
+    assert {row[0] for row in table} <= set(nodes.tolist())
+    t, _, _, cx, cp = table[-1]
+    assert t == 2.0 * math.pi
+    assert abs(cx - (x0 * math.cos(t) + p0 * math.sin(t))) < 1e-12
+    assert abs(cp - (p0 * math.cos(t) - x0 * math.sin(t))) < 1e-12
 
 
 def test_concentration_failure_is_reported_not_raised():

@@ -36,6 +36,7 @@ from semiwave.core import (
     PotentialSpec,
     ScalarPotential,
     UniformVector,
+    _Schedule,
     make_uniform_grid,
     norm_squared,
 )
@@ -47,6 +48,7 @@ from semiwave.asymptotics import (
     one_soliton,
 )
 from semiwave import solver
+from semiwave.classical import PhasePoint, integrate_bicharacteristic
 from semiwave.solver import (
     SolverConfig,
     apply_nlse_operator,
@@ -208,6 +210,23 @@ def test_constant_expression_vector_refused_before_any_step():
     with pytest.raises(ValueError, match="uniform"):
         evolve(gaussian_state(grid), config)
     assert calls == []
+
+
+def test_uniform_vector_of_wrong_length_refused_everywhere():
+    """A 2-component uniform A on a 1D grid is refused with one message by
+    the propagator, the residual and the classical orbit alike: all three
+    read it through components(t, dim)."""
+    grid = make_uniform_grid(1, -10.0, 10.0, 64)
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
+    pot = PotentialSpec(vector=UniformVector(a_of_t=lambda t: (0.1, 0.2)))
+    psi0 = gaussian_state(grid)
+    config = SolverConfig(dt=1e-4, t_end=1e-3, params=params, pot=pot)
+    with pytest.raises(ValueError, match="vector potential dimension mismatch"):
+        evolve(psi0, config)
+    with pytest.raises(ValueError, match="vector potential dimension mismatch"):
+        apply_nlse_operator((psi0, psi0), pot, params)
+    with pytest.raises(ValueError, match="vector potential dimension mismatch"):
+        integrate_bicharacteristic(PhasePoint(x=(0.0,), p=(1.0,)), 1e-3, 1e-4, pot, 1.0)
 
 
 def test_nan_aborts_with_step_index():
@@ -424,12 +443,12 @@ def _reference_states(psi0, config):
     def kinetic(vals, t, h):
         scale = h / (2.0 * params.mass * params.hbar)
         factor = 1.0
-        for k, a in zip(hk, pot.vector.components(t)):
+        for k, a in zip(hk, pot.vector.a_of_t(t)):
             factor = np.multiply(factor, expi(-scale * (k - a) ** 2))
         return scipy.fft.ifftn(np.multiply(scipy.fft.fftn(vals), factor))
 
     states, vals, t, closing = [psi0.values], psi0.values, psi0.time, []
-    steps = solver._Schedule(psi0.time, config.t_end, config.dt)
+    steps = _Schedule(psi0.time, config.t_end, config.dt)
     for step, (h, t_next) in enumerate(steps, 1):
         vals = kinetic(local(vals, closing + [(t + 0.25 * h, h)]), t + 0.5 * h, h)
         closing = [(t + 0.75 * h, h)]
@@ -484,7 +503,7 @@ def test_steps_between_snapshots_allocate_no_grid_sized_array():
     tracemalloc.start()
     try:
         plan = solver._StrangPlan(psi0.grid, config.params, config.pot, 0.0)
-        run = plan.run(psi0.values, 0.0, solver._Schedule(0.0, 0.0085, 1e-3), 10 ** 9)
+        run = plan.run(psi0.values, 0.0, _Schedule(0.0, 0.0085, 1e-3), 10 ** 9)
         next(run)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -498,10 +517,9 @@ def test_steps_between_snapshots_allocate_no_grid_sized_array():
 
 def test_schedule_holds_no_list():
     """A schedule yields its steps as they are read: the shipped ehrenfest
-    schedule reads as the written-out list of t0 + k dt and its tail, by
-    iteration and by index, and a schedule of 10^12 steps reports its count
-    and its last step with a traced peak under 1 MiB (a list of its steps
-    would take about 112 TB)."""
+    schedule reads as the written-out list of t0 + k dt and its tail, and a
+    schedule of 10^12 steps reports its count with a traced peak under
+    1 MiB (a list of its steps would take about 112 TB)."""
     import tracemalloc
 
     t0, t_end, dt = 0.1, 0.1 + 6.283185307179586, 1e-3
@@ -509,23 +527,18 @@ def test_schedule_holds_no_list():
     n_full = int(np.floor(remaining / dt + 1e-12))
     written = [(dt, t0 + k * dt) for k in range(1, n_full + 1)]
     written.append((remaining - n_full * dt, t0 + remaining))
-    steps = solver._Schedule(t0, t_end, dt)
+    steps = _Schedule(t0, t_end, dt)
     assert len(steps) == len(written) == 6284
-    assert list(steps) == written == [steps[k] for k in range(len(steps))]
-    assert steps[-1] == written[-1]
+    assert list(steps) == written
 
     tracemalloc.start()
     try:
-        steps = solver._Schedule(0.0, 1.0e12 + 0.5, 1.0)
-        count, last, before = len(steps), steps[-1], steps[-2]
+        count = len(_Schedule(0.0, 1.0e12 + 0.5, 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert count == 10 ** 12 + 1
-    assert (last, before) == ((0.5, 1.0e12 + 0.5), (1.0, 1.0e12))
     assert peak < 2 ** 20
-    with pytest.raises(IndexError):
-        steps[count]
 
 
 def test_config_validation():
