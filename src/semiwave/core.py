@@ -246,6 +246,25 @@ def _momentum(values: np.ndarray, grid: Grid, hbar: float, axis: int) -> np.ndar
     return _spectral_multiply(values, hbar * grid.axis_wavenumber(axis), axes=(axis,))
 
 
+# Grid sizes are powers of two, so a contiguous 2D row is a power of two in
+# bytes (8 KiB for a 512^2 complex array), and a pass down the columns meets
+# the same few cache sets at every element.  One cache line more per row
+# spreads a column over all of them: on a 2-core host a cosine pair on a
+# 512^2 complex quadrant took 14.0-17.3 ms so, against 21.4-22.3 ms unpadded.
+_ROW_PAD_BYTES = 64
+
+
+def _padded(shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """An uninitialised array of `shape`: in two or more dimensions, the
+    first shape[-1] columns of a buffer whose rows are _ROW_PAD_BYTES
+    longer, so its rows are not a power of two in bytes; in one
+    dimension, a plain array."""
+    if len(shape) < 2:
+        return np.empty(shape, dtype=dtype)
+    extra = _ROW_PAD_BYTES // np.dtype(dtype).itemsize
+    return np.empty(shape[:-1] + (shape[-1] + extra,), dtype=dtype)[..., :shape[-1]]
+
+
 def _spectral_multiply(values: np.ndarray, multiplier, axes=None,
                        even: bool = False, _owned: bool = False) -> np.ndarray:
     """Apply the operator that is diagonal in Fourier space with symbol
@@ -261,18 +280,32 @@ def _spectral_multiply(values: np.ndarray, multiplier, axes=None,
     wavenumbers of each axis and the pair is one type-II DCT pair of size
     n/2 per axis (Martucci, IEEE Trans. Signal Process. 42, 1994).
 
-    The inverse transform runs in place on the spectrum, which the helper
-    owns; the forward one runs in place only when the caller owns values
-    and passes _owned=True, and values then hold the result.  Either way
-    the bits are those of the out-of-place pair.  On a 2-core host an FFT
-    pair with its multiply took 1.6-1.7 ms at 256^2 in place on a reused
-    array, against 2.9-3.1 ms on fresh arrays (medians of 300), and the
-    in-place inverse DCT took a cosine pair at 512^2 from 33 to 19 ms."""
+    A caller that owns values passes _owned=True: both transforms then
+    run in place and values hold the result.  The Strang plan does so on
+    work arrays from `_padded`.  Otherwise a pair along any axis but the
+    last runs in place on a `_padded` copy of values and returns a
+    contiguous copy of the result; a pair in 1D or along the last axis
+    alone, where the copies would cost more than the stride saves, runs
+    the forward transform out of place and the inverse in place on the
+    spectrum.  pocketfft does the same arithmetic per line at any stride,
+    so every way gives the bits of the out-of-place pair.  Medians of 15,
+    three runs per side on a 2-core host, unpadded against padded: the
+    Strang plan's 256^2 pair took 1.41-2.09 against 1.30-1.31 ms, a 256^2
+    pass along axis 0 1.07-1.63 against 0.93-1.04 ms (along axis 1,
+    0.69-0.73 ms as it runs, 0.89-1.17 ms on a padded copy), and an FFT
+    pair on a caller's 512^2 array 10.5-11.1 against 10.1-11.8 ms."""
     fwd, inv, kind = ((scipy.fft.dctn, scipy.fft.idctn, {"type": 2}) if even
                       else (scipy.fft.fftn, scipy.fft.ifftn, {}))
+    nd = values.ndim
+    copied = not _owned and nd > 1 and (axes is None or any(ax % nd < nd - 1 for ax in axes))
+    if copied:
+        work = _padded(values.shape, values.dtype)
+        work[...] = values
+        values, _owned = work, True
     spec = fwd(values, axes=axes, overwrite_x=_owned, **kind)
     spec *= multiplier
-    return inv(spec, axes=axes, overwrite_x=True, **kind)
+    out = inv(spec, axes=axes, overwrite_x=True, **kind)
+    return np.ascontiguousarray(out) if copied else out
 
 
 def _expi(theta, out: np.ndarray | None = None) -> np.ndarray:

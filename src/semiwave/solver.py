@@ -12,15 +12,17 @@ core._Schedule's, which the classical orbit walks too.
 
 A run builds one propagator plan (_StrangPlan) per (grid, params, pot).
 It owns the work arrays that every step is written into and runs the
-transform pair in place, so only the snapshot states are fresh arrays;
-its docstring lists the arrays and says why every complex multiply is
-written psi times factor.  V is sampled on the open mesh of the grid's
-axes.  A scalar potential whose `static` property is true
-(ZeroScalar, HarmonicScalar, SeparatedScalar) is sampled once per plan,
-and its term of the local phase is kept per total half-step length; when
-r is 0 as well the local factor itself is the same every step and is
-kept instead.  Any other V is sampled at the midpoint of each half step,
-twice per step.
+transform pair in place, so only the snapshot states are fresh arrays.
+The two complex work arrays are padded (core._padded): in 2D each row is
+one cache line longer than the grid's, so the pass down the columns does
+not walk a power-of-two stride.  The plan's docstring lists the arrays
+and says why every complex multiply is written psi times factor.  V is
+sampled on the open mesh of the grid's axes.  A scalar potential whose
+`static` property is true (ZeroScalar, HarmonicScalar, SeparatedScalar)
+is sampled once per plan, and its term of the local phase is kept per
+total half-step length; when r is 0 as well the local factor itself is
+the same every step and is kept instead.  Any other V is sampled at the
+midpoint of each half step, twice per step.
 
 Because the local factor is a pure phase, |psi|^2 is the same on both
 sides of it, so the closing half step of step n and the opening half step
@@ -80,6 +82,7 @@ from .core import (
     _SpatiallyConstant,
     _expi,
     _momentum,
+    _padded,
     _spectral_multiply,
     norm_squared,
 )
@@ -150,7 +153,9 @@ class _StrangPlan:
 
     * two complex arrays used in turn: the local factor goes into the one
       that does not hold psi, and psi times it into the same one, which
-      the kinetic step's transform pair then overwrites in place;
+      the kinetic step's transform pair then overwrites in place.  Both
+      come from core._padded, whose 2D rows end one cache line past the
+      grid's, and both are handed to core._spectral_multiply as owned;
     * the kinetic factor, rebuilt in place only when the uniform A or the
       step length changes;
     * real arrays for the phase theta and for scratch, and two for
@@ -191,7 +196,7 @@ class _StrangPlan:
         self.hk = tuple(params.hbar * grid.axis_wavenumber(ax) for ax in range(grid.dim))
         self._kin_key = None
         self._kin = np.empty(grid.shape, dtype=np.complex128)
-        self._work = tuple(np.empty(grid.shape, dtype=np.complex128) for _ in range(2))
+        self._work = tuple(_padded(grid.shape) for _ in range(2))
         self._theta, self._scratch = np.empty(grid.shape), np.empty(grid.shape)
         self._dens = tuple(np.empty(grid.shape) for _ in range(2))
 

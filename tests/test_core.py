@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from semiwave.asymptotics.families import (
     Class1Fields,
@@ -36,6 +37,8 @@ from semiwave.core import (
     make_axis_offset_grid,
     make_uniform_grid,
     norm_squared,
+    _padded,
+    _spectral_multiply,
 )
 
 
@@ -205,6 +208,72 @@ def test_apply_momentum_2d_axis():
     out = apply_momentum(psi, axis=1).values
     want = 0.5 * (2.0 * np.pi / 20.0) * 3 * psi.values
     assert np.max(np.abs(out - want)) < 1e-10
+
+
+# (shape, complex values, even, axes) of each 2D transform pair checked
+# against the out-of-place scipy.fft pair; 512^2 is cylindrical-check's
+# quadrant at n = 1024
+SPECTRAL_PAIRS = {
+    "fft-16x32": ((16, 32), True, False, None),
+    "fft-256": ((256, 256), True, False, None),
+    "dct-real-512": ((512, 512), False, True, None),
+    "dct-complex-512": ((512, 512), True, True, None),
+    "fft-axis0-256": ((256, 256), True, False, (0,)),
+    "fft-axis1-256": ((256, 256), True, False, (1,)),
+    "fft-axis0-16x32": ((16, 32), True, False, (0,)),
+    "fft-axis1-16x32": ((16, 32), True, False, (-1,)),
+}
+
+
+def _pair_case(shape, is_complex, axes):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape)
+    if is_complex:
+        values = values + 1j * rng.standard_normal(shape)
+    sym_shape = shape if axes is None else tuple(
+        m if ax in [a % len(shape) for a in axes] else 1 for ax, m in enumerate(shape))
+    return values, rng.standard_normal(sym_shape)
+
+
+@pytest.mark.parametrize("case", list(SPECTRAL_PAIRS), ids=list(SPECTRAL_PAIRS))
+def test_spectral_multiply_has_the_bits_of_the_out_of_place_pair(case):
+    """Whether a pair runs on a padded copy or the caller's array, its
+    bits are those of the out-of-place scipy.fft pair with the same
+    multiply."""
+    shape, is_complex, even, axes = SPECTRAL_PAIRS[case]
+    values, symbol = _pair_case(shape, is_complex, axes)
+    if even:
+        want = scipy.fft.idctn(scipy.fft.dctn(values, type=2, axes=axes) * symbol,
+                               type=2, axes=axes)
+    else:
+        want = scipy.fft.ifftn(scipy.fft.fftn(values, axes=axes) * symbol, axes=axes)
+    got = _spectral_multiply(values, symbol, axes=axes, even=even)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", list(SPECTRAL_PAIRS), ids=list(SPECTRAL_PAIRS))
+def test_spectral_multiply_leaves_a_callers_values_alone(case):
+    """A caller that does not own its values gets a fresh C-contiguous
+    array, and its own values are unchanged."""
+    shape, is_complex, even, axes = SPECTRAL_PAIRS[case]
+    values, symbol = _pair_case(shape, is_complex, axes)
+    kept = values.copy()
+    got = _spectral_multiply(values, symbol, axes=axes, even=even)
+    assert values.tobytes() == kept.tobytes()
+    assert got.flags.c_contiguous
+    assert not np.shares_memory(got, values)
+
+
+def test_padded_rows_end_one_cache_line_past_the_grid():
+    """A 2D array from _padded is a view whose rows are 64 bytes longer
+    than its shape needs; a 1D one is a plain contiguous array."""
+    for dtype in (np.complex128, np.float64):
+        arr = _padded((256, 256), dtype)
+        assert arr.shape == (256, 256) and arr.dtype == dtype
+        assert arr.strides == (256 * arr.itemsize + 64, arr.itemsize)
+    line = _padded((256,))
+    assert line.shape == (256,) and line.flags.c_contiguous
 
 
 def test_phys_params_need_positive_hbar_and_mass():

@@ -474,6 +474,22 @@ def test_run_matches_written_out_loop_bit_for_bit(dim):
         assert snap.values.tobytes() == state.tobytes()
 
 
+def test_plan_work_rows_are_padded_and_the_kinetic_step_stays_in_them():
+    """At 256^2 a contiguous complex row is 4096 bytes, so a column pass
+    would stride through the same cache sets; the plan's two complex work
+    arrays have rows of another length, and a kinetic step hands back the
+    work array it was given, transformed in place."""
+    psi0, config = _driven_case(2)
+    plan = solver._StrangPlan(psi0.grid, config.params, config.pot, 0.0)
+    for work in plan._work:
+        assert work.shape == psi0.grid.shape
+        assert work.strides[0] % 4096 != 0
+    work = plan._work[0]
+    work[...] = psi0.values
+    out = plan.kinetic(work, 0.0, config.dt)
+    assert out.__array_interface__ == work.__array_interface__
+
+
 def test_snapshots_are_distinct_arrays_and_psi0_is_kept():
     """Each snapshot is an array of its own, none of them a work array the
     next step overwrites, and the run only reads psi0."""
