@@ -293,18 +293,37 @@ def _spectral_multiply(values: np.ndarray, multiplier, axes=None,
     Strang plan's 256^2 pair took 1.41-2.09 against 1.30-1.31 ms, a 256^2
     pass along axis 0 1.07-1.63 against 0.93-1.04 ms (along axis 1,
     0.69-0.73 ms as it runs, 0.89-1.17 ms on a padded copy), and an FFT
-    pair on a caller's 512^2 array 10.5-11.1 against 10.1-11.8 ms."""
-    fwd, inv, kind = ((scipy.fft.dctn, scipy.fft.idctn, {"type": 2}) if even
-                      else (scipy.fft.fftn, scipy.fft.ifftn, {}))
+    pair on a caller's 512^2 array 10.5-11.1 against 10.1-11.8 ms.
+
+    The FFT pair is two calls of pocketfft's kernel,
+    scipy.fft._pocketfft.pypocketfft.c2c, with the arguments that
+    scipy.fft.fftn and ifftn pass it: the axes as non-negative ints, no
+    scaling forward and 1/N inverse, the array itself as output when it is
+    owned and complex, and one thread.  So its bits are theirs, without
+    their per-call dispatch and argument checks: medians of 21 x 2000
+    in-place 2048-point transforms on a 2-core host read 18.7 us through
+    fftn and 12.8 us for the kernel, and a 1D Strang step at n = 2048 went
+    from 79 to 66 us.  A scipy.fft.set_workers context does not reach the
+    FFT pair.  The cosine pair stays on scipy.fft.dctn/idctn, which split
+    a complex quadrant into real and imaginary parts for pocketfft's
+    real-only cosine kernel."""
     nd = values.ndim
     copied = not _owned and nd > 1 and (axes is None or any(ax % nd < nd - 1 for ax in axes))
     if copied:
         work = _padded(values.shape, values.dtype)
         work[...] = values
         values, _owned = work, True
-    spec = fwd(values, axes=axes, overwrite_x=_owned, **kind)
-    spec *= multiplier
-    out = inv(spec, axes=axes, overwrite_x=True, **kind)
+    if even:
+        spec = scipy.fft.dctn(values, type=2, axes=axes, overwrite_x=_owned)
+        spec *= multiplier
+        out = scipy.fft.idctn(spec, type=2, axes=axes, overwrite_x=True)
+    else:
+        c2c = scipy.fft._pocketfft.pypocketfft.c2c
+        axes = tuple(range(nd)) if axes is None else tuple(ax % nd for ax in axes)
+        into = values if _owned and values.dtype.kind == "c" else None
+        spec = c2c(values, axes, True, 0, into, 1)
+        spec *= multiplier
+        out = c2c(spec, axes, False, 2, spec, 1)
     return np.ascontiguousarray(out) if copied else out
 
 
@@ -331,10 +350,14 @@ class _Schedule:
     """(length, end time) of each step from t0 to t_end: whole steps of dt
     ending at t0 + k dt, then a shortened one ending at t_end if a tail is
     left.  The one step rule: the propagator and the classical orbit both
-    walk it.  Refuses dt <= 0 and t_end < t0.  Steps are yielded as they
-    are read, so its size does not grow with the step count."""
+    walk it.  Refuses a non-finite t0, t_end or dt, dt <= 0 and t_end < t0.
+    Steps are yielded as they are read, so its size does not grow with the
+    step count."""
 
     def __init__(self, t0: float, t_end: float, dt: float):
+        for name, value in (("t0", t0), ("t_end", t_end), ("dt", dt)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if t_end < t0:

@@ -46,10 +46,12 @@ diagonal in Fourier space, with symbol sum_j (hbar k_j - a_j)^2, and is
 applied as one n-D FFT pair; any other A takes two momentum passes per
 axis, which keep it exact for x-dependent A as well.  The Strang kinetic
 step, this diagonal operator and the momentum passes all go through
-core._spectral_multiply.  The other three terms are summed into the
-kinetic term's array in the order of the written equation, so the
-residual holds no full-size temporary per term; a ZeroScalar V is not
-sampled.
+core._spectral_multiply.  Its FFT pair calls pocketfft's c2c kernel
+directly, for the same bits: scipy.fft.fftn's dispatch and argument
+checks cost about a sixth of a 1D step at ehrenfest's n = 2048.  The
+other three terms are summed into the kinetic term's array in the order
+of the written equation, so the residual holds no full-size temporary
+per term; a ZeroScalar V is not sampled.
 
 For a field even in x and in y on a square axis-offset grid under the
 free equation (cylindrical-check's ring, sampled per class of

@@ -210,10 +210,12 @@ def test_apply_momentum_2d_axis():
     assert np.max(np.abs(out - want)) < 1e-10
 
 
-# (shape, complex values, even, axes) of each 2D transform pair checked
+# (shape, complex values, even, axes) of each transform pair checked
 # against the out-of-place scipy.fft pair; 512^2 is cylindrical-check's
-# quadrant at n = 1024
+# quadrant at n = 1024, and 2048 is ehrenfest's 1D grid, whose pair for a
+# caller that does not own its values runs the kernel out of place
 SPECTRAL_PAIRS = {
+    "fft-2048": ((2048,), True, False, None),
     "fft-16x32": ((16, 32), True, False, None),
     "fft-256": ((256, 256), True, False, None),
     "dct-real-512": ((512, 512), False, True, None),

@@ -282,6 +282,36 @@ def test_t_end_before_initial_time_rejected():
         evolve(psi0, config)
 
 
+# (t0, t_end, dt) of each non-finite schedule: dt = inf would take no step,
+# and the infinite or NaN times have no step count
+NON_FINITE_SCHEDULES = {
+    "t0-nan": (float("nan"), 1.0, 1e-3),
+    "t0-minus-inf": (float("-inf"), 1.0, 1e-3),
+    "t_end-nan": (0.0, float("nan"), 1e-3),
+    "t_end-inf": (0.0, float("inf"), 1e-3),
+    "dt-inf": (0.0, 1.0, float("inf")),
+}
+
+
+@pytest.mark.parametrize("caller", ["evolve", "orbit"])
+@pytest.mark.parametrize("case", list(NON_FINITE_SCHEDULES), ids=list(NON_FINITE_SCHEDULES))
+def test_non_finite_schedule_refused_by_name(case, caller):
+    """The propagator and the classical orbit both refuse a non-finite
+    start, end or step with a ValueError that names it and its value."""
+    t0, t_end, dt = NON_FINITE_SCHEDULES[case]
+    name = case.split("-")[0]
+    value = dict(t0=t0, t_end=t_end, dt=dt)[name]
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        if caller == "evolve":
+            grid = make_uniform_grid(1, -10.0, 10.0, 64)
+            psi0 = replace(gaussian_state(grid), time=t0)
+            evolve(psi0, SolverConfig(dt=dt, t_end=t_end, params=params))
+        else:
+            integrate_bicharacteristic(PhasePoint(x=(0.0,), p=(1.0,), t=t0), t_end, dt,
+                                       PotentialSpec(), params.mass)
+
+
 @pytest.mark.parametrize("t_end", [0.2, 0.2037])
 def test_fused_half_steps_match_split_ones(t_end):
     """Fusing the closing local half step of one step with the opening
@@ -624,16 +654,14 @@ def gaussian_packet_2d(grid, hbar=1.0):
 def test_residual_kinetic_is_one_fft_pair(dim, monkeypatch):
     """With a spatially constant A the kinetic operator is one multiply
     between one n-D FFT pair, and no one-axis transform is taken (the
-    momentum passes would add fftn calls of their own)."""
-    calls = {}
+    momentum passes would add kernel calls of their own): one forward and
+    one inverse call of pocketfft's c2c kernel, each over every axis."""
+    kernel = scipy.fft._pocketfft.pypocketfft
+    c2c, calls = kernel.c2c, []
 
-    def counting(module, name):
-        orig = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return orig(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+    def counting(a, axes, forward, *args):
+        calls.append((forward, tuple(axes)))
+        return c2c(a, axes, forward, *args)
 
     params = PhysParams(hbar=1.0, mass=1.0, r=0.5)
     if dim == 1:
@@ -644,10 +672,10 @@ def test_residual_kinetic_is_one_fft_pair(dim, monkeypatch):
         psi = gaussian_packet_2d(grid)
         pot = PotentialSpec(vector=UniformVector(lambda t: (0.3, -0.2)))
     dpsi = psi.with_values(np.zeros_like(psi.values))
-    for name in ("fftn", "ifftn"):
-        counting(scipy.fft, name)
+    monkeypatch.setattr(kernel, "c2c", counting)
     apply_nlse_operator((psi, dpsi), pot, params)
-    assert calls == {"fftn": 1, "ifftn": 1}
+    every = tuple(range(dim))
+    assert calls == [(True, every), (False, every)]
 
 
 def test_uniform_a_paths_agree():
