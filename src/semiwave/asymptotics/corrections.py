@@ -61,12 +61,12 @@ def _coefficients(jet: FieldJet, pot: PotentialSpec, params: PhysParams, C1: flo
 
     with P = (2m/g) C1, Q = <dsigma, dsigma1>/g,
     R = [lap sigma + <dsigma, d log g>] / (6 g) and
-    W = (m/2g) [(lap S - div A)/m + D_t log g]."""
+    W = (m/2g) [lap S/m + D_t log g]; W has no div A term, since A is
+    uniform in space."""
     m = params.mass
     g = _positive_slope(jet)
     dim = len(jet.xs)
-    A = pot.vector.value(jet.xs, jet.t)
-    divA = pot.vector.divergence(jet.xs, jet.t)
+    A = pot.vector.components(jet.t, dim)
     dsig, dg = jet.dsigma, jet.dg
     flow = tuple(jet.dS[j] - A[j] for j in range(dim))
 
@@ -74,7 +74,7 @@ def _coefficients(jet: FieldJet, pot: PotentialSpec, params: PhysParams, C1: flo
     Q = sum(dsig[j] * jet.dsigma1[j] for j in range(dim)) / g
     R = (jet.lap_sigma + sum(dsig[j] * dg[j] for j in range(dim)) / g) / (6.0 * g)
     dt_log_g = (jet.g_t + sum(flow[j] * dg[j] for j in range(dim)) / m) / g
-    W = (m / (2.0 * g)) * ((jet.lap_S - divA) / m + dt_log_g)
+    W = (m / (2.0 * g)) * (jet.lap_S / m + dt_log_g)
     return P, Q, R, W
 
 

@@ -37,7 +37,7 @@ def hj_residual(jet: FieldJet, pot: PotentialSpec, params: PhysParams) -> np.nda
     at the jet's sample points and time.  The square is the complex square,
     not a squared modulus; its imaginary part couples the two real phases.
     """
-    V, A = pot.scalar.value(jet.xs, jet.t), pot.vector.value(jet.xs, jet.t)
+    V, A = pot.scalar.value(jet.xs, jet.t), pot.vector.components(jet.t, len(jet.xs))
     dS, dsig = jet.dS, jet.dsigma
     kin = sum((dS[j] + 1j * dsig[j] - A[j]) ** 2 for j in range(len(A)))
     return (jet.S_t + 1j * jet.sigma_t) + V + kin / (2.0 * params.mass)
@@ -56,13 +56,13 @@ def transport_residuals(jet: FieldJet, pot: PotentialSpec,
     and the second
 
         sigma1_t + (1/m) <dS - A, dsigma1> + (1/m) <dsigma, dS1>
-             - (1/2) [ (lap S - div A)/m + (g_t + (1/m) <dS - A, dg>)/g ]
+             - (1/2) [ lap S/m + (g_t + (1/m) <dS - A, dg>)/g ]
 
-    with g = (dsigma)^2.  Both vanish identically on the shipped families.
+    with g = (dsigma)^2.  The second carries no div A term: A is uniform
+    in space.  Both vanish identically on the shipped families.
     """
     m = params.mass
-    A = pot.vector.value(jet.xs, jet.t)
-    divA = pot.vector.divergence(jet.xs, jet.t)
+    A = pot.vector.components(jet.t, len(jet.xs))
     g = _positive_slope(jet)
     dsig, dS1, dsig1, dg = jet.dsigma, jet.dS1, jet.dsigma1, jet.dg
     flow = tuple(jet.dS[j] - A[j] for j in range(len(A)))
@@ -71,7 +71,7 @@ def transport_residuals(jet: FieldJet, pot: PotentialSpec,
         + jet.lap_sigma / (2.0 * m) + _dot(dsig, dg) / (2.0 * m * g)
 
     eq_b = jet.sigma1_t + _dot(flow, dsig1) / m + _dot(dsig, dS1) / m \
-        - 0.5 * ((jet.lap_S - divA) / m + (jet.g_t + _dot(flow, dg) / m) / g)
+        - 0.5 * (jet.lap_S / m + (jet.g_t + _dot(flow, dg) / m) / g)
 
     return eq_a, eq_b
 

@@ -6,11 +6,11 @@ self-attraction strength never enters these equations, which is why the
 functions below take the mass alone and not the full parameter bundle:
 there is no way to pass the nonlinearity in.
 
-Orbits run on tuples of Python floats: the spec methods (value, gradient,
-jacobian) receive the position as one float per coordinate, return 0-d
-values, and are read with float().  A spatially constant A
-(ZeroVector, UniformVector) is read through its components(t, dim), and
-its jacobian is zero, so its Lorentz sum is skipped rather than evaluated.
+Orbits run on tuples of Python floats: the scalar spec's value and
+gradient receive the position as one float per coordinate, return 0-d
+values, and are read with float().  A is uniform in space (UniformVector),
+read through its components(t, dim): it shifts the velocity to (p - A)/m
+and, having no jacobian, exerts no force, so p changes under -grad V alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from semiwave.core import PotentialSpec, _Schedule, _SpatiallyConstant
+from semiwave.core import PotentialSpec, _Schedule
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class Trajectory:
 def classical_hamiltonian(point: PhasePoint, pot: PotentialSpec, mass: float) -> float:
     """H(x, p, t) = (p - A)^2/(2m) + V."""
     v = float(pot.scalar.value(point.x, point.t))
-    a = [float(c) for c in pot.vector.value(point.x, point.t)]
+    a = pot.vector.components(point.t, point.dim)
     kin = sum((pj - aj) ** 2 for pj, aj in zip(point.p, a)) / (2.0 * mass)
     return kin + v
 
@@ -86,24 +86,12 @@ def _rhs(x: tuple[float, ...], p: tuple[float, ...], t: float, pot: PotentialSpe
     position x and momentum p, both tuples of dim floats.
 
     dx_i/dt = (p_i - A_i)/m
-    dp_i/dt = -dV/dx_i + sum_j (dA_j/dx_i) (p_j - A_j)/m
+    dp_i/dt = -dV/dx_i
     """
-    uniform = isinstance(pot.vector, _SpatiallyConstant)
-    a = pot.vector.components(t, len(x)) if uniform else pot.vector.value(x, t)
-    u = [pj - float(aj) for pj, aj in zip(p, a)]
-    grad = pot.scalar.gradient(x, t)
-    if uniform:
-        # zero jacobian; 0.0 - g gives +0.0 for a zero gradient, as the
-        # Lorentz sum -g + 0.0*u/m does whenever u >= 0
-        dp = [0.0 - float(gi) for gi in grad]
-    else:
-        dp = []
-        for gi, row in zip(grad, pot.vector.jacobian(x, t)):
-            force = -float(gi)
-            for jij, uj in zip(row, u):
-                force += float(jij) * uj / mass
-            dp.append(force)
-    return tuple(uj / mass for uj in u), tuple(dp)
+    a = pot.vector.components(t, len(x))
+    # 0.0 - g gives +0.0 for a zero gradient
+    dp = tuple(0.0 - float(gi) for gi in pot.scalar.gradient(x, t))
+    return tuple((pj - aj) / mass for pj, aj in zip(p, a)), dp
 
 
 def _shift(x: tuple[float, ...], h: float, k: tuple[float, ...]) -> tuple[float, ...]:

@@ -171,7 +171,9 @@ class PhysParams:
 
 @dataclass
 class ComplexField:
-    """Complex scalar field sampled on a grid at one instant."""
+    """Complex scalar field sampled on a grid at one instant.  Refuses
+    non-finite values and a non-finite time, which no time check could
+    then compare."""
 
     grid: Grid
     values: np.ndarray
@@ -179,6 +181,8 @@ class ComplexField:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time}")
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != self.grid.shape:
             raise ValueError(
@@ -382,9 +386,9 @@ class _Schedule:
 # ---------------------------------------------------------------------------
 # Potential specifications
 #
-# The scalar part V(x, t) and the vector part A(x, t) of the external field
-# are given as small spec objects.  Built-in forms carry analytic gradients;
-# the expression forms fall back on central differences.  `_diff` and
+# The scalar part V(x, t) and the vector part A(t) of the external field
+# are given as small spec objects.  Built-in scalar forms carry analytic
+# gradients; ExpressionScalar falls back on central differences.  `_diff` and
 # `_diff2` below are the package's one first- and second-difference pair:
 # every derivative fallback, here and in the asymptotics, goes through them.
 
@@ -517,55 +521,16 @@ class ExpressionScalar(ScalarPotential):
         return super().gradient(xs, t)
 
 
-class VectorPotential:
-    """Base vector potential A(x, t)."""
-
-    def value(self, xs: tuple[np.ndarray, ...], t: float) -> tuple[np.ndarray, ...]:
-        raise NotImplementedError
-
-    def divergence(self, xs, t) -> np.ndarray:
-        jac = self.jacobian(xs, t)
-        return sum(jac[j][j] for j in range(len(xs)))
-
-    def jacobian(self, xs, t) -> list[list[np.ndarray]]:
-        """J[i][j] = dA_j/dx_i, from one stacked +-h pair of A per axis i."""
-        return [list(_diff(*_along(lambda q, s: np.stack(self.value(q, s)), xs, t, i)))
-                for i in range(len(xs))]
-
-
-class _SpatiallyConstant(VectorPotential):
-    """A that does not vary in space: zero divergence and jacobian.
-    components(t, dim), A at t as dim floats, is the one way it is read:
-    by the Strang step, the residual, the classical orbit and value()."""
-
-    def components(self, t: float, dim: int) -> tuple[float, ...]:
-        raise NotImplementedError
-
-    def value(self, xs, t):
-        return tuple(_constant(c, a) for c, a in zip(xs, self.components(t, len(xs))))
-
-    def divergence(self, xs, t):
-        return _constant(xs[0])
-
-    def jacobian(self, xs, t):
-        z = _constant(xs[0])
-        return [[z.copy() for _ in xs] for _ in xs]
-
-
 @dataclass
-class ZeroVector(_SpatiallyConstant):
-    def components(self, t, dim):
-        return (0.0,) * dim
-
-
-@dataclass
-class UniformVector(_SpatiallyConstant):
-    """Spatially uniform A(t), one component per axis; the only vector form
-    the propagator accepts."""
+class UniformVector:
+    """Spatially uniform A(t), one component per axis: the one vector
+    potential of the package.  components(t, dim), A at t as dim floats,
+    is the one way it is read, by the Strang step, the residuals and the
+    classical orbit; a uniform A has no divergence and no jacobian."""
 
     a_of_t: Callable[[float], Sequence[float]]
 
-    def components(self, t, dim):
+    def components(self, t: float, dim: int) -> tuple[float, ...]:
         comps = tuple(float(c) for c in np.atleast_1d(self.a_of_t(t)))
         if len(comps) != dim:
             raise ValueError("vector potential dimension mismatch")
@@ -573,13 +538,14 @@ class UniformVector(_SpatiallyConstant):
 
 
 @dataclass
-class ExpressionVector(VectorPotential):
-    fn: Callable  # fn(xs, t) -> tuple of component arrays
+class ZeroVector(UniformVector):
+    """A = 0, in any dimension: components() gives dim zeros, so a_of_t is
+    never read."""
 
-    def value(self, xs, t):
-        comps = self.fn(xs, t)
-        return tuple(np.broadcast_to(np.asarray(c, dtype=float), np.asarray(xs[0]).shape).copy()
-                     for c in comps)
+    a_of_t: Callable[[float], Sequence[float]] = field(default=lambda t: 0.0, repr=False)
+
+    def components(self, t, dim):
+        return (0.0,) * dim
 
 
 @dataclass
@@ -587,4 +553,4 @@ class PotentialSpec:
     """Bundle of the scalar and vector external fields."""
 
     scalar: ScalarPotential = field(default_factory=ZeroScalar)
-    vector: VectorPotential = field(default_factory=ZeroVector)
+    vector: UniformVector = field(default_factory=ZeroVector)

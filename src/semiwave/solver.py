@@ -10,6 +10,15 @@ and a second local half step with the modulus refreshed.  Every factor is
 a pure phase, so each step preserves the norm to rounding.  The steps are
 core._Schedule's, which the classical orbit walks too.
 
+A is uniform in space (core.UniformVector), and the plan and the residual
+both read it through its components(t, dim).  The kinetic operator is
+then diagonal in Fourier space, with symbol sum_j (hbar k_j - a_j)^2: the
+kinetic step multiplies by the exponential of that symbol with A sampled
+at the step's midpoint, and the residual by the symbol itself, each
+between one n-D FFT pair.  Under such an A a solution is the A = 0 one
+moved by (1/m) int a and rephased, which is how the propagator's A is
+checked; an x-dependent A would need another propagator and oracle.
+
 A run builds one propagator plan (_StrangPlan) per (grid, params, pot).
 It owns the work arrays that every step is written into and runs the
 transform pair in place, so only the snapshot states are fresh arrays.
@@ -40,12 +49,8 @@ again, so the abort names the step whose factor produced the fault.
 
 The residual evaluator applies the full operator to a sampled field and
 its time derivative.  It serves as the independent check that asymptotic
-constructions satisfy the equation to the advertised order.  For a
-spatially constant A (ZeroVector, UniformVector) the kinetic operator is
-diagonal in Fourier space, with symbol sum_j (hbar k_j - a_j)^2, and is
-applied as one n-D FFT pair; any other A takes two momentum passes per
-axis, which keep it exact for x-dependent A as well.  The Strang kinetic
-step, this diagonal operator and the momentum passes all go through
+constructions satisfy the equation to the advertised order.  The Strang
+kinetic step and the residual's diagonal kinetic operator both go through
 core._spectral_multiply.  Its FFT pair calls pocketfft's c2c kernel
 directly, for the same bits: scipy.fft.fftn's dispatch and argument
 checks cost about a sixth of a 1D step at ehrenfest's n = 2048.  The
@@ -60,10 +65,6 @@ positive quadrant alone: _spectral_multiply's cosine pair, a type-II DCT
 pair of size n/2 per axis, applies the kinetic operator there, the other
 terms are summed as above, and the relative residual is the ratio of the
 quadrant's sums.
-
-Propagation accepts only a spatially constant A (ZeroVector,
-UniformVector), read through its components(t, dim); the plan refuses
-any other when it is built.
 """
 
 from __future__ import annotations
@@ -81,9 +82,7 @@ from .core import (
     TIME_ATOL,
     ZeroScalar,
     _Schedule,
-    _SpatiallyConstant,
     _expi,
-    _momentum,
     _padded,
     _spectral_multiply,
     norm_squared,
@@ -182,12 +181,6 @@ class _StrangPlan:
     """
 
     def __init__(self, grid: Grid, params: PhysParams, pot: PotentialSpec, t0: float):
-        # the kinetic factor diagonalises in Fourier space only for uniform A
-        if not isinstance(pot.vector, _SpatiallyConstant):
-            raise ValueError(
-                "propagation supports only spatially uniform vector "
-                "potentials; supply A as a function of time alone"
-            )
         self.params = params
         self.pot = pot
         self.xs = np.ix_(*grid.axes())
@@ -319,28 +312,13 @@ def evolve(psi0: ComplexField, config: SolverConfig) -> EvolutionRecord:
 
 def _kinetic_apply(values: np.ndarray, grid: Grid, pot: PotentialSpec,
                    t: float, params: PhysParams) -> np.ndarray:
-    """(-i hbar grad - A)^2 applied spectrally.
-
-    A spatially constant A makes the operator diagonal in Fourier space:
-    it is applied as one multiply by sum_j (hbar k_j - a_j)^2 between one
-    n-D FFT pair.  Any other A takes two momentum passes per axis, which
-    keep the operator exact for spatially varying A as well; the residual
-    evaluator supports that even though propagation does not.
-    """
-    hbar = params.hbar
-    if isinstance(pot.vector, _SpatiallyConstant):
-        a = pot.vector.components(t, grid.dim)
-        symbol = 0.0
-        for ax, a_ax in enumerate(a):
-            symbol = symbol + (hbar * grid.axis_wavenumber(ax) - a_ax) ** 2
-        return _spectral_multiply(values, symbol)
-    xs = grid.mesh()
-    a = tuple(np.asarray(c, dtype=float) for c in pot.vector.value(xs, t))
-    out = np.zeros_like(values)
-    for ax in range(grid.dim):
-        chi = _momentum(values, grid, hbar, ax) - a[ax] * values
-        out = out + _momentum(chi, grid, hbar, ax) - a[ax] * chi
-    return out
+    """(-i hbar grad - A)^2 applied spectrally.  A uniform A makes it
+    diagonal in Fourier space: one multiply by sum_j (hbar k_j - a_j)^2,
+    with a = A(t), between one n-D FFT pair."""
+    symbol = 0.0
+    for ax, a_ax in enumerate(pot.vector.components(t, grid.dim)):
+        symbol = symbol + (params.hbar * grid.axis_wavenumber(ax) - a_ax) ** 2
+    return _spectral_multiply(values, symbol)
 
 
 def _add_local_terms(res: np.ndarray, vals: np.ndarray, dvals: np.ndarray, v,

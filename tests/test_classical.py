@@ -6,9 +6,6 @@ Oracles:
     p(t) = p0 cos t - x0 sin t; with a constant uniform A the same with
     p0 - A in place of p0, and p = A + (p0 - A) cos t - x0 sin t
   * uniform vector potential A: velocity is (p - A)/m while p stays fixed
-  * uniform magnetic field B in the symmetric gauge A = (B/2)(-y, x),
-    from the origin with p = (1, 0): x = sin(w t)/w, y = -(1 - cos w t)/w
-    with w = B/m, and the canonical momentum is m v + A
 """
 
 import inspect
@@ -23,7 +20,6 @@ from semiwave.classical import (
 )
 from semiwave.core import (
     ExpressionScalar,
-    ExpressionVector,
     HarmonicScalar,
     PotentialSpec,
     SeparatedScalar,
@@ -116,22 +112,6 @@ def test_uniform_vector_potential_velocity():
     assert end.x[0] == pytest.approx(4.0 * 0.375, abs=1e-10)
 
 
-def test_lorentz_force_circular_orbit():
-    # the only orbit test with a nonzero dA/dx; the jacobian of the
-    # expression form goes through the central-difference fallback
-    B, m = 2.0, 1.0
-    w = B / m
-    pot = PotentialSpec(vector=ExpressionVector(fn=lambda xs, t: (-0.5 * B * xs[1], 0.5 * B * xs[0])))
-    traj = integrate_bicharacteristic(PhasePoint(x=(0.0, 0.0), p=(1.0, 0.0)), 2.0 * np.pi / w,
-                                      1e-2, pot, m)
-    t, xy, p = traj.times(), traj.positions(), traj.momenta()
-    x, y = np.sin(w * t) / w, -(1.0 - np.cos(w * t)) / w
-    px, py = m * np.cos(w * t) - 0.5 * B * y, -m * np.sin(w * t) + 0.5 * B * x
-    # measured 4.2e-9 (positions) and 8.4e-9 (momenta) at dt = 1e-2: 2.4x margin
-    assert np.max(np.abs(xy - np.column_stack([x, y]))) < 1e-8
-    assert np.max(np.abs(p - np.column_stack([px, py]))) < 2e-8
-
-
 def test_last_step_is_shortened_to_land_on_t1():
     """The orbit walks the propagator's schedule: three steps of 0.3, then
     one of 0.1 that ends on t1 = 1 exactly.  Each RK4 step moves the unit
@@ -209,33 +189,6 @@ def test_2d_harmonic_with_uniform_vector_closed_form():
     # measured 4.3e-13 (positions) and 4.9e-13 (momenta): 5x margin
     assert np.max(np.abs(traj.positions() - x)) < 2.5e-12
     assert np.max(np.abs(traj.momenta() - p)) < 2.5e-12
-
-
-def test_spatially_constant_vector_skips_the_jacobian():
-    class NoJacobian(UniformVector):
-        def jacobian(self, xs, t):
-            raise AssertionError("the jacobian of a uniform A is zero by definition")
-
-    pot = PotentialSpec(scalar=HarmonicScalar(omega=(1.0,), center=(0.0,)),
-                        vector=NoJacobian(a_of_t=lambda t: (0.25,)))
-    end = integrate_bicharacteristic(PhasePoint(x=(1.0,), p=(0.25,)), 1.0, 1e-2, pot, 1.0)
-    assert end.positions()[-1, 0] == pytest.approx(np.cos(1.0), abs=1e-9)
-
-
-def test_expression_vector_calls_per_step():
-    """A 2D ExpressionVector is called 4 stages x (1 value + 2 axes x a
-    +-h pair for the jacobian) = 20 times per step, each time with 0-d
-    coordinates."""
-    seen = []
-
-    def fn(xs, t):
-        seen.append(tuple(np.ndim(c) for c in xs))
-        return (-xs[1], xs[0])
-
-    pot = PotentialSpec(vector=ExpressionVector(fn=fn))
-    integrate_bicharacteristic(PhasePoint(x=(0.0, 0.0), p=(1.0, 0.0)), 0.05, 1e-2, pot, 1.0)
-    assert len(seen) == 20 * 5
-    assert set(seen) == {(0, 0)}
 
 
 def test_overflow_in_a_float_spec_is_a_blowup():

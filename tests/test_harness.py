@@ -719,6 +719,30 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     assert (tmp_path / "plotdata" / "scaling.csv").is_file()
 
 
+def test_cli_run_ehrenfest_with_uniform_vector(tmp_path, capsys):
+    """The schema's uniform form is the config's one route to a nonzero A.
+    ehrenfest run through it passes every row, so the packet's centroid
+    follows an orbit that carries the A: in the unit well with a constant
+    a it is x0 cos t + (p0 - a) sin t, p = a + (p0 - a) cos t - x0 sin t
+    (at t = 1.5 its x is 0.25 from the A = 0 orbit's)."""
+    code = main([
+        "run", "ehrenfest", "--out", str(tmp_path),
+        "--override", "grid.n=512",
+        "--override", "params.r_values=[0.5]",
+        "--override", "solver.t_end=1.5",
+        "--override", "potential.vector={form: uniform, components: [0.25]}",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "\n2 rows, all passed; " in out
+    lines = (tmp_path / "plotdata" / "centroid.csv").read_text().splitlines()
+    t, _, _, cx, cp = (float(v) for v in lines[-1].split(","))
+    assert t == 1.5
+    # RK4 at dt = 1e-3: measured 2.5e-14 and 7.3e-15
+    assert cx == pytest.approx(2.0 * math.cos(t) + 0.25 * math.sin(t), abs=2.5e-13)
+    assert cp == pytest.approx(0.25 + 0.25 * math.cos(t) - 2.0 * math.sin(t), abs=2.5e-13)
+
+
 def test_cli_run_parses_once(tmp_path, monkeypatch):
     """`semiwave run` parses its configuration once, before any work, and
     runs the spec it checked."""
