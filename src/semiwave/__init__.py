@@ -10,7 +10,6 @@ tests.
 
 from semiwave.asymptotics import (
     Antiderivative,
-    CallableWkbFields,
     Class1Fields,
     Class1Params,
     Class2Fields,
@@ -23,7 +22,6 @@ from semiwave.asymptotics import (
     WkbFields,
     assemble_leading_term,
     corrected_term_with_dt,
-    cylindrical_special,
     hj_residual,
     leading_term_time_derivative,
     one_soliton,
@@ -61,7 +59,6 @@ from semiwave.solver import (
 
 __all__ = [
     "Antiderivative",
-    "CallableWkbFields",
     "Class1Fields",
     "Class1Params",
     "Class2Fields",
@@ -87,7 +84,6 @@ __all__ = [
     "compute_moment_record",
     "concentration_scaling",
     "corrected_term_with_dt",
-    "cylindrical_special",
     "evolve",
     "fit_scaling",
     "hj_residual",

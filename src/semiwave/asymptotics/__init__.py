@@ -2,7 +2,6 @@
 and the first correction."""
 
 from semiwave.asymptotics.fields import (
-    CallableWkbFields,
     FieldJet,
     WkbFields,
     assemble_leading_term,
@@ -20,7 +19,6 @@ from semiwave.asymptotics.families import (
     CylindricalParams,
     SolitonFields,
     SolitonParams,
-    cylindrical_special,
     one_soliton,
 )
 from semiwave.asymptotics.quadrature import Antiderivative
@@ -29,14 +27,10 @@ from semiwave.asymptotics.residuals import (
     hj_residual,
     transport_residuals,
 )
-from semiwave.asymptotics.corrections import (
-    corrected_term_with_dt,
-    first_correction_uv,
-)
+from semiwave.asymptotics.corrections import corrected_term_with_dt
 
 __all__ = [
     "Antiderivative",
-    "CallableWkbFields",
     "Class1Fields",
     "Class1Params",
     "Class2Fields",
@@ -49,10 +43,8 @@ __all__ = [
     "WkbFields",
     "assemble_leading_term",
     "corrected_term_with_dt",
-    "cylindrical_special",
     "envelope_amplitude",
     "envelope_rho",
-    "first_correction_uv",
     "first_integral_residual",
     "hj_residual",
     "leading_term_time_derivative",

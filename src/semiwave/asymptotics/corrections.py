@@ -99,18 +99,6 @@ def _zero_where(tiny, *arrays):
     return arrays
 
 
-def first_correction_uv(jet: FieldJet, pot: PotentialSpec, params: PhysParams,
-                        C1: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the first correction at the jet's sample
-    points and time, under the external field pot, with the free constant C1.
-
-    Where the envelope has underflowed (rho below 1e-300) the correction is
-    set to zero; the field carries no weight there.
-    """
-    u, v, _, _, _, tiny = _correction(jet, pot, params, C1)
-    return _zero_where(tiny, u, v)
-
-
 def corrected_term_with_dt(w: WkbFields, jet: FieldJet, psi: ComplexField,
                            dpsi: ComplexField, params: PhysParams,
                            C1: float = 0.0) -> tuple[ComplexField, ComplexField]:

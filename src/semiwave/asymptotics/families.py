@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from semiwave.core import (ComplexField, Grid, PhysParams, PotentialSpec, ScalarPotential,
-                           ZeroScalar, _diff, _expi)
+                           ZeroScalar, _expi)
 from semiwave.asymptotics.fields import FieldJet, WkbFields, _sech
 from semiwave.asymptotics.quadrature import Antiderivative
 
@@ -49,7 +49,8 @@ class SolitonParams:
     """Soliton family: half the carrier slope is xi, half the envelope
     slope is eta, x0 centres the envelope at t = 0 and phi0 is a global
     phase.  The optional analytic profile f adds a first-order dressing
-    evaluated along the complex characteristic x - a t."""
+    evaluated along the complex characteristic x - a t; it comes with its
+    derivative fprime, which the jet's slopes and time derivatives read."""
 
     xi: float
     eta: float
@@ -61,6 +62,8 @@ class SolitonParams:
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError("soliton needs eta > 0 (envelope slope)")
+        if self.f is not None and self.fprime is None:
+            raise ValueError("soliton dressing f needs its derivative fprime")
 
 
 class SolitonFields(WkbFields):
@@ -91,9 +94,7 @@ class SolitonFields(WkbFields):
         if self.sp.f is None:
             return 0j
         zeta = np.asarray(xs[0], dtype=complex) - self.a * t
-        if self.sp.fprime is not None:
-            return np.asarray(self.sp.fprime(zeta), dtype=complex)
-        return _diff(self.sp.f, zeta)
+        return np.asarray(self.sp.fprime(zeta), dtype=complex)
 
     def jet(self, xs, t) -> FieldJet:
         x = np.asarray(xs[0], dtype=float)
@@ -388,32 +389,3 @@ class CylindricalFields(WkbFields):
         return dict(dS=(0.0, 0.0), dsigma=(cp.c1 * ex, cp.c1 * ey),
                     dS1=(c * ex, c * ey), dsigma1=(c_sigma1 * ex, c_sigma1 * ey),
                     lap_S=0.0, lap_sigma=cp.c1 / r, dg=(0.0, 0.0))
-
-
-def cylindrical_special(cp: CylindricalParams, grid: Grid, t: float,
-                        params: PhysParams) -> ComplexField:
-    """Closed-form ring state
-
-        (c1/sqrt(2 m r)) sech[(c1/hbar + a2) rad + c1 b1 t + log(rad)/2
-                              + a1/hbar + a3]
-        * exp{i [(c1^2/(2 m hbar) + a2 c1/m) t - m b1 rad + c2/hbar + c3]}
-
-    on an axis-offset grid (rad denotes the distance from the axis).
-    """
-    if not params.r > 0:
-        raise ValueError("ring amplitude needs r > 0")
-    if grid.dim != 2:
-        raise ValueError("the radial family lives on a two-dimensional grid")
-    m, hbar = params.mass, params.hbar
-    X, Y = grid.mesh()
-    rad = np.sqrt(X * X + Y * Y)
-    if np.any(rad == 0.0):
-        raise ValueError("grid samples the symmetry axis; use an axis-offset grid")
-    amp = cp.c1 / np.sqrt(2.0 * m * params.r)
-    theta = (cp.c1 / hbar + cp.a2) * rad + cp.c1 * cp.b1 * t + 0.5 * np.log(rad) \
-        + cp.a1 / hbar + cp.a3
-    phase = (cp.c1**2 / (2.0 * m * hbar) + cp.a2 * cp.c1 / m) * t \
-        - m * cp.b1 * rad + cp.c2 / hbar + cp.c3
-    psi = _expi(phase)
-    return ComplexField(grid, np.multiply(amp * _sech(theta), psi, out=psi),
-                        time=t, hbar=hbar)

@@ -14,9 +14,9 @@ and g = (grad sigma)^2 with its time derivative are computed with the jet;
 the seven spatial-derivative entries come from one derivative block that
 the family supplies and the jet evaluates on first read, at most once.  The
 shipped families compute their jets in closed form from shared
-intermediates; CallableWkbFields takes the derivatives by central
-differences through the package's one difference pair, `core._diff` (first
-derivatives in x and t) and `core._diff2` (second derivatives in x).
+intermediates; no jet entry is taken by differences.  The tests check each
+family's entries against a difference-quotient jet of its own values, a
+reference that lives with the tests and shares no code with the families.
 
 A jet holds its (xs, t), and the consumers below read a jet, not the
 fields, so a caller that needs the state, its time derivative and the
@@ -41,8 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from semiwave.core import (ComplexField, Grid, PhysParams, PotentialSpec, _along, _diff,
-                           _diff2, _expi)
+from semiwave.core import ComplexField, Grid, PhysParams, PotentialSpec, _expi
 
 _THETA_GUARD = 300.0
 
@@ -113,45 +112,6 @@ class WkbFields:
 
     def jet(self, xs, t) -> FieldJet:
         raise NotImplementedError
-
-
-def _grad(f, xs, t, dim):
-    return tuple(_diff(*_along(f, xs, t, ax)) for ax in range(dim))
-
-
-class CallableWkbFields(WkbFields):
-    """Fields built from plain callables f(xs, t); the jet takes every
-    derivative by central differences.  Meant for tests and experiments."""
-
-    def __init__(self, S, sigma, S1=None, sigma1=None, dim=1):
-        self.dim = dim
-        self._phases = tuple(
-            (lambda xs, t: 0.0) if f is None
-            else (lambda xs, t, f=f: np.asarray(f(xs, t), dtype=float))
-            for f in (S, sigma, S1, sigma1))
-
-    def jet(self, xs, t) -> FieldJet:
-        dim = self.dim
-        S, sigma, S1, sigma1 = self._phases
-
-        def g(ys, s):
-            return sum(c * c for c in _grad(sigma, ys, s, dim))
-
-        def lap(f):
-            return sum(_diff2(*_along(f, xs, t, ax)) for ax in range(dim))
-
-        def dt(f):
-            return _diff(lambda s: f(xs, s), t)
-
-        dsigma = _grad(sigma, xs, t, dim)
-        return FieldJet(
-            xs=xs, t=t, S=S(xs, t), sigma=sigma(xs, t), S1=S1(xs, t), sigma1=sigma1(xs, t),
-            S_t=dt(S), sigma_t=dt(sigma), S1_t=dt(S1), sigma1_t=dt(sigma1),
-            g=sum(c * c for c in dsigma), g_t=dt(g),
-            derivatives=lambda: dict(
-                dS=_grad(S, xs, t, dim), dsigma=dsigma,
-                dS1=_grad(S1, xs, t, dim), dsigma1=_grad(sigma1, xs, t, dim),
-                lap_S=lap(S), lap_sigma=lap(sigma), dg=_grad(g, xs, t, dim)))
 
 
 def _sech(z, out=None):
@@ -268,4 +228,3 @@ def leading_term_time_derivative(
     built in the array of the logarithmic derivative.
     """
     return psi.with_values(_time_derivative_values(jet, psi.values, params))
-

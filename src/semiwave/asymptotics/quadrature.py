@@ -9,9 +9,7 @@ integrand analytic on the interval the coefficients fall geometrically
 (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013,
 chs. 3 and 19), so those past the accepted degree, which set the error,
 are far smaller still: the shipped integrands stop at degree 64 with an
-error near rounding.  A slope taken by central differences (no v1_prime)
-carries rounding noise, and its coefficients level off there instead, at
-about 1e-11 of the largest.
+error near rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +18,10 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 # trailing coefficients below this fraction of the largest one count as
-# resolved; it sits above the noise level of a central-difference integrand
+# resolved.  Rounding stops the coefficients from falling further: those of
+# the separated families' integrands level off at 4e-15 to 3e-14 of the
+# largest (degrees 128 and 256), so a bound well above that floor ends the
+# doubling for every resolved integrand
 _TOL = 1e-10
 # chebinterpolate builds a (degree + 1)^2 Vandermonde matrix: 8 MiB here
 _MAX_DEGREE = 1024

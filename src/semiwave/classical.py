@@ -72,14 +72,6 @@ class Trajectory:
         return self.p
 
 
-def classical_hamiltonian(point: PhasePoint, pot: PotentialSpec, mass: float) -> float:
-    """H(x, p, t) = (p - A)^2/(2m) + V."""
-    v = float(pot.scalar.value(point.x, point.t))
-    a = pot.vector.components(point.t, point.dim)
-    kin = sum((pj - aj) ** 2 for pj, aj in zip(point.p, a)) / (2.0 * mass)
-    return kin + v
-
-
 def _rhs(x: tuple[float, ...], p: tuple[float, ...], t: float, pot: PotentialSpec,
          mass: float):
     """Right-hand side (dx/dt, dp/dt) of the characteristic system at the

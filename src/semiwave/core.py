@@ -173,7 +173,12 @@ class PhysParams:
 class ComplexField:
     """Complex scalar field sampled on a grid at one instant.  Refuses
     non-finite values and a non-finite time, which no time check could
-    then compare."""
+    then compare.
+
+    A complex128 array is taken as it is, without a copy, and is made
+    read-only: the caller's own array can no longer be written.  The
+    propagator's snapshots rely on this to keep a state without copying
+    it; any other input is converted into a new array."""
 
     grid: Grid
     values: np.ndarray
@@ -387,32 +392,20 @@ class _Schedule:
 # Potential specifications
 #
 # The scalar part V(x, t) and the vector part A(t) of the external field
-# are given as small spec objects.  Built-in scalar forms carry analytic
-# gradients; ExpressionScalar falls back on central differences.  `_diff` and
-# `_diff2` below are the package's one first- and second-difference pair:
-# every derivative fallback, here and in the asymptotics, goes through them.
+# are given as small spec objects.  Every scalar form that is asked for
+# its gradient carries an analytic one: the classical orbit and the
+# separated families read it, and no difference quotient stands in for it.
+# `_diff` below is the package's one central difference; its one caller is
+# the explicit time derivative of the first correction's coefficients
+# (`asymptotics.corrections.corrected_term_with_dt`).
 
 _FD_STEP = 1e-6
-_FD_STEP2 = 1e-4  # second differences lose digits at the first-order step
 
 
 def _diff(f: Callable, x):
     """Central first difference of f at x, relative step _FD_STEP*(1 + |x|)."""
     h = _FD_STEP * (1.0 + np.abs(x))
     return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def _diff2(f: Callable, x):
-    """Central second difference of f at x, relative step _FD_STEP2*(1 + |x|)."""
-    h = _FD_STEP2 * (1.0 + np.abs(x))
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
-def _along(f: Callable, xs: Sequence, t: float, axis: int):
-    """f(xs, t) as a function of coordinate `axis` alone, and that coordinate:
-    `_diff(*_along(f, xs, t, axis))` is the partial derivative along it."""
-    xs = tuple(np.asarray(c, dtype=float) for c in xs)
-    return (lambda s: f(xs[:axis] + (s,) + xs[axis + 1:], t)), xs[axis]
 
 
 def _constant(like, value: float = 0.0) -> np.ndarray:
@@ -434,7 +427,7 @@ class ScalarPotential:
         raise NotImplementedError
 
     def gradient(self, xs: tuple[np.ndarray, ...], t: float) -> tuple[np.ndarray, ...]:
-        return tuple(_diff(*_along(self.value, xs, t, ax)) for ax in range(len(xs)))
+        raise NotImplementedError(f"{type(self).__name__} carries no analytic gradient")
 
 
 @dataclass
@@ -482,16 +475,13 @@ class HarmonicScalar(ScalarPotential):
 
 @dataclass
 class SeparatedScalar(ScalarPotential):
-    """V = v1(x) for one-dimensional separated families.
-
-    v1_prime is optional; when absent the gradient falls back on central
-    differences of v1.
-    """
+    """V = v1(x) for one-dimensional separated families, with its slope
+    v1_prime."""
 
     static = True
 
     v1: Callable[[np.ndarray], np.ndarray]
-    v1_prime: Callable[[np.ndarray], np.ndarray] | None = None
+    v1_prime: Callable[[np.ndarray], np.ndarray]
 
     def value(self, xs, t):
         x = np.asarray(xs[0], dtype=float)
@@ -499,15 +489,15 @@ class SeparatedScalar(ScalarPotential):
 
     def gradient(self, xs, t):
         x = np.asarray(xs[0], dtype=float)
-        if self.v1_prime is not None:
-            return (np.asarray(self.v1_prime(x), dtype=float),)
-        return (_diff(self.v1, x),)
+        return (np.asarray(self.v1_prime(x), dtype=float),)
 
 
 @dataclass
 class ExpressionScalar(ScalarPotential):
-    """Arbitrary closed-form V(xs, t) given as a callable; gradient by
-    central differences unless an analytic one is supplied."""
+    """Arbitrary closed-form V(xs, t) given as a callable fn, and its
+    gradient as a callable grad returning one array per axis.  grad may be
+    left out where only V is read (the propagator and the operator
+    residual); reading the gradient then raises."""
 
     fn: Callable
     grad: Callable | None = None
@@ -516,9 +506,9 @@ class ExpressionScalar(ScalarPotential):
         return np.asarray(self.fn(xs, t), dtype=float)
 
     def gradient(self, xs, t):
-        if self.grad is not None:
-            return tuple(np.asarray(g, dtype=float) for g in self.grad(xs, t))
-        return super().gradient(xs, t)
+        if self.grad is None:
+            return super().gradient(xs, t)
+        return tuple(np.asarray(g, dtype=float) for g in self.grad(xs, t))
 
 
 @dataclass

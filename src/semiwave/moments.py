@@ -95,12 +95,18 @@ def fit_scaling(hbars, values) -> ScalingReport:
                          intercept=float(intercept))
 
 
+def _total(dens: np.ndarray) -> float:
+    """Sum of a density; refuses an identically zero field."""
+    total = float(np.sum(dens))
+    if total == 0.0:
+        raise ValueError("field is identically zero; not a usable state")
+    return total
+
+
 def mean_position(psi: ComplexField) -> np.ndarray:
     """Density-weighted mean of each coordinate."""
     dens = psi.density()
-    total = np.sum(dens)
-    if total == 0.0:
-        raise ValueError("field is identically zero; not a usable state")
+    total = _total(dens)
     xs = psi.grid.mesh()
     return np.array([float(np.sum(x * dens) / total) for x in xs])
 
@@ -228,8 +234,9 @@ def mass_within_radius(psi: ComplexField, radius: float, center=None) -> float:
     xs = psi.grid.mesh()
     dist_sq = sum((x - c) ** 2 for x, c in zip(xs, center))
     dens = psi.density()
+    total = _total(dens)
     inside = float(np.sum(np.where(dist_sq <= radius * radius, dens, 0.0)))
-    return inside / float(np.sum(dens))
+    return inside / total
 
 
 def _width_observable(psi: ComplexField, z: PhasePoint | None, observable: str) -> float:

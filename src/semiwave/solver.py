@@ -108,7 +108,9 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if int(self.snapshot_every) != self.snapshot_every or self.snapshot_every < 1:
+        every = self.snapshot_every
+        if isinstance(every, bool) or not np.isfinite(every) or int(every) != every \
+                or every < 1:
             raise ValueError(
                 f"snapshot_every must be a positive integer, got {self.snapshot_every}"
             )

@@ -29,7 +29,6 @@ from semiwave.core import (
 )
 from semiwave.asymptotics import (
     Antiderivative,
-    CallableWkbFields,
     Class1Fields,
     Class1Params,
     Class2Fields,
@@ -43,14 +42,15 @@ from semiwave.asymptotics import (
     assemble_leading_term,
     corrected_term_with_dt,
     envelope_rho,
-    first_correction_uv,
     first_integral_residual,
     hj_residual,
     leading_term_time_derivative,
-    one_soliton,
     psi_via_representation,
     transport_residuals,
 )
+from semiwave.asymptotics.corrections import _correction, _zero_where
+
+from oracles import CallableWkbFields
 
 HALF_FOCUSING = PhysParams(hbar=1.0, mass=1.0, r=0.5)
 
@@ -65,7 +65,8 @@ def make_family(name, params):
     v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
     if name == "soliton":
         sp = SolitonParams(xi=0.25, eta=0.5, phi0=0.3,
-                           f=lambda z: 0.1 * z + 0.05 * np.sin(z))
+                           f=lambda z: 0.1 * z + 0.05 * np.sin(z),
+                           fprime=lambda z: 0.1 + 0.05 * np.cos(z))
         w = SolitonFields(sp, params.mass)
         return w, make_uniform_grid(1, -20.0, 20.0, 1024), PotentialSpec()
     if name == "class1":
@@ -80,6 +81,15 @@ def make_family(name, params):
 
 
 FAMILIES = ["soliton", "class1", "class2", "radial"]
+
+
+def first_correction_uv(jet, pot, params, C1=0.0):
+    """Real and imaginary parts u, v of the first correction at the jet's
+    sample points, under pot, with the free constant C1; zero where the
+    envelope has underflowed.  The library returns them only multiplied
+    into psi (corrected_term_with_dt)."""
+    u, v, _, _, _, tiny = _correction(jet, pot, params, C1)
+    return _zero_where(tiny, u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,14 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from semiwave.asymptotics.families import (
-    Class1Fields,
-    Class1Params,
-    Class2Fields,
-    Class2Params,
-    SolitonFields,
-    SolitonParams,
-)
+from semiwave.asymptotics.families import SolitonParams
 from semiwave.core import (
     ComplexField,
     ExpressionScalar,
-    Grid,
     HarmonicScalar,
     PhysParams,
     PotentialSpec,
+    ScalarPotential,
     SeparatedScalar,
     UniformVector,
     ZeroScalar,
@@ -314,69 +307,6 @@ def test_harmonic_potential_needs_one_omega_per_axis():
         pot.gradient((X, Y), 0.0)
 
 
-_X = np.linspace(-3.0, 3.0, 7)
-_MESH = tuple(np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 3.0, 9), indexing="ij"))
-_XF = np.linspace(-2.5, 2.5, 101)
-_PARAMS = PhysParams(hbar=0.1, mass=1.0, r=0.5)
-
-
-def _separated_scalar():
-    v1 = lambda x: 0.1 * x**2
-    return (SeparatedScalar(v1=v1).gradient((_X,), 0.0),
-            SeparatedScalar(v1=v1, v1_prime=lambda x: 0.2 * x).gradient((_X,), 0.0))
-
-
-def _expression_scalar():
-    X, Y = _MESH
-    pot = ExpressionScalar(fn=lambda xs, t: np.sin(xs[0]) * np.cos(xs[1]) + t * xs[0] ** 2)
-    return (pot.gradient(_MESH, 0.5),
-            (np.cos(X) * np.cos(Y) + X, -np.sin(X) * np.sin(Y)))
-
-
-def _family(build):
-    """The family built without v1_prime against the same family with it."""
-    v1, v1_prime = (lambda x: 0.3 * np.cos(x)), (lambda x: -0.3 * np.sin(x))
-    jets = (build(SeparatedScalar(v1)).jet((_XF,), 0.0),
-            build(SeparatedScalar(v1, v1_prime)).jet((_XF,), 0.0))
-    return [np.broadcast_arrays(jet.dsigma1[0], jet.lap_sigma, jet.lap_S) for jet in jets]
-
-
-def _class1():
-    return _family(lambda v1: Class1Fields(
-        Class1Params(c1=1.0, c2=0.2), (-3.0, 3.0), _PARAMS.mass, v1=v1))
-
-
-def _class2():
-    return _family(lambda v1: Class2Fields(
-        Class2Params(c1=0.8, c3=0.5, a1=0.1, a2=0.2), (-3.0, 3.0), _PARAMS.mass, v1=v1))
-
-
-def _soliton():
-    f = lambda z: 0.1 * np.sin(z)
-    fd = SolitonFields(SolitonParams(xi=0.3, eta=0.5, f=f), 1.0)
-    exact = SolitonFields(SolitonParams(xi=0.3, eta=0.5, f=f, fprime=lambda z: 0.1 * np.cos(z)), 1.0)
-    return [[jet.dS1[0], jet.dsigma1[0], jet.S1_t, jet.sigma1_t]
-            for jet in (fd.jet((_XF,), 0.3), exact.jet((_XF,), 0.3))]
-
-
-# Each bound is the measured error times a margin of about 10; the error is
-# max |fallback - closed form| / (1 + max |closed form|), rounding in a
-# central difference of step 1e-6 relative.
-FALLBACKS = [
-    pytest.param(_separated_scalar, 1.1e-10, id="separated-scalar"),  # measured 1.08e-11
-    pytest.param(_expression_scalar, 4.2e-10, id="expression-scalar"),  # measured 4.18e-11
-    pytest.param(_class1, 1.2e-10, id="class1-family"),  # measured 1.11e-11
-    pytest.param(_class2, 1.1e-10, id="class2-family"),  # measured 1.01e-11
-    pytest.param(_soliton, 7.0e-11, id="soliton-dressing"),  # measured 6.83e-12
-]
-
-
-@pytest.mark.parametrize("case, bound", FALLBACKS)
-def test_fd_fallback_matches_closed_form(case, bound):
-    approx, exact = (np.asarray(v, dtype=float) for v in case())
-    assert np.max(np.abs(approx - exact)) / (1.0 + np.max(np.abs(exact))) < bound
-
-
 def test_potential_spec_shapes_and_uniform_vector():
     g = make_uniform_grid(1, -5.0, 5.0, 64)
     spec = PotentialSpec(
@@ -407,5 +337,25 @@ def test_static_flag_of_scalar_potentials():
     propagator samples those once per run."""
     assert ZeroScalar().static
     assert HarmonicScalar(omega=(1.0,), center=(0.0,)).static
-    assert SeparatedScalar(v1=lambda x: x ** 2).static
+    assert SeparatedScalar(v1=lambda x: x ** 2, v1_prime=lambda x: 2.0 * x).static
     assert not ExpressionScalar(fn=lambda xs, t: xs[0] ** 2).static
+
+
+def test_every_gradient_is_analytic():
+    """No derivative is taken by differences: a scalar form without an
+    analytic gradient refuses, by its class name, to give one;
+    SeparatedScalar needs v1_prime, and a dressed soliton needs fprime."""
+    xs = (np.linspace(-1.0, 1.0, 5),)
+
+    class Bare(ScalarPotential):
+        def value(self, xs, t):
+            return xs[0] ** 2
+
+    with pytest.raises(NotImplementedError, match="Bare carries no analytic gradient"):
+        Bare().gradient(xs, 0.0)
+    with pytest.raises(NotImplementedError, match="ExpressionScalar carries no"):
+        ExpressionScalar(fn=lambda xs, t: xs[0] ** 2).gradient(xs, 0.0)
+    with pytest.raises(TypeError, match="v1_prime"):
+        SeparatedScalar(v1=lambda x: x ** 2)
+    with pytest.raises(ValueError, match="fprime"):
+        SolitonParams(xi=0.3, eta=0.5, f=np.sin)

@@ -28,7 +28,6 @@ from semiwave.core import (
     norm_squared,
 )
 from semiwave.asymptotics import (
-    CallableWkbFields,
     Class1Fields,
     Class1Params,
     Class2Fields,
@@ -38,13 +37,14 @@ from semiwave.asymptotics import (
     SolitonFields,
     SolitonParams,
     assemble_leading_term,
-    cylindrical_special,
     envelope_rho,
     hj_residual,
     leading_term_time_derivative,
     one_soliton,
     transport_residuals,
 )
+
+from oracles import CallableWkbFields, cylindrical_special
 
 HALF_FOCUSING = PhysParams(hbar=1.0, mass=1.0, r=0.5)
 
@@ -102,7 +102,8 @@ def test_soliton_real_linear_dressing():
     grid = make_uniform_grid(1, -20.0, 20.0, 1024)
     x = grid.axes()[0]
     plain = one_soliton(SolitonParams(xi=0.25, eta=0.5), grid, 0.0, HALF_FOCUSING)
-    dressed = one_soliton(SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.1 * z),
+    dressed = one_soliton(SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.1 * z,
+                                        fprime=lambda z: np.full_like(z, 0.1)),
                           grid, 0.0, HALF_FOCUSING)
     assert np.max(np.abs(np.abs(dressed.values) - np.abs(plain.values))) < 1e-13
     ratio = dressed.values / plain.values
@@ -121,7 +122,8 @@ def test_one_soliton_matches_assembled_field():
     paths and must agree pointwise, dressing included."""
     grid = make_uniform_grid(1, -20.0, 20.0, 2048)
     sp = SolitonParams(xi=0.25, eta=0.5, phi0=0.3,
-                       f=lambda z: 0.1 * z + 0.05 * np.sin(z))
+                       f=lambda z: 0.1 * z + 0.05 * np.sin(z),
+                       fprime=lambda z: 0.1 + 0.05 * np.cos(z))
     params = PhysParams(hbar=0.25, mass=1.0, r=0.5)
     w = SolitonFields(sp, params.mass)
     a = assemble_leading_term(w.jet(grid.mesh(), 0.7), grid, params)
@@ -156,7 +158,7 @@ def test_class1_arcsine_envelope_oracle():
 
 def test_class1_rejects_nonpositive_depth():
     """c1 + v1 dips below zero on a wide interval, leaving no real slope."""
-    v1 = SeparatedScalar(v1=lambda x: -0.5 * x * x)
+    v1 = SeparatedScalar(v1=lambda x: -0.5 * x * x, v1_prime=lambda x: -x)
     with pytest.raises(ValueError):
         Class1Fields(Class1Params(c1=0.5), (-4.0, 4.0), 1.0, v1=v1)
 
@@ -347,7 +349,8 @@ JET_ENTRIES = ("S", "sigma", "S1", "sigma1", "S_t", "sigma_t", "S1_t", "sigma1_t
 def _sampled_family(family, params, rng):
     """A family with 100 random interior sample points."""
     if family == "soliton":
-        sp = SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.1 * np.sin(z))
+        sp = SolitonParams(xi=0.25, eta=0.5, f=lambda z: 0.1 * np.sin(z),
+                           fprime=lambda z: 0.1 * np.cos(z))
         return SolitonFields(sp, params.mass), (rng.uniform(-8.0, 8.0, 100),)
     v1 = SeparatedScalar(v1=lambda x: 0.1 * x * x, v1_prime=lambda x: 0.2 * x)
     if family == "class1":

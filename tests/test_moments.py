@@ -332,6 +332,14 @@ def test_mass_within_radius_validation():
         mass_within_radius(fld, 1.0, center=(0.0, 0.0))
 
 
+def test_mass_within_radius_refuses_a_zero_field_with_or_without_center():
+    fld = soliton_field(1.0)
+    zero = fld.with_values(np.zeros(fld.grid.shape))
+    for center in (None, (0.0,)):
+        with pytest.raises(ValueError, match="field is identically zero"):
+            mass_within_radius(zero, 1.0, center=center)
+
+
 # ---------------------------------------------------------------------------
 # moment equations along an evolution
 

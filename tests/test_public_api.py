@@ -5,6 +5,9 @@ A name in the `__all__` of `semiwave`, `semiwave.asymptotics` or
 the library outside its `__init__` files or in the benchmark scripts under
 `perfbench/` (its tests excluded).  A public path that only tests reach is
 either given a user or removed; the allowlist names the few kept on purpose.
+Reference code that only tests call lives in tests/oracles.py, which in
+turn reads only public names, so an oracle cannot share a formula with the
+code it checks.
 """
 
 import ast
@@ -17,14 +20,7 @@ import semiwave.harness
 ROOT = Path(__file__).resolve().parents[1]
 
 # name -> why it stays public with no user outside the tests
-ALLOWED = {
-    "CallableWkbFields": "finite-difference reference jet that the family tests "
-                         "compare the closed-form jets against",
-    "cylindrical_special": "closed-form radial solution that the ring family is "
-                           "checked against",
-    "first_correction_uv": "the correction tests read u and v, which "
-                           "corrected_term_with_dt returns only multiplied into psi",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _sources():
@@ -56,3 +52,40 @@ def test_allowlist_names_only_unused_exports():
     exported = {*semiwave.__all__, *semiwave.asymptotics.__all__, *semiwave.harness.__all__}
     assert set(ALLOWED) <= exported
     assert not set(ALLOWED) & _referenced()
+
+
+def _private_semiwave_imports(tree: ast.AST) -> list[str]:
+    """Underscore-prefixed names that a module takes from semiwave: a
+    private module or name in an import, or a private attribute of a name
+    bound to a semiwave module."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "semiwave":
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if any(part.startswith("_") for part in [*node.module.split("."), a.name])]
+            modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "semiwave":
+                    found += [a.name] if any(p.startswith("_") for p in a.name.split(".")) else []
+                    modules.add(a.asname or a.name.split(".")[0])
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")]
+    return found
+
+
+def test_oracles_read_only_public_names():
+    """tests/oracles.py takes nothing private from semiwave, so its central
+    differences, sech and phase factor are its own."""
+    path = ROOT / "tests" / "oracles.py"
+    assert _private_semiwave_imports(ast.parse(path.read_text())) == []
+
+
+def test_private_import_check_sees_each_form():
+    for source in ("from semiwave.core import _diff",
+                   "from semiwave.asymptotics.fields import _sech",
+                   "import semiwave.core as core\ncore._expi(0.0)",
+                   "from semiwave import core\ncore._diff"):
+        assert _private_semiwave_imports(ast.parse(source)), source
+    assert _private_semiwave_imports(ast.parse("from semiwave.core import PhysParams")) == []

@@ -619,6 +619,17 @@ def test_config_validation():
         SolverConfig(dt=1e-3, t_end=1.0, snapshot_every=1, params=None)
 
 
+@pytest.mark.parametrize("every", [float("inf"), float("nan"), True, 2.5, 0])
+def test_config_refuses_a_bad_snapshot_stride_by_name(every):
+    """A stride that is not a positive whole number is refused with the
+    key's name: an infinite or NaN one does not reach int(), and a bool is
+    not taken as 1."""
+    params = PhysParams(hbar=1.0, mass=1.0, r=0.0)
+    with pytest.raises(ValueError, match=f"snapshot_every must be a positive integer, "
+                                         f"got {every}"):
+        SolverConfig(dt=1e-3, t_end=1.0, snapshot_every=every, params=params)
+
+
 # ---------------------------------------------------------------------------
 # residual evaluator
 
