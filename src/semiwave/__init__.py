@@ -97,6 +97,7 @@ __all__ = [
     "norm_squared",
     "one_soliton",
     "relative_residual",
+    "transport_residuals",
 ]
 
 __version__ = "0.1.0"

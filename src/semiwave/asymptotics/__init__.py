@@ -50,4 +50,5 @@ __all__ = [
     "leading_term_time_derivative",
     "one_soliton",
     "psi_via_representation",
+    "transport_residuals",
 ]

@@ -7,10 +7,11 @@ functions below take the mass alone and not the full parameter bundle:
 there is no way to pass the nonlinearity in.
 
 Orbits run on tuples of Python floats: the scalar spec's value and
-gradient receive the position as one float per coordinate, return 0-d
-values, and are read with float().  A is uniform in space (UniformVector),
-read through its components(t, dim): it shifts the velocity to (p - A)/m
-and, having no jacobian, exerts no force, so p changes under -grad V alone.
+gradient receive the position as one float per coordinate, return floats
+or 0-d values, and are read with float().  A is uniform in space
+(UniformVector), read through its components(t, dim): it shifts the
+velocity to (p - A)/m and, having no jacobian, exerts no force, so p
+changes under -grad V alone.
 """
 
 from __future__ import annotations

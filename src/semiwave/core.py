@@ -279,7 +279,10 @@ def _spectral_multiply(values: np.ndarray, multiplier, axes=None,
     """Apply the operator that is diagonal in Fourier space with symbol
     `multiplier` (broadcast against values) through one transform pair
     along `axes`, all of them by default: the one spectral multiply of the
-    package.
+    package.  multiplier is one array or a tuple of factors, which
+    multiply the spectrum in turn, in place, as spectrum times factor; a
+    symbol that is a product of per-axis factors so needs no product of
+    the grid's size.
 
     values are a whole periodic grid and multiplier is in fft ordering,
     and the pair is one FFT pair.  With even=True, values are instead
@@ -291,18 +294,22 @@ def _spectral_multiply(values: np.ndarray, multiplier, axes=None,
 
     A caller that owns values passes _owned=True: both transforms then
     run in place and values hold the result.  The Strang plan does so on
-    work arrays from `_padded`.  Otherwise a pair along any axis but the
+    its contiguous work arrays.  Otherwise a pair along any axis but the
     last runs in place on a `_padded` copy of values and returns a
     contiguous copy of the result; a pair in 1D or along the last axis
     alone, where the copies would cost more than the stride saves, runs
     the forward transform out of place and the inverse in place on the
     spectrum.  pocketfft does the same arithmetic per line at any stride,
     so every way gives the bits of the out-of-place pair.  Medians of 15,
-    three runs per side on a 2-core host, unpadded against padded: the
-    Strang plan's 256^2 pair took 1.41-2.09 against 1.30-1.31 ms, a 256^2
+    three runs per side on a 2-core host, unpadded against padded: a
+    256^2 pair in place took 1.41-2.09 against 1.30-1.31 ms, a 256^2
     pass along axis 0 1.07-1.63 against 0.93-1.04 ms (along axis 1,
     0.69-0.73 ms as it runs, 0.89-1.17 ms on a padded copy), and an FFT
-    pair on a caller's 512^2 array 10.5-11.1 against 10.1-11.8 ms.
+    pair on a caller's 512^2 array 10.5-11.1 against 10.1-11.8 ms.  The
+    copy still pays: construct-sweep's pass median read 0.151 s with it
+    and 0.170 s without it (8 runs each).  The Strang plan's own arrays
+    are not padded, because its elementwise passes over padded rows cost
+    more than the pair saves (`solver._StrangPlan`).
 
     The FFT pair is two calls of pocketfft's kernel,
     scipy.fft._pocketfft.pypocketfft.c2c, with the arguments that
@@ -316,6 +323,7 @@ def _spectral_multiply(values: np.ndarray, multiplier, axes=None,
     FFT pair.  The cosine pair stays on scipy.fft.dctn/idctn, which split
     a complex quadrant into real and imaginary parts for pocketfft's
     real-only cosine kernel."""
+    factors = multiplier if isinstance(multiplier, tuple) else (multiplier,)
     nd = values.ndim
     copied = not _owned and nd > 1 and (axes is None or any(ax % nd < nd - 1 for ax in axes))
     if copied:
@@ -324,14 +332,16 @@ def _spectral_multiply(values: np.ndarray, multiplier, axes=None,
         values, _owned = work, True
     if even:
         spec = scipy.fft.dctn(values, type=2, axes=axes, overwrite_x=_owned)
-        spec *= multiplier
+        for factor in factors:
+            spec *= factor
         out = scipy.fft.idctn(spec, type=2, axes=axes, overwrite_x=True)
     else:
         c2c = scipy.fft._pocketfft.pypocketfft.c2c
         axes = tuple(range(nd)) if axes is None else tuple(ax % nd for ax in axes)
         into = values if _owned and values.dtype.kind == "c" else None
         spec = c2c(values, axes, True, 0, into, 1)
-        spec *= multiplier
+        for factor in factors:
+            spec *= factor
         out = c2c(spec, axes, False, 2, spec, 1)
     return np.ascontiguousarray(out) if copied else out
 
@@ -467,8 +477,9 @@ class HarmonicScalar(ScalarPotential):
         return out
 
     def gradient(self, xs, t):
+        # on the orbit's Python floats the arithmetic stays in Python floats
         return tuple(
-            self.mass * w * w * (np.asarray(x, dtype=float) - c)
+            self.mass * w * w * (x - c)
             for x, w, c in zip(xs, self.omega, self.center, strict=True)
         )
 

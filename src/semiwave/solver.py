@@ -13,18 +13,23 @@ core._Schedule's, which the classical orbit walks too.
 A is uniform in space (core.UniformVector), and the plan and the residual
 both read it through its components(t, dim).  The kinetic operator is
 then diagonal in Fourier space, with symbol sum_j (hbar k_j - a_j)^2: the
-kinetic step multiplies by the exponential of that symbol with A sampled
-at the step's midpoint, and the residual by the symbol itself, each
-between one n-D FFT pair.  Under such an A a solution is the A = 0 one
-moved by (1/m) int a and rephased, which is how the propagator's A is
-checked; an x-dependent A would need another propagator and oracle.
+residual multiplies by the symbol itself, and the kinetic step by its
+exponential, with A sampled at the step's midpoint, as the product of the
+per-axis factors exp(-i h (hbar k_j - a_j)^2 / (2 m hbar)), each
+multiplying the spectrum in turn; both between one n-D FFT pair.  Under
+such an A a solution is the A = 0 one moved by (1/m) int a and rephased,
+which is how the propagator's A is checked; an x-dependent A would need
+another propagator and oracle.
 
 A run builds one propagator plan (_StrangPlan) per (grid, params, pot).
 It owns the work arrays that every step is written into and runs the
 transform pair in place, so only the snapshot states are fresh arrays.
-The two complex work arrays are padded (core._padded): in 2D each row is
-one cache line longer than the grid's, so the pass down the columns does
-not walk a power-of-two stride.  The plan's docstring lists the arrays
+The two complex work arrays are plain C-contiguous arrays.  Padded rows
+(core._padded) spare the pass down the columns its power-of-two stride,
+but numpy cannot run an elementwise pass over a padded 2D array as one
+loop: at 256^2 a multiply took 215-226 us on padded rows against 127-140
+us contiguous, and the step's elementwise passes spent most of the
+pair's saving of about 200 us.  The plan's docstring lists the arrays
 and says why every complex multiply is written psi times factor.  V is
 sampled on the open mesh of the grid's axes.  A scalar potential whose
 `static` property is true (ZeroScalar, HarmonicScalar, SeparatedScalar)
@@ -83,7 +88,6 @@ from .core import (
     ZeroScalar,
     _Schedule,
     _expi,
-    _padded,
     _spectral_multiply,
     norm_squared,
 )
@@ -157,10 +161,11 @@ class _StrangPlan:
     * two complex arrays used in turn: the local factor goes into the one
       that does not hold psi, and psi times it into the same one, which
       the kinetic step's transform pair then overwrites in place.  Both
-      come from core._padded, whose 2D rows end one cache line past the
-      grid's, and both are handed to core._spectral_multiply as owned;
-    * the kinetic factor, rebuilt in place only when the uniform A or the
-      step length changes;
+      are C-contiguous and handed to core._spectral_multiply as owned;
+    * the per-axis kinetic factors, each the length of its axis, rebuilt
+      only when the uniform A or the step length changes; the spectrum is
+      multiplied by each in turn, so no factor of the grid's size is
+      built;
     * real arrays for the phase theta and for scratch, and two for
       |psi|^2 used in turn, so a non-finite norm can still be traced to
       the pending closing half step, which acts on the previous density.
@@ -191,9 +196,8 @@ class _StrangPlan:
         self.v_rate = self._v_rate(t0) if pot.scalar.static else None
         self._static = {}  # total half-step length -> its static term
         self.hk = tuple(params.hbar * grid.axis_wavenumber(ax) for ax in range(grid.dim))
-        self._kin_key = None
-        self._kin = np.empty(grid.shape, dtype=np.complex128)
-        self._work = tuple(_padded(grid.shape) for _ in range(2))
+        self._kin_key, self._kin = None, ()
+        self._work = tuple(np.empty(grid.shape, dtype=np.complex128) for _ in range(2))
         self._theta, self._scratch = np.empty(grid.shape), np.empty(grid.shape)
         self._dens = tuple(np.empty(grid.shape) for _ in range(2))
 
@@ -239,9 +243,7 @@ class _StrangPlan:
         a = self.pot.vector.components(t, len(self.hk))
         if (a, h) != self._kin_key:
             scale = h / (2.0 * self.params.mass * self.params.hbar)
-            *head, last = (_expi(-scale * (hk - a_ax) ** 2) for hk, a_ax in zip(self.hk, a))
-            # the per-axis factors are small; only their last product is full size
-            np.multiply(math.prod(head, start=1.0), last, out=self._kin)
+            self._kin = tuple(_expi(-scale * (hk - a_ax) ** 2) for hk, a_ax in zip(self.hk, a))
             self._kin_key = (a, h)
         return _spectral_multiply(vals, self._kin, _owned=True)
 

@@ -214,28 +214,39 @@ def test_apply_momentum_2d_axis():
     assert np.max(np.abs(out - want)) < 1e-10
 
 
-# (shape, complex values, even, axes) of each transform pair checked
-# against the out-of-place scipy.fft pair; 512^2 is cylindrical-check's
-# quadrant at n = 1024, and 2048 is ehrenfest's 1D grid, whose pair for a
-# caller that does not own its values runs the kernel out of place
+# (shape, complex values, even, axes, per-axis factors) of each transform
+# pair checked against the out-of-place scipy.fft pair; 512^2 is
+# cylindrical-check's quadrant at n = 1024, and 2048 is ehrenfest's 1D
+# grid, whose pair for a caller that does not own its values runs the
+# kernel out of place.  A pair with per-axis factors is given a tuple of
+# complex factors, one per axis, as the Strang step's kinetic factors are.
 SPECTRAL_PAIRS = {
-    "fft-2048": ((2048,), True, False, None),
-    "fft-16x32": ((16, 32), True, False, None),
-    "fft-256": ((256, 256), True, False, None),
-    "dct-real-512": ((512, 512), False, True, None),
-    "dct-complex-512": ((512, 512), True, True, None),
-    "fft-axis0-256": ((256, 256), True, False, (0,)),
-    "fft-axis1-256": ((256, 256), True, False, (1,)),
-    "fft-axis0-16x32": ((16, 32), True, False, (0,)),
-    "fft-axis1-16x32": ((16, 32), True, False, (-1,)),
+    "fft-2048": ((2048,), True, False, None, False),
+    "fft-16x32": ((16, 32), True, False, None, False),
+    "fft-256": ((256, 256), True, False, None, False),
+    "dct-real-512": ((512, 512), False, True, None, False),
+    "dct-complex-512": ((512, 512), True, True, None, False),
+    "fft-axis0-256": ((256, 256), True, False, (0,), False),
+    "fft-axis1-256": ((256, 256), True, False, (1,), False),
+    "fft-axis0-16x32": ((16, 32), True, False, (0,), False),
+    "fft-axis1-16x32": ((16, 32), True, False, (-1,), False),
+    "fft-2048-factors": ((2048,), True, False, None, True),
+    "fft-16x32-factors": ((16, 32), True, False, None, True),
+    "fft-256-factors": ((256, 256), True, False, None, True),
+    "dct-complex-512-factors": ((512, 512), True, True, None, True),
 }
 
 
-def _pair_case(shape, is_complex, axes):
+def _pair_case(shape, is_complex, axes, per_axis):
     rng = np.random.default_rng(sum(shape))
     values = rng.standard_normal(shape)
     if is_complex:
         values = values + 1j * rng.standard_normal(shape)
+    if per_axis:
+        return values, tuple(
+            (rng.standard_normal(m) + 1j * rng.standard_normal(m)).reshape(
+                [m if ax == i else 1 for ax in range(len(shape))])
+            for i, m in enumerate(shape))
     sym_shape = shape if axes is None else tuple(
         m if ax in [a % len(shape) for a in axes] else 1 for ax, m in enumerate(shape))
     return values, rng.standard_normal(sym_shape)
@@ -245,14 +256,21 @@ def _pair_case(shape, is_complex, axes):
 def test_spectral_multiply_has_the_bits_of_the_out_of_place_pair(case):
     """Whether a pair runs on a padded copy or the caller's array, its
     bits are those of the out-of-place scipy.fft pair with the same
-    multiply."""
-    shape, is_complex, even, axes = SPECTRAL_PAIRS[case]
-    values, symbol = _pair_case(shape, is_complex, axes)
+    multiply; a tuple of factors multiplies the spectrum by each in turn,
+    spectrum times factor, so in 1D a one-factor tuple has the bits of the
+    factor alone."""
+    shape, is_complex, even, axes, per_axis = SPECTRAL_PAIRS[case]
+    values, symbol = _pair_case(shape, is_complex, axes, per_axis)
     if even:
-        want = scipy.fft.idctn(scipy.fft.dctn(values, type=2, axes=axes) * symbol,
-                               type=2, axes=axes)
+        spec = scipy.fft.dctn(values, type=2, axes=axes)
     else:
-        want = scipy.fft.ifftn(scipy.fft.fftn(values, axes=axes) * symbol, axes=axes)
+        spec = scipy.fft.fftn(values, axes=axes)
+    for factor in symbol if per_axis else (symbol,):
+        spec = spec * factor
+    if even:
+        want = scipy.fft.idctn(spec, type=2, axes=axes)
+    else:
+        want = scipy.fft.ifftn(spec, axes=axes)
     got = _spectral_multiply(values, symbol, axes=axes, even=even)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -262,8 +280,8 @@ def test_spectral_multiply_has_the_bits_of_the_out_of_place_pair(case):
 def test_spectral_multiply_leaves_a_callers_values_alone(case):
     """A caller that does not own its values gets a fresh C-contiguous
     array, and its own values are unchanged."""
-    shape, is_complex, even, axes = SPECTRAL_PAIRS[case]
-    values, symbol = _pair_case(shape, is_complex, axes)
+    shape, is_complex, even, axes, per_axis = SPECTRAL_PAIRS[case]
+    values, symbol = _pair_case(shape, is_complex, axes, per_axis)
     kept = values.copy()
     got = _spectral_multiply(values, symbol, axes=axes, even=even)
     assert values.tobytes() == kept.tobytes()
@@ -295,6 +313,20 @@ def test_harmonic_potential_value():
     x = np.array([2.0])
     assert pot.value((x,), 0.0)[0] == pytest.approx(2.0)
     assert pot.gradient((x,), 0.0)[0][0] == pytest.approx(2.0)
+
+
+def test_harmonic_gradient_keeps_the_bits_of_floats_and_arrays():
+    """The gradient is mass w^2 (x - c) on the inputs as given: the orbit's
+    Python floats stay Python floats, and floats and arrays both get the
+    bits of the expression on float arrays."""
+    pot = HarmonicScalar(omega=(1.3, 0.7), center=(0.2, -0.45), mass=1.7)
+    rng = np.random.default_rng(3)
+    for xs in ((0.31, -1.7), tuple(rng.standard_normal((2, 7)))):
+        got = pot.gradient(xs, 0.0)
+        for g, x, w, c in zip(got, xs, pot.omega, pot.center, strict=True):
+            want = pot.mass * w * w * (np.asarray(x, dtype=float) - c)
+            assert np.asarray(g).tobytes() == want.tobytes()
+    assert all(type(g) is float for g in pot.gradient((0.31, -1.7), 0.0))
 
 
 def test_harmonic_potential_needs_one_omega_per_axis():

@@ -13,6 +13,8 @@ code it checks.
 import ast
 from pathlib import Path
 
+import pytest
+
 import semiwave
 import semiwave.asymptotics
 import semiwave.harness
@@ -44,6 +46,21 @@ def test_every_exported_name_has_a_user():
     exported = {*semiwave.__all__, *semiwave.asymptotics.__all__, *semiwave.harness.__all__}
     unused = sorted(exported - _referenced() - set(ALLOWED))
     assert unused == [], f"exported but used only by tests: {unused}"
+
+
+@pytest.mark.parametrize("module", [semiwave, semiwave.asymptotics, semiwave.harness],
+                         ids=lambda m: m.__name__)
+def test_every_name_an_init_imports_from_its_package_is_exported(module):
+    """A name that an `__init__` takes from its own package is listed in
+    its `__all__`, so `import *` and the check above both see it."""
+    package = module.__name__
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module == package
+                    or (node.module or "").startswith(package + "."))
+                for a in node.names}
+    assert sorted(imported - set(module.__all__)) == []
 
 
 def test_allowlist_names_only_unused_exports():

@@ -474,8 +474,9 @@ def _driven_case(dim):
 def _reference_states(psi0, config):
     """The states of evolve's loop written out with fresh arrays: V on the
     full mesh, out-of-place transforms, every complex multiply psi times
-    factor, and the closing half of each step that ends on no snapshot
-    fused with the next opening one."""
+    factor, the spectrum multiplied by each axis's kinetic factor in turn,
+    and the closing half of each step that ends on no snapshot fused with
+    the next opening one."""
     grid, params, pot = psi0.grid, config.params, config.pot
     xs = grid.mesh()
     hk = [params.hbar * grid.axis_wavenumber(ax) for ax in range(grid.dim)]
@@ -494,10 +495,10 @@ def _reference_states(psi0, config):
 
     def kinetic(vals, t, h):
         scale = h / (2.0 * params.mass * params.hbar)
-        factor = 1.0
+        spec = scipy.fft.fftn(vals)
         for k, a in zip(hk, pot.vector.a_of_t(t)):
-            factor = np.multiply(factor, expi(-scale * (k - a) ** 2))
-        return scipy.fft.ifftn(np.multiply(scipy.fft.fftn(vals), factor))
+            spec = np.multiply(spec, expi(-scale * (k - a) ** 2))
+        return scipy.fft.ifftn(spec)
 
     states, vals, t, closing = [psi0.values], psi0.values, psi0.time, []
     steps = _Schedule(psi0.time, config.t_end, config.dt)
@@ -526,20 +527,25 @@ def test_run_matches_written_out_loop_bit_for_bit(dim):
         assert snap.values.tobytes() == state.tobytes()
 
 
-def test_plan_work_rows_are_padded_and_the_kinetic_step_stays_in_them():
-    """At 256^2 a contiguous complex row is 4096 bytes, so a column pass
-    would stride through the same cache sets; the plan's two complex work
-    arrays have rows of another length, and a kinetic step hands back the
-    work array it was given, transformed in place."""
+def test_plan_work_arrays_are_contiguous_and_the_kinetic_factors_per_axis():
+    """The plan's two complex work arrays are C-contiguous, so numpy runs
+    each elementwise pass over them as one loop; a kinetic step hands back
+    the work array it was given, transformed in place; and the kinetic
+    factor is kept as one factor per axis, none of the grid's size."""
     psi0, config = _driven_case(2)
-    plan = solver._StrangPlan(psi0.grid, config.params, config.pot, 0.0)
+    grid = psi0.grid
+    plan = solver._StrangPlan(grid, config.params, config.pot, 0.0)
     for work in plan._work:
-        assert work.shape == psi0.grid.shape
-        assert work.strides[0] % 4096 != 0
+        assert work.shape == grid.shape and work.dtype == np.complex128
+        assert work.flags.c_contiguous
     work = plan._work[0]
     work[...] = psi0.values
     out = plan.kinetic(work, 0.0, config.dt)
     assert out.__array_interface__ == work.__array_interface__
+    assert [f.shape for f in plan._kin] == [(grid.n[0], 1), (1, grid.n[1])]
+    held = [a for v in vars(plan).values() for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray) and np.iscomplexobj(a) and a.shape == grid.shape]
+    assert len(held) == 2 and all(a is w for a, w in zip(held, plan._work))
 
 
 def test_snapshots_are_distinct_arrays_and_psi0_is_kept():
