@@ -129,7 +129,21 @@ def _reflection_classes(grid: Grid):
     positive quadrant, an (n/2, n/2) array whose entry [i, j] belongs to
     grid point (n/2 + i, n/2 + j).  A field sampled this way is the exactly
     even extension of its positive quadrant, so x*x + y*y, and any value
-    that depends on position through it alone, is one number per class."""
+    that depends on position through it alone, is one number per class;
+    gather fills [i, j] and [j, i] from one class, so the quadrant is
+    also exactly symmetric under i <-> j.
+
+    Refuses, with a ValueError, a grid that is not 2D and square (equal n,
+    lo and hi on both axes) or not cell-centred (lo + hi equal to the
+    spacing, to rounding, so that the points mirror about the origin)."""
+    if grid.dim != 2 or len(set(zip(grid.n, grid.lo, grid.hi))) != 1:
+        raise ValueError("reflection classes need a square 2D grid (equal n, lo and "
+                         f"hi on both axes), got n={grid.n}, lo={grid.lo}, hi={grid.hi}")
+    spacing = grid.spacing[0]
+    if abs(grid.lo[0] + grid.hi[0] - spacing) > 1e-9 * spacing:
+        raise ValueError("reflection classes need a cell-centred grid (lo = -hi up to "
+                         f"the half-cell offset), got [{grid.lo[0]}, {grid.hi[0]}) "
+                         f"with spacing {spacing}")
     h = grid.n[0] // 2
     x = grid.axes()[0][h:]
     rows, cols = np.triu_indices(h)
@@ -258,8 +272,12 @@ def _momentum(values: np.ndarray, grid: Grid, hbar: float, axis: int) -> np.ndar
 # Grid sizes are powers of two, so a contiguous 2D row is a power of two in
 # bytes (8 KiB for a 512^2 complex array), and a pass down the columns meets
 # the same few cache sets at every element.  One cache line more per row
-# spreads a column over all of them: on a 2-core host a cosine pair on a
-# 512^2 complex quadrant took 14.0-17.3 ms so, against 21.4-22.3 ms unpadded.
+# spreads a column over all of them: on a 2-core host a 2D cosine pair on a
+# 512^2 complex array took 14.0-17.3 ms so, against 21.4-22.3 ms unpadded.
+# Padding does not close the gap to the contiguous axis: medians of 15, a
+# 512^2 complex dctn took 10.4-11.3 ms along axis 0, 9.3-9.7 ms along axis 0
+# of a padded copy and 4.7-4.8 ms along axis 1, so the quadrant residual
+# runs its cosine pair along axis 1 alone (solver._quadrant_kinetic).
 _ROW_PAD_BYTES = 64
 
 
@@ -290,7 +308,8 @@ def _spectral_multiply(values: np.ndarray, multiplier, axes=None,
     centre of a cell-centred grid (`_reflection_classes`); its Fourier
     series holds cosines alone, so multiplier spans the first n/2
     wavenumbers of each axis and the pair is one type-II DCT pair of size
-    n/2 per axis (Martucci, IEEE Trans. Signal Process. 42, 1994).
+    n/2 per axis of `axes` (Martucci, IEEE Trans. Signal Process. 42,
+    1994).
 
     A caller that owns values passes _owned=True: both transforms then
     run in place and values hold the result.  The Strang plan does so on
@@ -306,8 +325,11 @@ def _spectral_multiply(values: np.ndarray, multiplier, axes=None,
     pass along axis 0 1.07-1.63 against 0.93-1.04 ms (along axis 1,
     0.69-0.73 ms as it runs, 0.89-1.17 ms on a padded copy), and an FFT
     pair on a caller's 512^2 array 10.5-11.1 against 10.1-11.8 ms.  The
-    copy still pays: construct-sweep's pass median read 0.151 s with it
-    and 0.170 s without it (8 runs each).  The Strang plan's own arrays
+    copy paid on construct-sweep while cylindrical-check's quadrant ran a
+    2D cosine pair (pass median 0.151 s with it, 0.170 s without, 8 runs
+    each); that pair now runs along the last axis alone, and the copy
+    serves the 2D pairs that cross rows, such as the momentum moments of a
+    2D state.  The Strang plan's own arrays
     are not padded, because its elementwise passes over padded rows cost
     more than the pair saves (`solver._StrangPlan`).
 

@@ -190,10 +190,9 @@ def _scaling_table(fit: ScalingReport, value: str) -> tuple[list[str], list[tupl
         for h, v in zip(fit.hbars, fit.values)]
 
 
-def _class_tables(w, t, params, xs) -> tuple[np.ndarray, np.ndarray]:
-    """The leading-order state and its time derivative at the reflection
-    class representatives xs, one value per class."""
-    jet = w.jet(xs, t)
+def _class_tables(jet, params) -> tuple[np.ndarray, np.ndarray]:
+    """The leading-order state and its time derivative from a jet sampled
+    at the reflection class representatives, one value per class."""
     table = _leading_values(jet, params)
     return table, _time_derivative_values(jet, table, params)
 
@@ -421,15 +420,6 @@ def run_identity_suite(spec: IdentitySuite) -> ScenarioResult:
 # cylindrical-check
 
 
-def _quadrant_residual(w, grid, t, params, classes) -> float:
-    """The relative residual of a radial family's leading pair under the
-    free potential, from the positive quadrant alone: the class tables are
-    gathered there and not mirrored to the grid."""
-    xs, gather = classes
-    psi, dpsi = map(gather, _class_tables(w, t, params, xs))
-    return _quadrant_relative_residual(psi, dpsi, grid, params)
-
-
 def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     """Residual decay of the radial special solution across the sweep, on
     the offset grid.  The ring solves the free equation.
@@ -440,18 +430,24 @@ def run_cylindrical_check(spec: CylindricalCheck) -> ScenarioResult:
     residual coefficient has yet to join them.
 
     The state is sampled once per reflection class of the grid, so it is
-    even in x and in y, and the residual is evaluated on the positive
-    quadrant alone, its kinetic term through a cosine-transform pair."""
+    even in x and in y and symmetric under x <-> y, and the residual is
+    evaluated on the positive quadrant alone, its kinetic term through a
+    cosine-transform pair along one axis plus that term's transpose."""
     scen = spec.scenario
     grid = spec.grid.build()
     hbars = spec.params.hbars
     base = spec.params.phys()
     w = CylindricalFields(spec.family.cylindrical, base.mass)
-    classes = _reflection_classes(grid)
-    # the fields of one hbar are dropped on return, before the next hbar's
-    # tables are built
-    residuals = [_quadrant_residual(w, grid, spec.family.eval_time,
-                                    base.with_hbar(hb), classes) for hb in hbars]
+    xs, gather = _reflection_classes(grid)
+    # no jet entry depends on hbar: one jet serves the whole sweep, as in
+    # residual-scaling; the tables and quadrant arrays of one hbar are
+    # dropped before the next hbar's are built
+    jet = w.jet(xs, spec.family.eval_time)
+    residuals = []
+    for hb in hbars:
+        params = base.with_hbar(hb)
+        residuals.append(_quadrant_relative_residual(_class_tables(jet, params), gather,
+                                                     grid, params))
     monotone = all(a > b for a, b in zip(residuals, residuals[1:]))
     fit = fit_scaling(hbars, residuals)
     rows = _rows(scen, {"residual_monotone": float(monotone),

@@ -63,13 +63,18 @@ other three terms are summed into the kinetic term's array in the order
 of the written equation, so the residual holds no full-size temporary
 per term; a ZeroScalar V is not sampled.
 
-For a field even in x and in y on a square axis-offset grid under the
-free equation (cylindrical-check's ring, sampled per class of
-`core._reflection_classes`), the residual is evaluated on the (n/2)^2
-positive quadrant alone: _spectral_multiply's cosine pair, a type-II DCT
-pair of size n/2 per axis, applies the kinetic operator there, the other
-terms are summed as above, and the relative residual is the ratio of the
-quadrant's sums.
+For a field sampled once per class of `core._reflection_classes` on a
+square axis-offset grid under the free equation (cylindrical-check's
+ring), the residual is evaluated on the (n/2)^2 positive quadrant alone.
+The gathered quadrant is even in x and in y and equal to its transpose
+bit for bit, so d_yy psi is (d_xx psi).T: the kinetic term is phi +
+phi.T, with phi one type-II DCT pair of size n/2 along the contiguous
+last axis (_spectral_multiply's cosine pair), and the sum is formed in
+place one pair of 64^2 blocks at a time.  At a 512^2 quadrant this took
+10.2-10.5 ms against 20.9-22.7 ms for the 2D cosine pair, whose half
+along axis 0 walks a power-of-two row stride (2-core host, medians of
+15).  The other terms are summed as above, and the relative residual is
+the ratio of the quadrant's sums.
 """
 
 from __future__ import annotations
@@ -376,22 +381,51 @@ def relative_residual(residual: ComplexField, psi: ComplexField) -> float:
     return float(np.sqrt(norm_squared(residual) / norm_squared(psi)))
 
 
-def _quadrant_relative_residual(psi: np.ndarray, dpsi: np.ndarray, grid: Grid,
-                                params: PhysParams) -> float:
-    """relative_residual of apply_nlse_operator for A = 0 and V = 0 and a
-    field even in every axis on a square axis-offset grid (see
-    `core._reflection_classes`), from its positive quadrant alone: psi and
-    dpsi are the field and its time derivative at grid points
-    (n/2 + i, n/2 + j).
+# block side of _add_transpose: a pair of 64^2 complex blocks is 128 KiB
+_TRANSPOSE_BLOCK = 64
 
-    The kinetic operator is the cosine pair of `_spectral_multiply` with
-    symbol sum_j (hbar k_j)^2, and the other terms are summed as in
-    apply_nlse_operator.  The quadrant holds a quarter of each norm's sum,
-    and that factor and the cell volume cancel in the ratio."""
-    half = tuple(slice(0, m // 2) for m in grid.n)
-    symbol = 0.0
-    for ax in range(grid.dim):
-        symbol = symbol + (params.hbar * grid.axis_wavenumber(ax)[half]) ** 2
-    res = _add_local_terms(_spectral_multiply(psi, symbol, even=True), psi, dpsi, None,
+
+def _add_transpose(a: np.ndarray) -> np.ndarray:
+    """a + a.T written into the square array a, one pair of blocks at a
+    time: for blocks [I, J] with I <= J, s = a[I, J] + a[J, I].T goes to
+    [I, J] and s.T to [J, I].  Floating-point addition commutes, so a gets
+    the bits of a + a.T, with no second array of a's size and no pass down
+    a's columns."""
+    n, b = len(a), _TRANSPOSE_BLOCK
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            s = np.add(a[i:i + b, j:j + b], a[j:j + b, i:i + b].T)
+            a[i:i + b, j:j + b] = s
+            a[j:j + b, i:i + b] = s.T
+    return a
+
+
+def _quadrant_kinetic(psi: np.ndarray, grid: Grid, hbar: float) -> np.ndarray:
+    """(-i hbar grad)^2 psi on the positive quadrant of a square axis-offset
+    grid, for a quadrant psi that is even about the grid's centre in both
+    axes and equal to psi.T bit for bit, as `core._reflection_classes`'
+    gather lays it out.  On the square grid d_yy psi is then (d_xx psi).T,
+    so the term is phi + phi.T, where phi is the cosine pair of
+    `_spectral_multiply` with symbol (hbar k_y)^2 along the contiguous last
+    axis alone, summed in place (_add_transpose)."""
+    symbol = (hbar * grid.axis_wavenumber(1)[:, :grid.n[1] // 2]) ** 2
+    return _add_transpose(_spectral_multiply(psi, symbol, axes=(1,), even=True))
+
+
+def _quadrant_relative_residual(tables: tuple[np.ndarray, np.ndarray], gather,
+                                grid: Grid, params: PhysParams) -> float:
+    """relative_residual of apply_nlse_operator for A = 0 and V = 0 and a
+    field sampled once per reflection class of a square axis-offset grid
+    (`core._reflection_classes`), from its positive quadrant alone: tables
+    are the field and its time derivative per class, and gather lays them
+    out on the quadrant, grid points (n/2 + i, n/2 + j), so the symmetry
+    _quadrant_kinetic relies on holds by construction.
+
+    The other terms are summed as in apply_nlse_operator.  The quadrant
+    holds a quarter of each norm's sum, and that factor and the cell
+    volume cancel in the ratio."""
+    psi, dpsi = map(gather, tables)
+    del tables  # frees the per-class tables before the quadrant-sized temporaries
+    res = _add_local_terms(_quadrant_kinetic(psi, grid, params.hbar), psi, dpsi, None,
                            params)
     return math.sqrt(float(np.sum(_density(res))) / float(np.sum(_density(psi))))

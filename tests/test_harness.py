@@ -49,7 +49,8 @@ from semiwave.harness import (
 from semiwave.core import HarmonicScalar, _reflection_classes
 from semiwave.harness.config import SCHEMAS
 from semiwave.harness import cli, config, scenarios
-from semiwave.harness.scenarios import GATES, PASSES, _RUNNERS, _quadrant_residual, _rows
+from semiwave.harness.scenarios import GATES, PASSES, _RUNNERS, _class_tables, _rows
+from semiwave.solver import _quadrant_relative_residual
 
 def small_propagation_dict():
     """A twentieth of the shipped run on a quarter of its grid."""
@@ -429,18 +430,19 @@ def test_residual_scaling_box_doubles_through_grid_overrides():
 
 
 @pytest.mark.parametrize("scenario, jets", [
-    ("cylindrical-check", ["CylindricalFields"] * 3),
+    ("cylindrical-check", ["CylindricalFields"]),
     ("identity-suite", ["SolitonFields", "Class1Fields", "Class2Fields",
                         "CylindricalFields"]),
     ("residual-scaling", ["Class1Fields"] * 9),
 ])
 def test_one_jet_per_family_grid_and_time(scenario, jets, monkeypatch):
     """The state, its time derivative and every residual at one (family,
-    grid, t) are read off one jet: cylindrical-check evaluates one per
-    hbar of its sweep, identity-suite one per family.  residual-scaling
-    evaluates 9 for its 4 hbar values: one at t_eval, shared by every
-    hbar since no jet entry depends on it, plus two per hbar at t_eval +- h
-    for the t-difference of the correction's coefficients."""
+    grid, t) are read off one jet, and no jet entry depends on hbar:
+    cylindrical-check evaluates one, shared by every hbar of its sweep,
+    and identity-suite one per family.  residual-scaling evaluates 9 for
+    its 4 hbar values: one at t_eval, shared by every hbar as
+    cylindrical-check's is, plus two per hbar at t_eval +- h for the
+    t-difference of the correction's coefficients."""
     built = []
 
     def counting(jet):
@@ -656,19 +658,26 @@ def test_cylindrical_residual_memory():
 
 
 def test_quadrant_residual_memory():
-    """One hbar of cylindrical-check at 512^2 on the positive quadrant:
-    class tables, their gather onto the 256^2 quadrant, the cosine-pair
-    residual and its norms.  tracemalloc peak measured 5.1 MiB against a
-    6.5 MiB bound, a margin of 27% (the full-mesh path of
-    test_cylindrical_residual_memory peaks at 18.5)."""
+    """One hbar of cylindrical-check at 512^2 on the positive quadrant,
+    from the jet that the sweep shares: class tables, their gather onto
+    the 256^2 quadrant, the cosine-pair residual and its norms.
+    tracemalloc peak measured 4.6 MiB against a 6.5 MiB bound, a margin
+    of 41% (the full-mesh path of test_cylindrical_residual_memory peaks
+    at 18.5)."""
     grid = make_axis_offset_grid(2, 8.0, 512)
     params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
     w = CylindricalFields(CylindricalParams(c1=1.0, b1=0.1, a2=0.2), params.mass)
-    classes = _reflection_classes(grid)
-    _quadrant_residual(w, grid, 0.3, params, classes)
+    xs, gather = _reflection_classes(grid)
+    jet = w.jet(xs, 0.3)
+
+    def residual():
+        return _quadrant_relative_residual(_class_tables(jet, params), gather, grid,
+                                           params)
+
+    residual()
     tracemalloc.start()
     try:
-        _quadrant_residual(w, grid, 0.3, params, classes)
+        residual()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -12,16 +12,22 @@ whose axes mirror only to rounding they hold them to the full mesh's
 positive quadrant bit for bit, and the grid maxima within bounds set from
 measured values.
 
-cylindrical-check evaluates the ring's residual on the positive quadrant
-alone, with a cosine-transform pair for the kinetic term, on every grid.
-That residual is held to apply_nlse_operator on the whole grid within a
-bound set from measured values.
+The gathered quadrant is also exactly symmetric under the swap, and
+cylindrical-check evaluates the ring's residual on it alone, on every
+grid, from one jet per sweep: its kinetic term is a cosine-transform pair
+along the last axis plus that term's transpose, summed in place one pair
+of blocks at a time.  These tests hold the symmetry bit for bit, the
+block sum to k + k.T bit for bit, the kinetic term to a 2D cosine pair
+written out here, and the residual to apply_nlse_operator on the whole
+grid, the last two within bounds set from measured values.  Grids that
+are not square or not cell-centred are refused.
 """
 
 import random
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from semiwave import PhysParams, PotentialSpec, apply_nlse_operator, \
     assemble_leading_term, fit_scaling, hj_residual, leading_term_time_derivative, \
@@ -30,7 +36,8 @@ from semiwave.asymptotics import CylindricalFields, CylindricalParams
 from semiwave.core import _reflection_classes
 from semiwave.harness import ExperimentConfig, default_config_path, parse_config, \
     run_scenario, scenarios
-from semiwave.harness.scenarios import _class_tables, _pointwise_maxima, _quadrant_residual
+from semiwave.harness.scenarios import _class_tables, _pointwise_maxima
+from semiwave.solver import _add_transpose, _quadrant_kinetic, _quadrant_relative_residual
 
 SHIPPED_RING = CylindricalParams(c1=1.0, b1=0.1, a2=0.2)
 
@@ -62,8 +69,82 @@ def test_leading_pair_table_is_bit_identical(n, t):
     h = n // 2
     assert len(xs[0]) == h * (h + 1) // 2
     full = _full_mesh_pair(w, grid, t, params)
-    for a, table in zip(full, _class_tables(w, t, params, xs)):
+    for a, table in zip(full, _class_tables(w.jet(xs, t), params)):
         assert a.values[h:, h:].tobytes() == gather(table).tobytes()
+
+
+@pytest.mark.parametrize("half_width", [2.0, 0.3, 1.1])
+def test_gathered_quadrant_pair_is_symmetric(half_width):
+    """gather fills [i, j] and [j, i] from one class, so the quadrant state
+    and its time derivative equal their transposes bit for bit, on a width
+    whose axes mirror exactly (2) and on two that mirror only to rounding;
+    the quadrant kinetic term relies on it."""
+    grid = make_axis_offset_grid(2, half_width, 256)
+    params = PhysParams(hbar=0.1, mass=1.0, r=0.5)
+    xs, gather = _reflection_classes(grid)
+    jet = CylindricalFields(SHIPPED_RING, params.mass).jet(xs, 0.3)
+    for quadrant in map(gather, _class_tables(jet, params)):
+        assert np.array_equal(quadrant, quadrant.T)
+
+
+@pytest.mark.parametrize("grid", [
+    make_uniform_grid(2, (-2.0, -2.0), (2.0, 2.0), (64, 128)),
+    make_uniform_grid(2, (-2.0, -2.0), (2.0, 2.5), 64),
+    make_uniform_grid(1, -2.0, 2.0, 64),
+], ids=["unequal-n", "unequal-hi", "1d"])
+def test_reflection_classes_refuse_a_grid_that_is_not_square(grid):
+    with pytest.raises(ValueError, match="square 2D grid"):
+        _reflection_classes(grid)
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.0, 2.0), (-1.5, 2.5)])
+def test_reflection_classes_refuse_a_grid_that_is_not_cell_centred(lo, hi):
+    """A grid through the origin, and one shifted off it, do not mirror
+    about the origin."""
+    with pytest.raises(ValueError, match="cell-centred grid"):
+        _reflection_classes(make_uniform_grid(2, lo, hi, 64))
+
+
+def test_add_transpose_is_bit_identical_to_k_plus_k_transpose():
+    """The in-place block sum on a 512^2 complex array (eight 64^2 blocks a
+    side) gives the bits of k + k.T in the array it was given."""
+    rng = np.random.default_rng(7)
+    k = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+    expected = k + k.T
+    assert _add_transpose(k) is k
+    assert k.tobytes() == expected.tobytes()
+
+
+# The quadrant kinetic term (one cosine pair along the last axis plus its
+# transpose) against the 2D cosine pair, relative to max |kinetic|, over
+# the shipped ring and 40 seeded rings at t = 0 and 0.3 and the three
+# shipped hbar: at most 5.7e-15 at 256^2 and 1.0e-14 at 512^2 on width 2,
+# 1.1e-14 and 3.1e-14 at widths 1.1 and 0.3 on 256^2, and 1.6e-14 at
+# 1024^2 on width 2 (8 rings).  Against a long-double pair the one-axis
+# term's error was at or below the 2D pair's in every case tried.  The
+# bound leaves a margin of 1.9x
+KINETIC_RTOL = 6e-14
+
+
+@pytest.mark.parametrize("n, half_width, ring", [
+    (1024, 2.0, SHIPPED_RING),
+    (256, 0.3, _seeded_ring(5)),
+    (256, 1.1, _seeded_ring(28)),
+])
+def test_quadrant_kinetic_matches_the_2d_cosine_pair(n, half_width, ring):
+    """_quadrant_kinetic against the 2D type-II cosine pair with symbol
+    hbar^2 (k_x^2 + k_y^2), written out with scipy.fft.dctn/idctn."""
+    grid = make_axis_offset_grid(2, half_width, n)
+    xs, gather = _reflection_classes(grid)
+    jet = CylindricalFields(ring, 1.0).jet(xs, 0.3)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing[0])[:n // 2]
+    for hbar in (0.2, 0.05):
+        params = PhysParams(hbar=hbar, mass=1.0, r=0.5)
+        psi = gather(_class_tables(jet, params)[0])
+        symbol = (hbar * k[:, None]) ** 2 + (hbar * k[None, :]) ** 2
+        oracle = scipy.fft.idctn(scipy.fft.dctn(psi, type=2) * symbol, type=2)
+        kinetic = _quadrant_kinetic(psi, grid, hbar)
+        assert np.max(np.abs(kinetic - oracle)) <= KINETIC_RTOL * np.max(np.abs(oracle))
 
 
 def _full_mesh_arrays(w, grid, t, pot, params):
@@ -119,10 +200,18 @@ def test_axis_sample_still_raises():
         _full_mesh_pair(w, grid, 0.0, params)
 
 
-# The quadrant residual agreed with the full-mesh one to at most 5.3e-15
+def _quadrant_residual(w, grid, t, params):
+    """cylindrical-check's residual of one hbar, from the class tables of
+    one jet gathered onto the positive quadrant."""
+    xs, gather = _reflection_classes(grid)
+    return _quadrant_relative_residual(_class_tables(w.jet(xs, t), params), gather,
+                                       grid, params)
+
+
+# The quadrant residual agreed with the full-mesh one to at most 5.2e-15
 # relative over the shipped ring and 40 seeded rings, at 256^2 and 512^2,
-# t = 0 and 0.3 and the three shipped hbar; the bound leaves a margin of
-# 1.9x.  The full-mesh norms are einsum sums (core.norm_squared) and the
+# t = 0 and 0.3 and the three shipped hbar (5.3e-15 with the 2D cosine
+# pair); the bound leaves a margin of 1.9x.  The full-mesh norms are einsum sums (core.norm_squared) and the
 # quadrant's pairwise np.sum; with pairwise sums on both sides the worst
 # was 1.7e-15
 QUADRANT_RTOL = 1e-14
@@ -135,7 +224,6 @@ def test_quadrant_residual_matches_full_mesh(ring, n):
     """The residual from the positive quadrant against apply_nlse_operator
     on the whole grid, at t = 0 and 0.3 and the three shipped hbar."""
     grid = make_axis_offset_grid(2, 2.0, n)
-    classes = _reflection_classes(grid)
     for t in (0.0, 0.3):
         for hbar in SHIPPED_HBARS:
             params = PhysParams(hbar=hbar, mass=1.0, r=0.5)
@@ -143,7 +231,7 @@ def test_quadrant_residual_matches_full_mesh(ring, n):
             psi, dpsi = _full_mesh_pair(w, grid, t, params)
             full = relative_residual(
                 apply_nlse_operator((psi, dpsi), PotentialSpec(), params), psi)
-            quadrant = _quadrant_residual(w, grid, t, params, classes)
+            quadrant = _quadrant_residual(w, grid, t, params)
             assert quadrant == pytest.approx(full, rel=QUADRANT_RTOL, abs=0.0)
 
 
@@ -194,11 +282,12 @@ def test_cylindrical_rows_match_full_mesh(overrides):
 
 
 # On widths whose axes mirror only to rounding the quadrant residual agreed
-# with the full-mesh one to at most 4.8e-14 relative over half_width 0.3,
-# 0.7, 1.1 and 1.3, the shipped ring and three seeded rings, 256^2 and
-# 512^2, t = 0 and 0.3 and the three shipped hbar; the bound leaves a
-# margin of 2x.  The full mesh samples three quadrants at coordinates up
-# to an ulp off the mirror images of the positive one
+# with the full-mesh one to at most 4.9e-14 relative over half_width 0.3,
+# 0.7, 1.1 and 1.3, the shipped ring and seeded rings 1, 5 and 28, 256^2
+# and 512^2, t = 0 and 0.3 and the three shipped hbar (4.8e-14 with the
+# 2D cosine pair); the bound leaves a margin of 2x.  The full mesh samples
+# three quadrants at coordinates up to an ulp off the mirror images of the
+# positive one
 INEXACT_RTOL = 1e-13
 
 
@@ -211,8 +300,8 @@ def test_inexact_widths_take_the_quadrant_path(half_width, monkeypatch):
     grid = parse_config(cfg).grid.build()
     assert not np.array_equal(grid.axes()[0][::-1], -grid.axes()[0])
     calls = []
-    quadrant = scenarios._quadrant_residual
-    monkeypatch.setattr(scenarios, "_quadrant_residual",
+    quadrant = scenarios._quadrant_relative_residual
+    monkeypatch.setattr(scenarios, "_quadrant_relative_residual",
                         lambda *args: calls.append(1) or quadrant(*args))
     result = run_scenario(cfg)
     assert len(calls) == len(parse_config(cfg).params.hbars)
